@@ -23,13 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import quadrature
 from .quadrature import QuadratureError
 from .rootfind import bisect, newton_polish
+
+# Stationary-point scan samples per unit length of the y window.
+SCAN_DENSITY = 128
+# Uniform panels across the y window, before the ladders at the minima.
+COARSE_PANELS = 16
 
 
 @dataclass(frozen=True)
@@ -38,13 +42,10 @@ class SolverConfig:
 
     quad_tolerance is the relative tolerance per moment; grid_size is the
     number of snapshot points per half period (full grid is twice that);
-    domain_halfwidth overrides the automatic truncation window when set.
+    max_refine_rounds caps the adaptive y-refinement rounds.
     """
     quad_tolerance: float = 1e-10
-    domain_halfwidth: Optional[float] = None
     grid_size: int = 256
-    scan_density: int = 128
-    coarse_panels: int = 16
     max_refine_rounds: int = 64
 
     def __post_init__(self):
@@ -53,8 +54,6 @@ class SolverConfig:
         g = self.grid_size
         if g < 64 or (g & (g - 1)) != 0:
             raise ValueError("grid_size must be a power of two >= 64")
-        if self.domain_halfwidth is not None and self.domain_halfwidth <= 0:
-            raise ValueError("domain_halfwidth must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -112,21 +111,18 @@ class StateSnapshot:
 def _window_halfwidth(profile, a, k, config):
     """Truncation L: beyond |y - x| = L the phase exceeds its minimum by at
     least dF + log(1/tol)/k, so the discarded tail is below tolerance."""
-    if config.domain_halfwidth is not None:
-        return float(config.domain_halfwidth)
     dF = profile.F_max - profile.F_min
     margin = math.log(1.0 / config.quad_tolerance) / k
     return 1.0 + math.sqrt(2.0 * (dF + margin) / a)
 
 
-def _stationary_points(profile, x, a, L, config):
+def _stationary_points(profile, x, a, L):
     """All zeros of g(y) = f(y) + a*(y - x) in each row's window.
 
     Returns flat arrays (row, root, curvature) with curvature = f'(root)+a;
     positive curvature marks a phase minimum.
     """
-    nx = len(x)
-    ns = max(33, int(2 * L * config.scan_density) + 1)
+    ns = max(33, int(2 * L * SCAN_DENSITY) + 1)
     offs = np.linspace(-L, L, ns)
     ys = x[:, None] + offs[None, :]
     g = profile.f(ys) + a * (ys - x[:, None])
@@ -157,7 +153,7 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     x = np.asarray(x, dtype=float)
     nx = len(x)
     L = _window_halfwidth(profile, a, k, config)
-    rows, roots, curv = _stationary_points(profile, x, a, L, config)
+    rows, roots, curv = _stationary_points(profile, x, a, L)
     is_min = curv > 0
 
     # per-row phase minimum (global: the window always contains it)
@@ -177,11 +173,11 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
 
     # spike width of the narrowest possible minimum; nesting ladder
     w = 1.0 / math.sqrt(k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
-    h_coarse = 2 * L / config.coarse_panels
+    h_coarse = 2 * L / COARSE_PANELS
     n_lad = max(1, int(math.ceil(math.log2(max(h_coarse / w, 2.0)))))
     ladder = w * 2.0 ** np.arange(n_lad + 1)
     ladder = np.concatenate([-ladder[::-1], ladder])
-    coarse = np.linspace(-L, L, config.coarse_panels + 1)
+    coarse = np.linspace(-L, L, COARSE_PANELS + 1)
 
     panel_rows, panel_lo, panel_hi = [], [], []
     gap = max(w / 8.0, 4e-16 * L)

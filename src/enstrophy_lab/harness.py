@@ -6,26 +6,28 @@ integrals are themselves adaptive quadratures in x, with the exact-solver
 batch evaluator as the integrand and panels nested geometrically toward
 x = 0.  Oddness of u halves every integral to [0, 1/2].
 
-The maximizer search brackets T* by a logarithmic scan of [t0/4, 8 T*_pred]
-and refines by golden section; the k-sweep runs each k in a thread pool
-(size from ENSTROPHY_LAB_THREADS, results merged in k order so the output
-is scheduling-independent) and fits log-log scaling exponents of T*,
-E_max and K_drop against the initial enstrophy E0.
+T* is the zero of R = dE/dt (computed from the u_xx moment) where R turns
+from + to -: it is bracketed outward from the Laplace prediction T*_pred
+and polished by Illinois regula falsi.  The k-sweep runs each k in a
+thread pool (size from ENSTROPHY_LAB_THREADS, results merged in k order so
+the output is scheduling-independent) and fits log-log scaling exponents
+of T*, E_max and K_drop against the initial enstrophy E0.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import asymptotics, diagnostics, exact_solver, quadrature
+from . import asymptotics, diagnostics, exact_solver, quadrature, rootfind
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The T* search brackets from T*_pred with this ratio and widens by it.
+GROW = 1.25
+# Width of the final R bracket, relative to T*_pred.
+T_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,76 +120,61 @@ def state_functionals(profile, k, t, config=None, with_rate=False,
     return K, E
 
 
-def _enstrophy_of_t(profile, k, config, epsrel):
-    a_ref = {"count": 0}
+def _enstrophy_of_t(profile, k, config):
+    """Counted per-t evaluator of the T* search: t -> (K, E, R)."""
+    counter = {"count": 0}
 
-    def E_of(t):
-        a_ref["count"] += 1
-        a = 1.0 / (2.0 * k * t)
-        bps = _x_breakpoints(profile, a, k)
+    def KER_of(t):
+        counter["count"] += 1
+        return state_functionals(profile, k, t, config, with_rate=True)
 
-        def comp(xs):
-            _, ux = exact_solver.eval_fields(profile, xs, a, k, config)
-            return np.atleast_2d(ux * ux)
-
-        v, _, ok = quadrature.adaptive_quad(comp, bps, epsrel=epsrel)
-        if not ok:
-            raise quadrature.QuadratureError(
-                f"enstrophy quadrature failed at t={t}, k={k}")
-        return float(v[0])
-
-    return E_of, a_ref
+    return KER_of, counter
 
 
-def find_enstrophy_max(profile, k, config=None, n_scan=24,
-                       time_rel_tol=1e-4, bracket=(0.25, 8.0),
-                       energy_rel_tol=1e-8):
-    """Scan + golden-section maximization of E(t) for one k.
+def find_enstrophy_max(profile, k, config=None):
+    """T* as the zero of R = dE/dt where R turns from + to -, for one k.
 
-    The scan covers [bracket[0]*t0, bracket[1]*T*_pred] logarithmically; a
-    maximum on the scan edge raises with the scan table (that means the
-    bracket assumption, maximum after the pitchfork, failed).
+    The bracket [T*_pred / GROW, GROW * T*_pred] steps outward by GROW inside
+    [t0/4, 8 T*_pred] until R(lo) > 0 > R(hi), then Illinois polishes the
+    root; K, E and R are those of the final iterate.  No sign change in that
+    range raises with the (t, R) table.
     """
     bd = asymptotics.bifurcation_data(profile, k)   # validates a* < |f'(0)|
-    pred = asymptotics.predict(profile, k)
-    t_lo = bracket[0] * bd.t0
-    t_hi = bracket[1] * pred.T_star
-    E_of, counter = _enstrophy_of_t(profile, k, config, energy_rel_tol)
+    t_pred = asymptotics.predict(profile, k).T_star
+    t_min, t_max = bd.t0 / 4.0, 8.0 * t_pred
+    KER_of, counter = _enstrophy_of_t(profile, k, config)
+    seen = {}
 
-    ts = np.geomspace(t_lo, t_hi, n_scan)
-    Es = np.array([E_of(t) for t in ts])
-    i = int(np.argmax(Es))
-    if i in (0, n_scan - 1):
-        table = "\n".join(f"  t={t:.6e}  E={e:.6e}" for t, e in zip(ts, Es))
-        raise RuntimeError(
-            f"enstrophy maximum sits on the scan edge for k={k}; "
-            f"scan table:\n{table}")
+    def R_of(t):
+        seen[t] = KER_of(t)
+        return seen[t][2]
 
-    lo, hi = ts[i - 1], ts[i + 1]
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    fc, fd = E_of(c), E_of(d)
-    while (hi - lo) > time_rel_tol * hi:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = E_of(c)
+    lo, hi = t_pred / GROW, GROW * t_pred     # t0 < T*_pred: a* < |f'(0)|
+    R_lo, R_hi = R_of(lo), R_of(hi)
+    while not R_lo > 0 > R_hi:
+        if R_lo <= 0 and lo > t_min:        # the maximum lies below lo
+            hi, R_hi = lo, R_lo
+            lo = max(lo / GROW, t_min)
+            R_lo = R_of(lo)
+        elif R_hi >= 0 and hi < t_max:      # the maximum lies above hi
+            lo, R_lo = hi, R_hi
+            hi = min(hi * GROW, t_max)
+            R_hi = R_of(hi)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = E_of(d)
-    t_star, e_star = (c, fc) if fc > fd else (d, fd)
-    if Es[i] > e_star:
-        t_star, e_star = ts[i], Es[i]
+            table = "\n".join(f"  t={t:.6e}  R={v[2]:.6e}"
+                              for t, v in sorted(seen.items()))
+            raise RuntimeError(
+                f"R = dE/dt has no sign change from + to - in "
+                f"[{t_min:.6e}, {t_max:.6e}] for k={k}; (t, R) table:\n"
+                f"{table}")
 
-    K_at, E_at, R_at = state_functionals(profile, k, t_star, config,
-                                         with_rate=True,
-                                         epsrel=energy_rel_tol)
+    t_star = rootfind.illinois(R_of, lo, hi, R_lo, R_hi,
+                               T_REL_TOL * t_pred)
+    K_at, E_at, R_at = seen[t_star]
     K0 = diagnostics.initial_energy(profile, k)
     E0 = diagnostics.initial_enstrophy(profile, k)
     return MaxSearchResult(
-        k=float(k), T_star_measured=float(t_star),
-        E_max_measured=float(max(e_star, E_at)),
+        k=float(k), T_star_measured=float(t_star), E_max_measured=E_at,
         K_at_max=K_at, K_drop_measured=K0 - K_at,
         n_evaluations=counter["count"],
         E0=E0, K0=K0, R_at_max=R_at)
@@ -209,7 +196,7 @@ def _worker_count(n_tasks):
     return max(1, min(n_tasks, os.cpu_count() or 1))
 
 
-def sweep(profile, k_list, config=None, **search_kw):
+def sweep(profile, k_list, config=None):
     """Run find_enstrophy_max over a geometric k_list and fit the scalings.
 
     Requires >= 4 values of k in (approximately) geometric progression.
@@ -230,11 +217,9 @@ def sweep(profile, k_list, config=None, **search_kw):
     if np.max(np.abs(ratios - ratios[0])) > 1e-6:
         raise ValueError("k_list must be geometric")
 
-    def run_one(k):
-        return find_enstrophy_max(profile, k, config, **search_kw)
-
     with ThreadPoolExecutor(max_workers=_worker_count(len(ks))) as ex:
-        results = tuple(ex.map(run_one, ks))
+        results = tuple(ex.map(
+            lambda k: find_enstrophy_max(profile, k, config), ks))
 
     excluded = ()
     r0 = results[0]

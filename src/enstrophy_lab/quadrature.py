@@ -86,6 +86,21 @@ def _panel_eval(f, rows, lo, hi):
     return k15.T, err.T, absv.T
 
 
+def _row_totals(rows, val, err, absv, n_rows, epsrel, floor_frac):
+    """Per-row value, error, |f| integral, panel count, tolerance, flag."""
+    ncomp = val.shape[1]
+    tot = np.zeros((n_rows, ncomp))
+    toterr = np.zeros((n_rows, ncomp))
+    totabs = np.zeros((n_rows, ncomp))
+    np.add.at(tot, rows, val)
+    np.add.at(toterr, rows, err)
+    np.add.at(totabs, rows, absv)
+    npan = np.bincount(rows, minlength=n_rows)
+    tol = epsrel * np.maximum(np.abs(tot), floor_frac * totabs) + 1e-300
+    conv = (toterr <= tol).all(axis=1)
+    return tot, toterr, totabs, npan, tol, conv
+
+
 def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
                    floor_frac=1e-3, max_rounds=64, max_panels=200_000):
     """Adaptively integrate many rows at once.
@@ -108,19 +123,11 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
     keep = hi > lo
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     val, err, absv = _panel_eval(f, rows, lo, hi)
-    ncomp = val.shape[1]
 
-    for _ in range(max_rounds):
-        tot = np.zeros((n_rows, ncomp))
-        toterr = np.zeros((n_rows, ncomp))
-        totabs = np.zeros((n_rows, ncomp))
-        np.add.at(tot, rows, val)
-        np.add.at(toterr, rows, err)
-        np.add.at(totabs, rows, absv)
-        npan = np.bincount(rows, minlength=n_rows)
-        tol = epsrel * np.maximum(np.abs(tot), floor_frac * totabs) + 1e-300
-        conv = (toterr <= tol).all(axis=1)
-        if conv.all() or len(rows) > max_panels:
+    for rnd in range(max_rounds + 1):
+        tot, toterr, totabs, npan, tol, conv = _row_totals(
+            rows, val, err, absv, n_rows, epsrel, floor_frac)
+        if conv.all() or len(rows) > max_panels or rnd == max_rounds:
             break
         share = tol / np.maximum(npan, 1)[:, None]
         splittable = (hi - lo) > np.abs(lo) * 4e-16 + 1e-300
@@ -140,16 +147,6 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
         val = np.concatenate([val[keep], nval])
         err = np.concatenate([err[keep], nerr])
         absv = np.concatenate([absv[keep], nabs])
-
-    tot = np.zeros((n_rows, ncomp))
-    toterr = np.zeros((n_rows, ncomp))
-    totabs = np.zeros((n_rows, ncomp))
-    np.add.at(tot, rows, val)
-    np.add.at(toterr, rows, err)
-    np.add.at(totabs, rows, absv)
-    npan = np.bincount(rows, minlength=n_rows)
-    tol = epsrel * np.maximum(np.abs(tot), floor_frac * totabs) + 1e-300
-    conv = (toterr <= tol).all(axis=1)
     return BatchQuadResult(tot, toterr, totabs, conv, npan)
 
 

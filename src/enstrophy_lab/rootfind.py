@@ -3,6 +3,7 @@
 Bisection does the heavy lifting (it cannot leave the bracket), Newton
 squeezes out the last few digits.  Works elementwise on arrays so the phase
 stationary-point scan can polish every bracket of every grid point at once.
+`illinois` serves one scalar root of an expensive g with no derivative.
 """
 
 from __future__ import annotations
@@ -42,3 +43,20 @@ def bracketed_root(g, lo, hi, dg=None, iters=52, polish=3):
     if dg is not None:
         r = newton_polish(g, dg, r, lo, hi, steps=polish)
     return float(r[0])
+
+
+def illinois(g, x0, x1, g0, g1, xtol):
+    """Root of scalar g between x0 and x1, given g0 = g(x0) and g1 = g(x1) of
+    opposite sign, by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971):
+    secant steps; when two in a row land on the same side, the far end's
+    stored g is halved, so both ends move.  Returns the last point evaluated
+    once the ends are within xtol or g is exactly 0."""
+    while g1 != 0 and abs(x1 - x0) > xtol:
+        x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        gx = g(x)
+        if (gx > 0) != (g1 > 0):
+            x0, g0 = x1, g1
+        else:
+            g0 *= 0.5
+        x1, g1 = x, gx
+    return x1

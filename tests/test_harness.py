@@ -42,6 +42,9 @@ def test_enstrophy_max_matches_oracle(sine):
     d = diagnostics.compute(snap, needs_uxx=False)
     assert abs(d.E - r.E_max_measured) < 1e-8 * r.E_max_measured
     assert abs(d.K - r.K_at_max) < 1e-8 * r.K_at_max
+    # T* is a root of R = dE/dt to near the quadrature tolerance
+    assert abs(r.R_at_max) * r.T_star_measured < 1e-8 * r.E_max_measured
+    assert r.n_evaluations <= 16
 
 
 def test_extrapolated_ratios(acceptance_sweep, sine):
@@ -89,11 +92,21 @@ def test_sweep_keeps_smallest_k_when_only_E_max_ratio_is_off(
         assert fit.k_list == ks, name
 
 
-def test_edge_maximum_raises(sine):
-    # a bracket that starts after the maximum must fail loudly, not return
-    # the edge value
-    with pytest.raises(RuntimeError, match="edge"):
-        harness.find_enstrophy_max(sine, 10.0, n_scan=8, bracket=(4.0, 8.0))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_no_interior_maximum_raises(sine, monkeypatch, sign):
+    # an E(t) that only rises (or only falls) over the search range has no
+    # interior maximum: the search must fail loudly after a bounded number
+    # of evaluations, not return a range edge
+    calls = []
+
+    def monotone(profile, k, t, config=None, with_rate=False):
+        calls.append(t)
+        return 1.0, 1.0, sign
+
+    monkeypatch.setattr(harness, "state_functionals", monotone)
+    with pytest.raises(RuntimeError, match=r"no sign change.* k=10\.0"):
+        harness.find_enstrophy_max(sine, 10.0)
+    assert 2 <= len(calls) <= 16
 
 
 def test_thread_cap_env(monkeypatch):

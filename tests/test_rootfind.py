@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from enstrophy_lab.rootfind import bisect, bracketed_root, newton_polish
+from enstrophy_lab.rootfind import (bisect, bracketed_root, illinois,
+                                   newton_polish)
 
 
 def test_bracketed_root_cosine():
@@ -26,3 +27,18 @@ def test_newton_polish_stays_in_bracket():
     x = newton_polish(g, dg, np.array([1.0]), 1.0, 2.0, steps=6)
     assert abs(x[0] - 2.0 ** (1.0 / 3.0)) < 1e-12
     assert 1.0 <= x[0] <= 2.0
+
+
+def test_illinois_superlinear_on_skewed_root():
+    # plain regula falsi keeps one end fixed on a convex g like this one and
+    # never closes the bracket; Illinois must move both ends
+    calls = []
+
+    def g(y):
+        calls.append(y)
+        return y ** 5 - 0.5
+
+    root = 0.5 ** 0.2
+    r = illinois(g, 1.5, 0.0, g(1.5), g(0.0), 1e-14)
+    assert abs(r - root) < 1e-13
+    assert len(calls) <= 2 + 20
