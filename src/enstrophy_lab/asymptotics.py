@@ -48,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import quadrature
+from . import diagnostics, quadrature
 from .exact_solver import PhasePoint, ScaledIntegral
 from .profiles import ProfileError
 from .rootfind import bisect, newton_polish, bracketed_root
@@ -56,6 +56,9 @@ from .rootfind import bisect, newton_polish, bracketed_root
 SINGLE = "single"
 TRIPLE = "triple"
 POST_FOLD = "post-fold"
+
+# Grid intervals on [0, x_star] sampled by check_required_bound.
+BOUND_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def _int_f(profile, lo, hi):
         lambda ys: np.atleast_2d(profile.f(ys)), lo, hi, n_panels=16)[0])
 
 
-def find_roots(profile, x, a, k=None):
+def find_roots(profile, x, a):
     """Classify (x, a) and return the stationary points; x in [0, 1/2]."""
     if not (0.0 <= x <= 0.5):
         raise ValueError("find_roots expects x in [0, 1/2]; use oddness")
@@ -329,15 +332,6 @@ def asymptotic_ux(profile, x, a, k):
 # ----------------------------------------------------------------------
 # leading-order diagnostics and predictions
 
-def _quad01(profile, fn, lo, hi, epsrel=1e-12):
-    v, _, ok = quadrature.adaptive_quad(
-        lambda ys: np.atleast_2d(fn(ys)),
-        np.linspace(lo, hi, 9), epsrel=epsrel)
-    if not ok:
-        raise quadrature.QuadratureError(f"integral on [{lo}, {hi}] failed")
-    return float(v[0])
-
-
 def leading_enstrophy(profile, a, k):
     """Leading E(t) at fixed a: k^2-order before the pitchfork, the
     k^3-order spike formula after it (0 exactly at a = |f'(0)|).
@@ -347,10 +341,10 @@ def leading_enstrophy(profile, a, k):
     shock of half-jump k |f(s+)| (see the README)."""
     apf = abs(profile.f_prime_at_zero)
     if a > apf:
-        val = _quad01(profile,
-                      lambda y: a * profile.f_prime(y) ** 2
-                      / (a + profile.f_prime(y)), 0.0, 0.5)
-        return k * k * val
+        val = quadrature.integral(
+            lambda y: a * profile.f_prime(y) ** 2 / (a + profile.f_prime(y)),
+            0.0, 0.5)
+        return k * k * float(val[0])
     if a == apf:
         return 0.0
     s0 = find_roots(profile, 0.0, a).s_plus
@@ -362,9 +356,9 @@ def leading_energy(profile, a, k):
     k^2 ( int_{s+_{0,a}}^{1/2} f^2 + |f(s+_{0,a})|^3 / (3a) )."""
     apf = abs(profile.f_prime_at_zero)
     if a >= apf:
-        return k * k * _quad01(profile, lambda y: profile.f(y) ** 2, 0.0, 0.5)
+        return diagnostics.initial_energy(profile, k)
     s0 = find_roots(profile, 0.0, a).s_plus
-    tail = _quad01(profile, lambda y: profile.f(y) ** 2, s0, 0.5)
+    tail = float(quadrature.integral(lambda y: profile.f(y) ** 2, s0, 0.5)[0])
     return k * k * (tail + abs(float(profile.f(s0))) ** 3 / (3.0 * a))
 
 
@@ -377,8 +371,8 @@ def predict(profile, k):
     the README).  T_star and K_drop_leading match the measured values."""
     xs = profile.x_star
     fxs = abs(float(profile.f(xs)))
-    K0 = k * k * _quad01(profile, lambda y: profile.f(y) ** 2, 0.0, 0.5)
-    head = _quad01(profile, lambda y: profile.f(y) ** 2, 0.0, xs)
+    K0 = diagnostics.initial_energy(profile, k)
+    head = float(quadrature.integral(lambda y: profile.f(y) ** 2, 0.0, xs)[0])
     k_drop = k * k * (head - xs * fxs ** 2 / 3.0)
     return Predictions(
         T_star=xs / (2.0 * k * fxs),
@@ -388,7 +382,7 @@ def predict(profile, k):
     )
 
 
-def check_required_bound(profile, n=512):
+def check_required_bound(profile):
     """Verify the sign structure that makes the predicted K-drop positive.
 
     G(x) = int_0^x f^2 - x f(x)^2 / 3 and H(x) = f(x) - x f'(x) satisfy
@@ -397,10 +391,10 @@ def check_required_bound(profile, n=512):
     [0, x_star].  Reports grid samples plus a finite-difference check of
     the G' identity.
     """
-    xs = np.linspace(0.0, profile.x_star, n + 1)
+    xs = np.linspace(0.0, profile.x_star, BOUND_GRID + 1)
     f2 = lambda y: np.atleast_2d(profile.f(y) ** 2)
     seg = quadrature._panel_eval(lambda rows, ys: f2(ys),
-                                 np.zeros(n, dtype=np.intp),
+                                 np.zeros(BOUND_GRID, dtype=np.intp),
                                  xs[:-1], xs[1:])[0][:, 0]
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     fv = profile.f(xs)

@@ -284,24 +284,10 @@ def build_config(argv):
         raise ConfigError("invalid command line") from err
 
     raw = read_config_file(args.config) if args.config else {}
-    if args.mode is not None:
-        raw["mode"] = args.mode
-    if args.profile is not None:
-        raw["profile"] = args.profile
-    if args.k is not None:
-        raw["k"] = args.k
-    if args.k_list is not None:
-        raw["k_list"] = args.k_list
-    if args.t is not None:
-        raw["t"] = args.t
-    if args.out_dir is not None:
-        raw["out_dir"] = args.out_dir
-    if args.quad_tol is not None:
-        raw["quad_tol"] = args.quad_tol
-    if args.grid_size is not None:
-        raw["grid_size"] = args.grid_size
-    if args.oracle is not None:
-        raw["oracle"] = args.oracle
+    for key in CONFIG_KEYS:
+        val = getattr(args, key)
+        if val is not None:
+            raw[key] = val
 
     if "mode" not in raw:
         raise ConfigError("no mode given (flag --mode or config key)")

@@ -45,7 +45,7 @@ class Diagnostics:
     tail_fraction: float
 
 
-def compute(snap, needs_uxx: bool = True) -> Diagnostics:
+def compute(snap) -> Diagnostics:
     """Diagnostics of a StateSnapshot (grid-based)."""
     u = snap.u_values
     ux = snap.ux_values
@@ -62,20 +62,17 @@ def compute(snap, needs_uxx: bool = True) -> Diagnostics:
         warnings.warn(f"grid tail fraction {tail:.2e}: u_xx (and R) are "
                       "under-resolved at n={n}".format(n=n), RuntimeWarning)
 
-    R = None
-    bound_res = None
-    if needs_uxx:
-        w = 2.0 * math.pi * np.arange(len(spec))
-        uxx = np.fft.irfft(-(w * w) * spec, n=n)
-        R = -float(np.mean(uxx * uxx) + np.mean(ux ** 3))
-        bound_res = 1.5 * E ** (5.0 / 3.0) - R
+    w = 2.0 * math.pi * np.arange(len(spec))
+    uxx = np.fft.irfft(-(w * w) * spec, n=n)
+    R = -float(np.mean(uxx * uxx) + np.mean(ux ** 3))
 
-    return Diagnostics(K=K, E=E, R=R, bound_R_residual=bound_res,
+    return Diagnostics(K=K, E=E, R=R,
+                       bound_R_residual=1.5 * E ** (5.0 / 3.0) - R,
                        poincare_residual=E / FOUR_PI_SQ - K,
                        tail_fraction=tail)
 
 
-def from_functionals(K, E, R=None, tail_fraction=0.0) -> Diagnostics:
+def from_functionals(K, E, R=None) -> Diagnostics:
     """Diagnostics from already-computed integrals (adaptive-quadrature
     path used by the harness, where no fixed grid could resolve the
     shock)."""
@@ -84,7 +81,7 @@ def from_functionals(K, E, R=None, tail_fraction=0.0) -> Diagnostics:
                        R=None if R is None else float(R),
                        bound_R_residual=bound_res,
                        poincare_residual=E / FOUR_PI_SQ - K,
-                       tail_fraction=tail_fraction)
+                       tail_fraction=0.0)
 
 
 def integral_bound_rhs(E0: float) -> float:
@@ -96,19 +93,11 @@ def integral_bound_rhs(E0: float) -> float:
 
 def initial_energy(profile, k: float) -> float:
     """K(u0) = k^2 int_0^{1/2} f^2 (exact, adaptive quadrature)."""
-    v, _, ok = quadrature.adaptive_quad(
-        lambda ys: np.atleast_2d(profile.f(ys) ** 2),
-        np.linspace(0.0, 0.5, 9), epsrel=1e-12)
-    if not ok:
-        raise quadrature.QuadratureError("K(u0) quadrature failed")
-    return k * k * float(v[0])
+    return k * k * float(
+        quadrature.integral(lambda ys: profile.f(ys) ** 2, 0.0, 0.5)[0])
 
 
 def initial_enstrophy(profile, k: float) -> float:
     """E(u0) = k^2 int_0^{1/2} f'^2 (exact, adaptive quadrature)."""
-    v, _, ok = quadrature.adaptive_quad(
-        lambda ys: np.atleast_2d(profile.f_prime(ys) ** 2),
-        np.linspace(0.0, 0.5, 9), epsrel=1e-12)
-    if not ok:
-        raise quadrature.QuadratureError("E(u0) quadrature failed")
-    return k * k * float(v[0])
+    return k * k * float(
+        quadrature.integral(lambda ys: profile.f_prime(ys) ** 2, 0.0, 0.5)[0])

@@ -34,6 +34,8 @@ from .rootfind import bisect, newton_polish
 SCAN_DENSITY = 128
 # Uniform panels across the y window, before the ladders at the minima.
 COARSE_PANELS = 16
+# Cap on the adaptive y-refinement rounds.
+MAX_REFINE_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -41,12 +43,10 @@ class SolverConfig:
     """Knobs for the phase-integral evaluation.
 
     quad_tolerance is the relative tolerance per moment; grid_size is the
-    number of snapshot points per half period (full grid is twice that);
-    max_refine_rounds caps the adaptive y-refinement rounds.
+    number of snapshot points per half period (full grid is twice that).
     """
     quad_tolerance: float = 1e-10
     grid_size: int = 256
-    max_refine_rounds: int = 64
 
     def __post_init__(self):
         if not (0.0 < self.quad_tolerance <= 1e-4):
@@ -216,8 +216,7 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
 
     res = quadrature.adaptive_batch(
         integrand, prow, plo, phi_, n_rows=nx,
-        epsrel=config.quad_tolerance, floor_frac=1e-3,
-        max_rounds=config.max_refine_rounds)
+        epsrel=config.quad_tolerance, max_rounds=MAX_REFINE_ROUNDS)
     if not res.converged.all():
         bad = np.nonzero(~res.converged)[0][:8]
         triples = ", ".join(f"(x={x[i]:.6g}, a={a:.6g}, k={k:.6g})"

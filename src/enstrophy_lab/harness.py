@@ -28,6 +28,8 @@ from . import asymptotics, diagnostics, exact_solver, quadrature, rootfind
 GROW = 1.25
 # Width of the final R bracket, relative to T*_pred.
 T_REL_TOL = 1e-9
+# Relative tolerance of the x-integrals of K, E and R.
+X_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,18 @@ def _x_breakpoints(profile, a, k):
     return np.unique(np.clip(pts, 0.0, 0.5))
 
 
-def state_functionals(profile, k, t, config=None, with_rate=False,
-                      epsrel=1e-8):
+def state_functionals(profile, k, t, config=None, with_rate=False):
     """K, E (and R when with_rate) at time t by adaptive x-integration."""
     if t <= 0:
         K0 = diagnostics.initial_energy(profile, k)
         E0 = diagnostics.initial_enstrophy(profile, k)
         if not with_rate:
             return K0, E0
-        v, _, ok = quadrature.adaptive_quad(
+        v = quadrature.integral(
             lambda ys: np.stack([
                 profile.f_double_prime(ys) ** 2 * k * k,
                 profile.f_prime(ys) ** 3 * k ** 3]),
-            np.linspace(0.0, 0.5, 9), epsrel=1e-10)
+            0.0, 0.5, epsrel=1e-10)
         return K0, E0, -2.0 * float(v.sum())
     a = 1.0 / (2.0 * k * t)
     bps = _x_breakpoints(profile, a, k)
@@ -110,7 +111,7 @@ def state_functionals(profile, k, t, config=None, with_rate=False,
         u, ux = exact_solver.eval_fields(profile, xs, a, k, config)
         return np.stack([u * u, ux * ux])
 
-    v, _, ok = quadrature.adaptive_quad(comps, bps, epsrel=epsrel)
+    v, _, ok = quadrature.adaptive_quad(comps, bps, epsrel=X_REL_TOL)
     if not ok:
         raise quadrature.QuadratureError(
             f"x-integration of the state functionals failed at t={t}, k={k}")

@@ -23,9 +23,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .rootfind import bisect, newton_polish
+from .rootfind import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
+# Uniform grid points for fitting a callable f and for validate_profile.
+FIT_GRID = 4096
 
 
 class ProfileError(ValueError):
@@ -140,39 +142,27 @@ def _find_x_star(fp, fpp):
     lo, hi = 1e-9, 0.5 - 1e-9
     if not (fp(lo) < 0 < fp(hi)):
         return math.nan
-    r = bisect(fp, np.array([lo]), np.array([hi]), iters=48)
-    r = newton_polish(fp, fpp, r, lo, hi, steps=1)
-    return float(r[0])
+    return bracketed_root(fp, lo, hi, dg=fpp, iters=48, polish=1)
 
 
 def make_custom_profile(source=None, *, f=None, f_prime=None,
                         f_double_prime=None, f_triple_prime=None, F=None,
-                        coeffs=None, samples=None, n_grid=4096,
                         validate=True, label="custom") -> Profile:
-    """Build a profile from whatever the caller has.
+    """Build a profile from samples of f or from a callable f.
 
-    Accepted inputs (the positional `source` is sniffed by type):
-      * a coefficient sequence  -> same as make_sine_series_profile,
-      * an array of samples of f on the uniform grid x_j = j/n - 1/2,
-      * a callable f, optionally with analytic derivative / antiderivative
-        closures passed by keyword.
+    A callable `source` (or f=) is f itself, optionally with analytic
+    derivative / antiderivative closures passed by keyword; any other
+    `source` is an array of samples of f on the uniform grid
+    x_j = j/n - 1/2.  For sine coefficients use make_sine_series_profile.
 
-    Missing derivatives are filled in from a sine-series fit of f on an
-    n_grid-point grid; supplied closures always win over the fit.  The
+    Missing derivatives are filled in from a sine-series fit of f on a
+    FIT_GRID-point grid; supplied closures always win over the fit.  The
     admissibility invariants are enforced unless validate=False.
     """
-    if source is not None:
-        if callable(source):
-            f = source
-        elif np.ndim(source) == 1 and len(np.asarray(source)) > 8 and samples is None and coeffs is None:
-            samples = np.asarray(source, dtype=float)
-        else:
-            coeffs = source
-    if coeffs is not None:
-        return make_sine_series_profile(coeffs, validate=validate, label=label)
-
-    if samples is not None:
-        s = np.asarray(samples, dtype=float)
+    if callable(source):
+        f = source
+    elif source is not None:
+        s = np.asarray(source, dtype=float)
         if s.ndim != 1 or len(s) < 16 or len(s) % 2:
             raise ProfileError("samples must be a 1-d array of even length >= 16")
         a = _series_from_samples(s)
@@ -181,7 +171,7 @@ def make_custom_profile(source=None, *, f=None, f_prime=None,
     if f is None:
         raise ProfileError("nothing to build a profile from")
 
-    xs = np.arange(n_grid) / n_grid - 0.5
+    xs = np.arange(FIT_GRID) / FIT_GRID - 0.5
     a = _series_from_samples(np.asarray(f(xs), dtype=float))
     fitted = make_sine_series_profile(a, validate=False, label=label)
     prof = replace(
@@ -239,22 +229,19 @@ class ProfileReport:
     scale: float
     names: tuple = field(default_factory=tuple)
 
-    def violations(self):
-        return self.names
-
     @property
     def ok(self):
         return not self.names
 
 
-def validate_profile(profile: Profile, n_grid: int = 4096) -> ProfileReport:
+def validate_profile(profile: Profile) -> ProfileReport:
     """Check the admissibility invariants on a dense grid.
 
     Purely a reporting operation: nothing raises, the report carries the
     residuals and the list of violated invariant names.  Tolerances are
     relative to the profile's own scale except where noted.
     """
-    xs = np.linspace(0.0, 0.5, n_grid + 1)
+    xs = np.linspace(0.0, 0.5, FIT_GRID + 1)
     fv = profile.f(xs)
     scale = float(np.max(np.abs(fv))) + 1e-300
 

@@ -7,7 +7,8 @@ comparing the 15-point Kronrod value against the embedded 7-point Gauss
 value on each panel.  The batch interface carries many integrals at once
 (one per grid point) with a shared vector of integrand components, which is
 what keeps the harness sweep fast: one callback evaluates every pending
-panel of every pending integral in a single numpy call.
+panel of every pending integral in a single numpy call.  `integral` is the
+one checked routine for a plain integral over a fixed interval.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ _wg_full = np.zeros(15)
 _wg_full[1::2] = np.concatenate([_WG[:3], [_WG[3]], _WG[:3][::-1]])
 W_GAUSS = _wg_full
 
+# Share of the integral of |f| that bounds each row's tolerance from below.
+FLOOR_FRAC = 1e-3
+# A batch stops refining once it holds more panels than this.
+MAX_PANELS = 200_000
+
 
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed to converge (or misbehaved) somewhere."""
@@ -86,7 +92,7 @@ def _panel_eval(f, rows, lo, hi):
     return k15.T, err.T, absv.T
 
 
-def _row_totals(rows, val, err, absv, n_rows, epsrel, floor_frac):
+def _row_totals(rows, val, err, absv, n_rows, epsrel):
     """Per-row value, error, |f| integral, panel count, tolerance, flag."""
     ncomp = val.shape[1]
     tot = np.zeros((n_rows, ncomp))
@@ -96,13 +102,13 @@ def _row_totals(rows, val, err, absv, n_rows, epsrel, floor_frac):
     np.add.at(toterr, rows, err)
     np.add.at(totabs, rows, absv)
     npan = np.bincount(rows, minlength=n_rows)
-    tol = epsrel * np.maximum(np.abs(tot), floor_frac * totabs) + 1e-300
+    tol = epsrel * np.maximum(np.abs(tot), FLOOR_FRAC * totabs) + 1e-300
     conv = (toterr <= tol).all(axis=1)
     return tot, toterr, totabs, npan, tol, conv
 
 
 def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
-                   floor_frac=1e-3, max_rounds=64, max_panels=200_000):
+                   max_rounds=64):
     """Adaptively integrate many rows at once.
 
     rows/lo/hi describe the initial panels: panel i spans [lo[i], hi[i]] and
@@ -111,9 +117,11 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
     interpret row_idx to select its own parameters (e.g. its own x).
 
     A row converges when, for every component, the summed panel error is
-    below epsrel * max(|integral|, floor_frac * integral of |f|).  The floor
+    below epsrel * max(|integral|, FLOOR_FRAC * integral of |f|).  The floor
     keeps components whose exact value is ~0 by cancellation (odd moments at
     symmetric points) from demanding impossible relative accuracy.
+    Refinement stops after max_rounds rounds or once the batch holds more
+    than MAX_PANELS panels; rows still over tolerance then read unconverged.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
@@ -126,8 +134,8 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
 
     for rnd in range(max_rounds + 1):
         tot, toterr, totabs, npan, tol, conv = _row_totals(
-            rows, val, err, absv, n_rows, epsrel, floor_frac)
-        if conv.all() or len(rows) > max_panels or rnd == max_rounds:
+            rows, val, err, absv, n_rows, epsrel)
+        if conv.all() or len(rows) > MAX_PANELS or rnd == max_rounds:
             break
         share = tol / np.maximum(npan, 1)[:, None]
         splittable = (hi - lo) > np.abs(lo) * 4e-16 + 1e-300
@@ -150,8 +158,7 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
     return BatchQuadResult(tot, toterr, totabs, conv, npan)
 
 
-def adaptive_quad(fvec, breakpoints, epsrel=1e-10, floor_frac=1e-3,
-                  max_rounds=64):
+def adaptive_quad(fvec, breakpoints, epsrel=1e-10):
     """Single adaptive integral of a vector integrand.
 
     fvec(ys) -> (ncomp, len(ys)); breakpoints is the ordered panel skeleton.
@@ -162,9 +169,22 @@ def adaptive_quad(fvec, breakpoints, epsrel=1e-10, floor_frac=1e-3,
         raise ValueError("need at least two breakpoints")
     res = adaptive_batch(lambda rows, ys: fvec(ys),
                          np.zeros(len(bp) - 1, dtype=np.intp),
-                         bp[:-1], bp[1:], n_rows=1, epsrel=epsrel,
-                         floor_frac=floor_frac, max_rounds=max_rounds)
+                         bp[:-1], bp[1:], n_rows=1, epsrel=epsrel)
     return res.value[0], res.error[0], bool(res.converged[0])
+
+
+def integral(fvec, lo, hi, epsrel=1e-12):
+    """Adaptive integral over [lo, hi], seeded with eight equal panels.
+
+    fvec(ys) -> (ncomp, len(ys)), or a 1-d array for one component.
+    Returns the value shaped (ncomp,); raises QuadratureError naming the
+    interval when it does not converge.
+    """
+    v, _, ok = adaptive_quad(lambda ys: np.atleast_2d(fvec(ys)),
+                             np.linspace(lo, hi, 9), epsrel=epsrel)
+    if not ok:
+        raise QuadratureError(f"integral on [{lo}, {hi}] did not converge")
+    return v
 
 
 def fixed_gk(fvec, lo, hi, n_panels=16):

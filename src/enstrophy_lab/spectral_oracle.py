@@ -25,6 +25,10 @@ import numpy as np
 from .exact_solver import StateSnapshot
 
 INTEGRATORS = ("etd-rk4", "imex-cn-ab2")
+# Share of the resolved band kept by the dealiasing mask (the 2/3 rule).
+DEALIAS_FRACTION = 2.0 / 3.0
+# Spectral tail fraction above which the run is repeated at double modes.
+TAIL_THRESHOLD = 1e-8
 
 
 class OracleError(RuntimeError):
@@ -33,14 +37,15 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Resolution and stepping knobs for the spectral integrator."""
+    """Resolution and stepping knobs for the spectral integrator.
+
+    The run starts at n_modes and doubles while the tail monitor trips, up
+    to max_n_modes; max_n_modes = n_modes turns the doubling off.
+    """
     n_modes: int = 1024
     dt: float = 2e-6
-    dealias_fraction: float = 2.0 / 3.0
     integrator: str = "etd-rk4"
     cfl_constant: float = 0.5
-    tail_threshold: float = 1e-8
-    auto_double: bool = True
     max_n_modes: int = 8192
     snapshot_points: int = 512
 
@@ -50,8 +55,6 @@ class OracleConfig:
             raise ValueError("n_modes must be a power of two >= 64")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
-        if not (0.0 < self.dealias_fraction <= 1.0):
-            raise ValueError("dealias_fraction must lie in (0, 1]")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -78,12 +81,12 @@ def _etdrk4_coeffs(L, h, m=32):
 class _Spectral:
     """One resolution level: grids, masks, and the nonlinear term."""
 
-    def __init__(self, n, dealias_fraction):
+    def __init__(self, n):
         self.n = n
         self.x = (np.arange(n) - n // 2) / n
         self.w = 2.0 * math.pi * np.arange(n // 2 + 1)
         self.L = -self.w ** 2
-        cut = int(dealias_fraction * (n // 2))
+        cut = int(DEALIAS_FRACTION * (n // 2))
         self.mask = (np.arange(n // 2 + 1) <= cut)
         self.cut = cut
 
@@ -169,8 +172,9 @@ def integrate(profile, k, t_end, save_times, config=None):
 
     save_times must be sorted, within [0, t_end].  The advective CFL clamp
     dt <= cfl_constant / (2 k max|f| n_modes) is applied on top of the
-    configured dt; if the tail monitor trips, the run is repeated at double
-    resolution (up to max_n_modes, then a warning is issued).
+    configured dt; while the tail fraction exceeds TAIL_THRESHOLD the run is
+    repeated at double resolution, up to max_n_modes, and a tail still above
+    it there is reported as a warning.
     """
     cfg = config or DEFAULT_ORACLE
     ts = [float(t) for t in save_times]
@@ -182,11 +186,10 @@ def integrate(profile, k, t_end, save_times, config=None):
     n = cfg.n_modes
     while True:
         snaps, worst_tail = _single_run(profile, k, ts, cfg, n)
-        if (worst_tail <= cfg.tail_threshold or not cfg.auto_double
-                or n >= cfg.max_n_modes):
+        if worst_tail <= TAIL_THRESHOLD or n >= cfg.max_n_modes:
             break
         n *= 2
-    if worst_tail > cfg.tail_threshold:
+    if worst_tail > TAIL_THRESHOLD:
         warnings.warn(
             f"oracle tail fraction {worst_tail:.2e} above threshold at "
             f"n_modes={n}; results may be under-resolved", RuntimeWarning)
@@ -194,7 +197,7 @@ def integrate(profile, k, t_end, save_times, config=None):
 
 
 def _single_run(profile, k, ts, cfg, n):
-    sp = _Spectral(n, cfg.dealias_fraction)
+    sp = _Spectral(n)
     u0 = k * profile.f(sp.x)
     speed = 2.0 * k * float(np.max(np.abs(profile.f(sp.x)))) + 1e-300
     h_cfl = cfg.cfl_constant / (speed * n)

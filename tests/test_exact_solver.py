@@ -122,10 +122,10 @@ def test_solver_config_validation():
         exact_solver.SolverConfig(grid_size=100)
 
 
-def test_unconverged_quadrature_names_the_point(sine):
-    cfg = exact_solver.SolverConfig(max_refine_rounds=0)
+def test_unconverged_quadrature_names_the_point(sine, monkeypatch):
+    monkeypatch.setattr(exact_solver, "MAX_REFINE_ROUNDS", 0)
     with pytest.raises(QuadratureError, match=r"x=0\.1"):
-        exact_solver.eval_u(sine, 0.1, 50.0, 100.0, cfg)
+        exact_solver.eval_u(sine, 0.1, 50.0, 100.0)
 
 
 def test_negative_time_rejected(sine):

@@ -1,5 +1,6 @@
 """Max search and scaling sweep: closed forms, oracle cross-check, fits."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from enstrophy_lab import (asymptotics, diagnostics, exact_solver, harness,
                            spectral_oracle)
+from enstrophy_lab.quadrature import QuadratureError
 
 
 def test_initial_functionals_closed_form(sine):
@@ -18,6 +20,16 @@ def test_initial_functionals_closed_form(sine):
     # R(u0) = -32 pi^6 k^2 for the sine profile
     R0_exact = -32.0 * math.pi ** 6 * k * k
     assert abs(R0 - R0_exact) < 1e-10 * abs(R0_exact)
+
+
+def test_unconverged_initial_rate_raises(sine):
+    # f''^2 is not integrable at the kink, so R(u0) has no finite value
+    bad = dataclasses.replace(
+        sine, f_double_prime=lambda y: np.abs(
+            np.asarray(y, float) - 0.3712345) ** -0.75)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureError, match=r"\[0\.0, 0\.5\]"):
+        harness.state_functionals(bad, 5.0, 0.0, with_rate=True)
 
 
 def test_state_functionals_match_grid_diagnostics(sine):
@@ -39,7 +51,7 @@ def test_enstrophy_max_matches_oracle(sine):
         warnings.filterwarnings("ignore", message=".*CFL.*")
         snap = spectral_oracle.integrate(sine, k, r.T_star_measured,
                                          [r.T_star_measured], cfg)[0]
-    d = diagnostics.compute(snap, needs_uxx=False)
+    d = diagnostics.compute(snap)
     assert abs(d.E - r.E_max_measured) < 1e-8 * r.E_max_measured
     assert abs(d.K - r.K_at_max) < 1e-8 * r.K_at_max
     # T* is a root of R = dE/dt to near the quadrature tolerance

@@ -52,8 +52,7 @@ def test_cfl_clamp_warns(sine):
 def test_tail_warning_without_headroom(sine):
     # 64 modes cannot hold a k=30 shock; with doubling frozen the tail
     # monitor must complain
-    cfg = spectral_oracle.OracleConfig(n_modes=64, max_n_modes=64,
-                                       auto_double=False)
+    cfg = spectral_oracle.OracleConfig(n_modes=64, max_n_modes=64)
     t = 1.0 / (480.0 * math.pi)
     with pytest.warns(RuntimeWarning, match="tail"):
         spectral_oracle.integrate(sine, 30.0, t, [t], cfg)
