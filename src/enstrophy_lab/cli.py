@@ -16,7 +16,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 
 import argparse
 import configparser
-import math
+import dataclasses
 import os
 import sys
 
@@ -31,10 +31,6 @@ from . import spectral_oracle
 from .quadrature import QuadratureError
 
 MODES = ("solve", "asym", "sweep", "validate")
-
-# keys accepted in the [run] section of a config file; mirrors the flags
-CONFIG_KEYS = ("profile", "mode", "k", "k_list", "t", "out_dir",
-               "quad_tol", "grid_size", "oracle")
 
 
 class ConfigError(ValueError):
@@ -52,13 +48,9 @@ def fmt(v):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         v = float(v)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         if v == 0.0:
             v = 0.0          # print negative zero as 0
-        return format(v, ".17g")
+        return format(v, ".17g")     # also "nan", "inf", "-inf"
     return str(v)
 
 
@@ -89,17 +81,11 @@ def _json_fragment(obj, indent, out):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isfinite(v):
-            out.append(format(0.0 if v == 0.0 else v, ".17g"))
-        else:
-            # keep the file valid JSON; readers get a string marker
-            out.append('"' + fmt(v) + '"')
+    elif isinstance(obj, (int, float, np.integer, np.floating)):
+        text = fmt(obj)
+        # keep the file valid JSON; readers get a string marker
+        out.append('"' + text + '"' if text in ("nan", "inf", "-inf")
+                   else text)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -135,25 +121,20 @@ def _emit(out_dir, name, text, written):
 # ----------------------------------------------------------------------
 # configuration
 
-def parse_float_list(text, what):
-    try:
-        vals = [float(p) for p in str(text).replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated numbers, "
-                          f"got {text!r}") from None
+def parse_float_list(text):
+    vals = tuple(float(p) for p in str(text).replace(",", " ").split())
     if not vals:
-        raise ConfigError(f"{what}: empty list")
+        raise ValueError("empty list")
     return vals
 
 
 def make_profile(spec):
-    spec = (spec or "sine").strip()
+    spec = spec.strip()
     if spec == "sine":
         return profiles.make_sine_profile()
-    coeffs = parse_float_list(spec, "profile")
     try:
-        return profiles.make_sine_series_profile(coeffs)
-    except profiles.ProfileError as err:
+        return profiles.make_sine_series_profile(parse_float_list(spec))
+    except ValueError as err:      # ProfileError is a ValueError
         raise ConfigError(f"profile {spec!r}: {err}") from None
 
 
@@ -180,50 +161,55 @@ def read_config_file(path):
 
 
 def _parse_bool(text):
-    low = str(text).strip().lower()
+    low = str(text).strip().lower()     # --oracle gives the bool True
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for one run; run() consumes this."""
+    """Validated settings for one run; run() consumes this.
 
-    def __init__(self, mode, profile_spec="sine", k=None, k_list=None,
-                 times=None, out_dir="enstrophy-out", quad_tol=None,
-                 grid_size=None, oracle=False):
-        if mode not in MODES:
+    The fields, in echo order, are the run settings: each is a flag
+    (underscores written as dashes) and a key of the [run] section of a
+    config file.
+    """
+    mode: str
+    profile: str = "sine"
+    k: float | None = None
+    k_list: tuple[float, ...] | None = None
+    t: tuple[float, ...] | None = None
+    out_dir: str = "enstrophy-out"
+    quad_tol: float | None = None
+    grid_size: int | None = None
+    oracle: bool = False
+
+    def __post_init__(self):
+        if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; "
-                              f"got {mode!r}")
-        self.mode = mode
-        self.profile_spec = profile_spec or "sine"
-        self.k = None if k is None else float(k)
-        self.k_list = None if k_list is None else tuple(float(v)
-                                                        for v in k_list)
-        self.times = None if times is None else tuple(float(t)
-                                                      for t in times)
-        self.out_dir = out_dir or "enstrophy-out"
-        self.quad_tol = None if quad_tol is None else float(quad_tol)
-        self.grid_size = None if grid_size is None else int(grid_size)
-        self.oracle = bool(oracle)
-
+                              f"got {self.mode!r}")
         if self.mode in ("solve", "asym"):
             if self.k is None or not self.k > 0:
-                raise ConfigError(f"mode {mode!r} needs --k > 0")
+                raise ConfigError(f"mode {self.mode!r} needs --k > 0")
         if self.mode == "solve":
-            if not self.times:
+            if not self.t:
                 raise ConfigError("mode 'solve' needs --t (comma-separated "
                                   "times >= 0)")
-            if any(t < 0 for t in self.times):
+            if any(t < 0 for t in self.t):
                 raise ConfigError("times must be >= 0")
         if self.mode == "sweep":
             if not self.k_list:
                 raise ConfigError("mode 'sweep' needs --k-list")
             if len(self.k_list) < 4:
                 raise ConfigError("--k-list needs at least 4 values")
-        # surface bad numeric knobs at parse time (exit 2), not mid-run
+            # surface bad numeric knobs at parse time (exit 2), not mid-run
+            try:
+                harness._worker_count(len(self.k_list))
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
         self.solver_config()
 
     def solver_config(self):
@@ -238,17 +224,13 @@ class RunConfig:
             raise ConfigError(str(err)) from None
 
     def echo(self):
-        return {
-            "mode": self.mode,
-            "profile": self.profile_spec,
-            "k": self.k,
-            "k_list": list(self.k_list) if self.k_list else None,
-            "t": list(self.times) if self.times else None,
-            "out_dir": self.out_dir,
-            "quad_tol": self.quad_tol,
-            "grid_size": self.grid_size,
-            "oracle": self.oracle,
-        }
+        return dataclasses.asdict(self)
+
+
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+# text -> value, shared by flags and config-file keys; the rest stay text
+_CONVERT = {"k": float, "k_list": parse_float_list, "t": parse_float_list,
+            "quad_tol": float, "grid_size": int, "oracle": _parse_bool}
 
 
 def build_config(argv):
@@ -262,14 +244,13 @@ def build_config(argv):
     ap.add_argument("--profile",
                     help="'sine' or comma-separated coefficients a_n of "
                          "-sum a_n sin(2 pi n x)  (default sine)")
-    ap.add_argument("--k", type=float, help="amplitude factor")
+    ap.add_argument("--k", help="amplitude factor")
     ap.add_argument("--k-list", help="comma-separated k values (sweep)")
     ap.add_argument("--t", help="comma-separated times (solve)")
     ap.add_argument("--out-dir", help="artifact directory "
                                       "(default enstrophy-out)")
-    ap.add_argument("--quad-tol", type=float,
-                    help="relative quadrature tolerance")
-    ap.add_argument("--grid-size", type=int,
+    ap.add_argument("--quad-tol", help="relative quadrature tolerance")
+    ap.add_argument("--grid-size",
                     help="snapshot points per half period (power of two)")
     ap.add_argument("--oracle", action="store_true", default=None,
                     help="cross-check solve output against the spectral "
@@ -285,30 +266,21 @@ def build_config(argv):
 
     raw = read_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:
-        val = getattr(args, key)
-        if val is not None:
-            raw[key] = val
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
 
-    if "mode" not in raw:
+    settings = {}
+    for key, text in raw.items():
+        # an empty profile or out_dir keeps its default
+        if text == "" and key not in _CONVERT:
+            continue
+        try:
+            settings[key] = _CONVERT.get(key, str)(text)
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from None
+    if "mode" not in settings:
         raise ConfigError("no mode given (flag --mode or config key)")
-
-    try:
-        k = float(raw["k"]) if "k" in raw else None
-        quad_tol = float(raw["quad_tol"]) if "quad_tol" in raw else None
-        grid_size = int(raw["grid_size"]) if "grid_size" in raw else None
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    k_list = (parse_float_list(raw["k_list"], "k_list")
-              if "k_list" in raw else None)
-    times = parse_float_list(raw["t"], "t") if "t" in raw else None
-    oracle = raw.get("oracle", False)
-    if not isinstance(oracle, bool):
-        oracle = _parse_bool(oracle)
-
-    return RunConfig(mode=raw["mode"], profile_spec=raw.get("profile"),
-                     k=k, k_list=k_list, times=times,
-                     out_dir=raw.get("out_dir"), quad_tol=quad_tol,
-                     grid_size=grid_size, oracle=oracle)
+    return RunConfig(**settings)
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +288,7 @@ def build_config(argv):
 
 def _run_solve(cfg, profile, written):
     scfg = cfg.solver_config()
-    times = sorted(set(cfg.times))
+    times = sorted(set(cfg.t))
     oracle_snaps = {}
     if cfg.oracle and max(times) > 0:
         ocfg = spectral_oracle.OracleConfig(
@@ -542,7 +514,7 @@ _RUNNERS = {"solve": _run_solve, "asym": _run_asym, "sweep": _run_sweep,
 def run(cfg):
     """Execute one validated RunConfig; returns the process exit code."""
     try:
-        profile = make_profile(cfg.profile_spec)
+        profile = make_profile(cfg.profile)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

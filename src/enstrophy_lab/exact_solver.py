@@ -34,8 +34,6 @@ from .rootfind import bisect, newton_polish
 SCAN_DENSITY = 128
 # Uniform panels across the y window, before the ladders at the minima.
 COARSE_PANELS = 16
-# Cap on the adaptive y-refinement rounds.
-MAX_REFINE_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -96,16 +94,17 @@ class StateSnapshot:
     """u and u_x sampled on the uniform circle grid at one instant."""
     k: float
     t: float
-    a: float
     x_grid: np.ndarray
     u_values: np.ndarray
     ux_values: np.ndarray
     oddness_residual: float
 
-    def __post_init__(self):
-        if self.t > 0 and math.isfinite(self.a):
-            if abs(2.0 * self.k * self.a * self.t - 1.0) > 1e-14:
-                raise ValueError("inconsistent (t, a): need t = 1/(2*k*a)")
+    @property
+    def a(self):
+        """Curvature parameter 1/(2kt); inf for the initial data."""
+        if self.t == 0 or self.k == 0:
+            return math.inf
+        return 1.0 / (2.0 * self.k * self.t)
 
 
 def _window_halfwidth(profile, a, k, config):
@@ -214,9 +213,8 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
             comps.append(comps[-1] * d)
         return np.stack(comps)
 
-    res = quadrature.adaptive_batch(
-        integrand, prow, plo, phi_, n_rows=nx,
-        epsrel=config.quad_tolerance, max_rounds=MAX_REFINE_ROUNDS)
+    res = quadrature.adaptive_batch(integrand, prow, plo, phi_, n_rows=nx,
+                                    epsrel=config.quad_tolerance)
     if not res.converged.all():
         bad = np.nonzero(~res.converged)[0][:8]
         triples = ", ".join(f"(x={x[i]:.6g}, a={a:.6g}, k={k:.6g})"
@@ -282,14 +280,12 @@ def _snapshot_core(profile, t, a, k, cfg):
     if a is None:          # t == 0: initial data, no integrals involved
         u = k * profile.f(xg)
         ux = k * profile.f_prime(xg)
-        a_out = math.inf
     else:
         u, ux = eval_fields(profile, xg, a, k, cfg)
-        a_out = a
     mirror = (n - np.arange(n)) % n
     odd = float(np.max(np.abs(u + u[mirror])))
-    return StateSnapshot(k=k, t=t, a=a_out, x_grid=xg, u_values=u,
-                         ux_values=ux, oddness_residual=odd)
+    return StateSnapshot(k=k, t=t, x_grid=xg, u_values=u, ux_values=ux,
+                         oddness_residual=odd)
 
 
 def snapshot(profile, t, k, config=None):

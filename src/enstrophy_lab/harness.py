@@ -192,9 +192,16 @@ def _loglog_fit(x, y):
 
 def _worker_count(n_tasks):
     env = os.environ.get("ENSTROPHY_LAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return max(1, min(n_tasks, os.cpu_count() or 1))
+    if not env.strip():
+        return max(1, min(n_tasks, os.cpu_count() or 1))
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError("ENSTROPHY_LAB_THREADS must be a positive integer, "
+                         f"got {env!r}")
+    return n
 
 
 def sweep(profile, k_list, config=None):

@@ -57,6 +57,8 @@ W_GAUSS = _wg_full
 FLOOR_FRAC = 1e-3
 # A batch stops refining once it holds more panels than this.
 MAX_PANELS = 200_000
+# Cap on the adaptive refinement rounds of one batch.
+MAX_ROUNDS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -82,8 +84,8 @@ def _panel_eval(f, rows, lo, hi):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     ys = mid[:, None] + half[:, None] * NODES[None, :]
-    fv = f(np.repeat(rows, 15), ys.ravel())
-    fv = np.atleast_2d(fv).reshape(-1, len(lo), 15)
+    fv = np.atleast_2d(f(np.repeat(rows, 15), ys.ravel()))
+    fv = fv.reshape(len(fv), len(lo), 15)
     k15 = (fv * W_KRONROD).sum(axis=2) * half
     g7 = (fv * W_GAUSS).sum(axis=2) * half
     absv = (np.abs(fv) * W_KRONROD).sum(axis=2) * half
@@ -107,8 +109,7 @@ def _row_totals(rows, val, err, absv, n_rows, epsrel):
     return tot, toterr, totabs, npan, tol, conv
 
 
-def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
-                   max_rounds=64):
+def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10):
     """Adaptively integrate many rows at once.
 
     rows/lo/hi describe the initial panels: panel i spans [lo[i], hi[i]] and
@@ -120,8 +121,9 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
     below epsrel * max(|integral|, FLOOR_FRAC * integral of |f|).  The floor
     keeps components whose exact value is ~0 by cancellation (odd moments at
     symmetric points) from demanding impossible relative accuracy.
-    Refinement stops after max_rounds rounds or once the batch holds more
+    Refinement stops after MAX_ROUNDS rounds or once the batch holds more
     than MAX_PANELS panels; rows still over tolerance then read unconverged.
+    Zero-width panels are dropped, so a row with none integrates to zero.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
@@ -132,10 +134,10 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10,
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     val, err, absv = _panel_eval(f, rows, lo, hi)
 
-    for rnd in range(max_rounds + 1):
+    for rnd in range(MAX_ROUNDS + 1):
         tot, toterr, totabs, npan, tol, conv = _row_totals(
             rows, val, err, absv, n_rows, epsrel)
-        if conv.all() or len(rows) > MAX_PANELS or rnd == max_rounds:
+        if conv.all() or len(rows) > MAX_PANELS or rnd == MAX_ROUNDS:
             break
         share = tol / np.maximum(npan, 1)[:, None]
         splittable = (hi - lo) > np.abs(lo) * 4e-16 + 1e-300

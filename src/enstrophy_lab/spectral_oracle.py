@@ -161,9 +161,8 @@ def _make_snapshot(sp, v, t, k, gp):
     n = len(u)
     mirror = (n - np.arange(n)) % n
     odd = float(np.max(np.abs(u + u[mirror])))
-    a = math.inf if (t == 0 or k == 0) else 1.0 / (2.0 * k * t)
     xg = (np.arange(gp) - gp // 2) / gp
-    return StateSnapshot(k=k, t=float(t), a=a, x_grid=xg, u_values=u,
+    return StateSnapshot(k=k, t=float(t), x_grid=xg, u_values=u,
                          ux_values=ux, oddness_residual=odd)
 
 

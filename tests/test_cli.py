@@ -91,6 +91,32 @@ def test_config_file_with_flag_override(tmp_path):
     assert data["config"]["quad_tol"] == 1e-10
 
 
+def test_config_file_converts_like_flags(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nmode = solve\nprofile = 1,0.1\nk = 5\n"
+                   "k_list = 5, 10, 20, 40\nt = 0,0.001\nout_dir = %s\n"
+                   "quad_tol = 1e-9\ngrid_size = 128\noracle = yes\n"
+                   % tmp_path)
+    from_file = cli.build_config(["--config", str(ini)]).echo()
+    from_flags = cli.build_config([
+        "--mode", "solve", "--profile", "1,0.1", "--k", "5",
+        "--k-list", "5,10,20,40", "--t", "0,0.001", "--out-dir",
+        str(tmp_path), "--quad-tol", "1e-9", "--grid-size", "128",
+        "--oracle"]).echo()
+    assert from_file == from_flags == {
+        "mode": "solve", "profile": "1,0.1", "k": 5.0,
+        "k_list": (5.0, 10.0, 20.0, 40.0), "t": (0.0, 0.001),
+        "out_dir": str(tmp_path), "quad_tol": 1e-9, "grid_size": 128,
+        "oracle": True}
+    assert type(from_file["grid_size"]) is int
+    # a bad value names its key, from the file as from a flag
+    ini.write_text("[run]\nmode = validate\ngrid_size = 12x\n")
+    with pytest.raises(cli.ConfigError, match="grid_size"):
+        cli.build_config(["--config", str(ini)])
+    with pytest.raises(cli.ConfigError, match="k: .*'abc'"):
+        cli.build_config(["--mode", "validate", "--k", "abc"])
+
+
 def test_bad_config_file_keys(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nmode = validate\nspeed = 3\n")

@@ -12,7 +12,7 @@ def _sine_state(n=512):
     x = (np.arange(n) - n // 2) / n
     u = np.sin(2.0 * np.pi * x)
     ux = 2.0 * np.pi * np.cos(2.0 * np.pi * x)
-    return exact_solver.StateSnapshot(k=1.0, t=0.0, a=math.inf, x_grid=x,
+    return exact_solver.StateSnapshot(k=1.0, t=0.0, x_grid=x,
                                       u_values=u, ux_values=ux,
                                       oddness_residual=0.0)
 
@@ -59,7 +59,7 @@ def test_tail_warning_on_rough_data():
     rng = np.random.default_rng(7)
     u = rng.standard_normal(n) * 1e-2 + np.sin(2 * np.pi * x)
     u -= u.mean()
-    snap = exact_solver.StateSnapshot(k=1.0, t=0.0, a=math.inf, x_grid=x,
+    snap = exact_solver.StateSnapshot(k=1.0, t=0.0, x_grid=x,
                                       u_values=u, ux_values=u,
                                       oddness_residual=0.0)
     with pytest.warns(RuntimeWarning, match="tail"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from enstrophy_lab import exact_solver, profiles
+from enstrophy_lab import exact_solver, profiles, quadrature
 from enstrophy_lab.quadrature import QuadratureError
 
 
@@ -107,14 +107,6 @@ def test_phase_point_derivatives(sine):
         assert abs(fd2 - pp.phi_double_prime(y)) < 1e-4
 
 
-def test_inconsistent_time_and_a_rejected():
-    with pytest.raises(ValueError):
-        exact_solver.StateSnapshot(k=1.0, t=1.0, a=1.0,
-                                   x_grid=np.zeros(4), u_values=np.zeros(4),
-                                   ux_values=np.zeros(4),
-                                   oddness_residual=0.0)
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         exact_solver.SolverConfig(quad_tolerance=1e-3)
@@ -123,7 +115,7 @@ def test_solver_config_validation():
 
 
 def test_unconverged_quadrature_names_the_point(sine, monkeypatch):
-    monkeypatch.setattr(exact_solver, "MAX_REFINE_ROUNDS", 0)
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 0)
     with pytest.raises(QuadratureError, match=r"x=0\.1"):
         exact_solver.eval_u(sine, 0.1, 50.0, 100.0)
 

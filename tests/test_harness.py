@@ -124,6 +124,10 @@ def test_no_interior_maximum_raises(sine, monkeypatch, sign):
 def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("ENSTROPHY_LAB_THREADS", "2")
     assert harness._worker_count(8) == 2
+    for bad in ("two", "0"):
+        monkeypatch.setenv("ENSTROPHY_LAB_THREADS", bad)
+        with pytest.raises(ValueError, match=f"ENSTROPHY_LAB_THREADS.*{bad}"):
+            harness._worker_count(8)
     monkeypatch.delenv("ENSTROPHY_LAB_THREADS")
     assert 1 <= harness._worker_count(8) <= 8
 

@@ -68,15 +68,15 @@ def test_fixed_gk_exponential():
     assert abs(val[0] - (np.e - 1.0)) < 1e-14
 
 
-def test_unconverged_flag_not_raise():
+def test_unconverged_flag_not_raise(monkeypatch):
     # integrable endpoint singularity, refinement capped: must report,
     # not die
     def f(rows, ys):
         return np.atleast_2d(np.abs(ys - 0.37) ** -0.5)
 
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 2)
     res = quadrature.adaptive_batch(
-        f, np.zeros(1, dtype=np.intp), [0.0], [1.0],
-        epsrel=1e-13, max_rounds=2)
+        f, np.zeros(1, dtype=np.intp), [0.0], [1.0], epsrel=1e-13)
     assert not res.converged[0]
 
 
@@ -87,3 +87,15 @@ def test_error_type_is_runtime_error():
 def test_breakpoint_validation():
     with pytest.raises(ValueError):
         quadrature.adaptive_quad(lambda ys: np.atleast_2d(ys), [0.0])
+
+
+def test_zero_width_interval_integrates_to_zero():
+    # every panel is dropped; the component count still comes from f
+    def fvec(ys):
+        return np.vstack([np.ones_like(ys), ys, ys * ys])
+
+    assert np.array_equal(quadrature.integral(fvec, 0.3, 0.3), np.zeros(3))
+    val, err, ok = quadrature.adaptive_quad(fvec, [0.2, 0.2])
+    assert ok
+    assert val.shape == err.shape == (3,)
+    assert not val.any() and not err.any()
