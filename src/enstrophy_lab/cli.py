@@ -191,6 +191,10 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; "
                               f"got {self.mode!r}")
+        for key in ("k", "k_list", "t"):
+            value = getattr(self, key)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{key}: must be finite, got {value}")
         if self.mode in ("solve", "asym"):
             if self.k is None or not self.k > 0:
                 raise ConfigError(f"mode {self.mode!r} needs --k > 0")

@@ -142,12 +142,42 @@ def _stationary_points(profile, x, a, L):
     return rows, roots, curv
 
 
+def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
+    """Initial y-panels of every row, built in one sorted pass.
+
+    Row i's breakpoints are x_i + coarse, its stationary points and the
+    ladder around each of its minima, clipped to [x_i - L, x_i + L].  After
+    one lexsort by (row, point), a row keeps its first point and every
+    later point lying more than gap above its predecessor, which is what
+    np.unique followed by a diff > gap mask gives row by row.  Returns
+    (row, lo, hi) of the panels between consecutive kept points, in row
+    order.
+    """
+    nx = len(x)
+    mins = roots[is_min]
+    prow = np.concatenate([np.repeat(np.arange(nx), len(coarse)), rows,
+                           np.repeat(rows[is_min], len(ladder))])
+    pts = np.concatenate([(x[:, None] + coarse[None, :]).ravel(), roots,
+                          (mins[:, None] + ladder[None, :]).ravel()])
+    pts = np.clip(pts, x[prow] - L, x[prow] + L)
+    order = np.lexsort((pts, prow))
+    prow, pts = prow[order], pts[order]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (prow[1:] != prow[:-1]) | (np.diff(pts) > gap)
+    prow, pts = prow[keep], pts[keep]
+    same = prow[1:] == prow[:-1]
+    return prow[:-1][same], pts[:-1][same], pts[1:][same]
+
+
 def _phase_moments(profile, x, a, k, config, n_moments=2):
     """Scaled moments r_0..r_n of exp(-k*phi) for a batch of x values.
 
-    Returns (m, r) with m the per-row extracted phase minimum and r of
-    shape (nx, n_moments+1).  Raises QuadratureError when any row fails to
-    converge, naming the offending (x, a, k).
+    The initial panels of all rows come from `_panel_skeleton`, and one
+    `quadrature.adaptive_batch` call refines them; its callback writes
+    r_0..r_n into one (n_moments+1, N) array.  An empty x batch gives
+    empty results.  Returns (m, r) with m the per-row extracted phase
+    minimum and r of shape (nx, n_moments+1).  Raises QuadratureError
+    when any row fails to converge, naming the offending (x, a, k).
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -178,25 +208,9 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     ladder = np.concatenate([-ladder[::-1], ladder])
     coarse = np.linspace(-L, L, COARSE_PANELS + 1)
 
-    panel_rows, panel_lo, panel_hi = [], [], []
     gap = max(w / 8.0, 4e-16 * L)
-    for i in range(nx):
-        sel = rows == i
-        ri = roots[sel]
-        pts = [x[i] + coarse, ri]
-        mins = ri[is_min[sel]]
-        if len(mins):
-            pts.append((mins[:, None] + ladder[None, :]).ravel())
-        b = np.unique(np.clip(np.concatenate(pts), x[i] - L, x[i] + L))
-        if len(b) > 1:
-            b = np.concatenate([b[:1], b[1:][np.diff(b) > gap]])
-        panel_rows.append(np.full(len(b) - 1, i, dtype=np.intp))
-        panel_lo.append(b[:-1])
-        panel_hi.append(b[1:])
-
-    prow = np.concatenate(panel_rows)
-    plo = np.concatenate(panel_lo)
-    phi_ = np.concatenate(panel_hi)
+    prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, is_min,
+                                      ladder, gap)
 
     def integrand(ridx, ys):
         xr = x[ridx]
@@ -207,11 +221,11 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
             raise QuadratureError(
                 f"phase fell {np.max(arg)/k:.3g} below its located minimum "
                 f"at x={x[bad]:.6g}, a={a:.6g}, k={k:.6g}")
-        wgt = np.exp(arg)
-        comps = [wgt]
-        for _ in range(n_moments):
-            comps.append(comps[-1] * d)
-        return np.stack(comps)
+        out = np.empty((n_moments + 1, len(ys)))
+        np.exp(arg, out=out[0])
+        for j in range(n_moments):
+            np.multiply(out[j], d, out=out[j + 1])
+        return out
 
     res = quadrature.adaptive_batch(integrand, prow, plo, phi_, n_rows=nx,
                                     epsrel=config.quad_tolerance)

@@ -86,23 +86,27 @@ def _panel_eval(f, rows, lo, hi):
     ys = mid[:, None] + half[:, None] * NODES[None, :]
     fv = np.atleast_2d(f(np.repeat(rows, 15), ys.ravel()))
     fv = fv.reshape(len(fv), len(lo), 15)
-    k15 = (fv * W_KRONROD).sum(axis=2) * half
+    fw = fv * W_KRONROD
+    k15 = fw.sum(axis=2) * half
     g7 = (fv * W_GAUSS).sum(axis=2) * half
-    absv = (np.abs(fv) * W_KRONROD).sum(axis=2) * half
+    # W_KRONROD > 0, so |f*w| is |f|*w exactly
+    absv = np.abs(fw, out=fw).sum(axis=2) * half
     err = np.abs(k15 - g7)
     # (ncomp, npanels) -> (npanels, ncomp)
     return k15.T, err.T, absv.T
 
 
 def _row_totals(rows, val, err, absv, n_rows, epsrel):
-    """Per-row value, error, |f| integral, panel count, tolerance, flag."""
-    ncomp = val.shape[1]
-    tot = np.zeros((n_rows, ncomp))
-    toterr = np.zeros((n_rows, ncomp))
-    totabs = np.zeros((n_rows, ncomp))
-    np.add.at(tot, rows, val)
-    np.add.at(toterr, rows, err)
-    np.add.at(totabs, rows, absv)
+    """Per-row value, error, |f| integral, panel count, tolerance, flag.
+
+    Each component is totalled by one np.bincount, which adds a row's
+    panels one at a time in index order.
+    """
+    def total(a):
+        return np.stack([np.bincount(rows, weights=c, minlength=n_rows)
+                         for c in a.T], axis=1)
+
+    tot, toterr, totabs = total(val), total(err), total(absv)
     npan = np.bincount(rows, minlength=n_rows)
     tol = epsrel * np.maximum(np.abs(tot), FLOOR_FRAC * totabs) + 1e-300
     conv = (toterr <= tol).all(axis=1)

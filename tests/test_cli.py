@@ -117,6 +117,25 @@ def test_config_file_converts_like_flags(tmp_path):
         cli.build_config(["--mode", "validate", "--k", "abc"])
 
 
+@pytest.mark.parametrize("key, argv, ini", [
+    ("k", ["--mode", "solve", "--k", "inf", "--t", "0"],
+     "mode = solve\nk = inf\nt = 0\n"),
+    ("t", ["--mode", "solve", "--k", "2", "--t", "nan"],
+     "mode = solve\nk = 2\nt = 0, nan\n"),
+    ("k_list", ["--mode", "sweep", "--k-list", "5,10,20,inf"],
+     "mode = sweep\nk_list = 5, 10, 20, -inf\n"),
+])
+def test_non_finite_numbers_exit_two(key, argv, ini, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 2
+    assert f"config error: {key}: must be finite" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{ini}out_dir = {out}\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert f"config error: {key}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_file_keys(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nmode = validate\nspeed = 3\n")

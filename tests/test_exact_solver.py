@@ -123,3 +123,120 @@ def test_unconverged_quadrature_names_the_point(sine, monkeypatch):
 def test_negative_time_rejected(sine):
     with pytest.raises(ValueError):
         exact_solver.snapshot(sine, -1.0, 5.0)
+
+
+def _skeleton_by_row(x, L, coarse, rows, roots, is_min, ladder, gap):
+    """Row-by-row reference: np.unique of the clipped breakpoints, then
+    drop each point within gap of its predecessor."""
+    out_rows, out_lo, out_hi = [np.empty(0, np.intp)], [np.empty(0)], \
+        [np.empty(0)]
+    for i in range(len(x)):
+        ri = roots[rows == i]
+        pts = [x[i] + coarse, ri]
+        mins = ri[is_min[rows == i]]
+        if len(mins):
+            pts.append((mins[:, None] + ladder[None, :]).ravel())
+        b = np.unique(np.clip(np.concatenate(pts), x[i] - L, x[i] + L))
+        if len(b) > 1:
+            b = np.concatenate([b[:1], b[1:][np.diff(b) > gap]])
+        out_rows.append(np.full(len(b) - 1, i, dtype=np.intp))
+        out_lo.append(b[:-1])
+        out_hi.append(b[1:])
+    return tuple(np.concatenate(p) for p in (out_rows, out_lo, out_hi))
+
+
+def _assert_same_skeleton(*args):
+    got = exact_solver._panel_skeleton(*args)
+    ref = _skeleton_by_row(*args)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r)
+    return got
+
+
+def test_panel_skeleton_matches_row_by_row_reference():
+    L, gap = 0.5, 2.0 ** -10
+    coarse = np.linspace(-L, L, 9)
+    ladder = np.array([-0.2, -0.05, -0.01, 0.01, 0.05, 0.2])
+    x = np.array([0.0, 0.1, 0.3, -0.2])
+    rows = np.array([0, 0, 0, 0, 1, 1, 1, 3, 3], dtype=np.intp)
+    roots = np.array([
+        0.125,              # on the coarse node x_0 + L/4
+        0.25 + gap,         # exactly gap above a node: dropped
+        0.2, 0.2,           # the same breakpoint twice
+        0.1 + 0.3 * gap,    # closer than gap to the node x_1
+        0.4, 0.55,          # ladders reaching past x_1 + L are clipped
+        -0.35, -0.35 + 0.01 + 0.5 * gap,  # a ladder rung within gap
+    ])
+    is_min = np.array([True, False, True, True, False, True, True, True,
+                       False])
+    # row 2 has no stationary point and so no minimum
+    prow, lo, hi = _assert_same_skeleton(x, L, coarse, rows, roots, is_min,
+                                         ladder, gap)
+    assert set(prow) == {0, 1, 2, 3}
+    assert np.all(hi - lo > gap)
+    # the same with the stationary points listed in no particular order
+    perm = np.random.default_rng(3).permutation(len(rows))
+    _assert_same_skeleton(x, L, coarse, rows[perm], roots[perm],
+                          is_min[perm], ladder, gap)
+    # an empty batch gives no panels
+    prow, lo, hi = _assert_same_skeleton(
+        np.empty(0), L, coarse, np.empty(0, np.intp), np.empty(0),
+        np.empty(0, bool), ladder, gap)
+    assert len(prow) == len(lo) == len(hi) == 0
+
+
+def test_panel_skeleton_matches_reference_on_solver_input(sine, two_term):
+    cfg = exact_solver.DEFAULT_CONFIG
+    for profile, a, k in ((sine, 3.0, 160.0), (two_term, 0.25, 40.0)):
+        x = np.linspace(-0.5, 0.5, 33)
+        L = exact_solver._window_halfwidth(profile, a, k, cfg)
+        rows, roots, curv = exact_solver._stationary_points(profile, x, a, L)
+        coarse = np.linspace(-L, L, exact_solver.COARSE_PANELS + 1)
+        w = 1.0 / math.sqrt(k * (a + profile.f_prime_max) + 1.0)
+        ladder = w * 2.0 ** np.arange(6)
+        ladder = np.concatenate([-ladder[::-1], ladder])
+        _assert_same_skeleton(x, L, coarse, rows, roots, curv > 0, ladder,
+                              max(w / 8.0, 4e-16 * L))
+
+
+def test_empty_batch_gives_empty_fields(sine):
+    u, ux, uxx = exact_solver.eval_fields(sine, [], 2.0, 10.0,
+                                          want_uxx=True)
+    assert u.shape == ux.shape == uxx.shape == (0,)
+
+
+@pytest.mark.parametrize("which, k, t", [("two_term", 40.0, 0.05),
+                                         ("sine", 2560.0, 7.8e-6)])
+def test_window_tail_below_row_tolerance(which, k, t, request):
+    """Outside |y - x| = L, each moment integrand |y-x|^j exp(-k(phi - m))
+    holds less mass than the row tolerance the quadrature works to,
+    quad_tolerance * max(|r_j|, FLOOR_FRAC * integral of |.|), measured
+    with scipy.integrate.quad."""
+    from scipy.integrate import quad
+
+    profile = request.getfixturevalue(which)
+    cfg = exact_solver.DEFAULT_CONFIG
+    a = 1.0 / (2.0 * k * t)
+    L = exact_solver._window_halfwidth(profile, a, k, cfg)
+    xs = np.array([0.0, 0.15, 0.3, 0.5])
+    m, r = exact_solver._phase_moments(profile, xs, a, k, cfg, n_moments=3)
+    rows, roots, _ = exact_solver._stationary_points(profile, xs, a, L)
+    for i, x in enumerate(xs):
+        for j in range(4):
+            def g(y):
+                d = abs(y - x)
+                ph = profile.F(y) + 0.5 * a * d * d - m[i]
+                return d ** j * math.exp(-k * ph)
+
+            inside = quad(g, x - L, x + L, points=roots[rows == i],
+                          epsabs=0.0, epsrel=1e-8, limit=400)[0]
+            # past |y - x| = 2L the weight is below exp(-k a (3/2) L^2)
+            # of its value at L
+            tail = sum(quad(g, lo, hi, epsabs=0.0, epsrel=1e-6,
+                            limit=400)[0]
+                       for lo, hi in ((x + L, x + 2 * L),
+                                      (x - 2 * L, x - L)))
+            row_tol = cfg.quad_tolerance * max(
+                abs(r[i, j]), quadrature.FLOOR_FRAC * inside)
+            assert tail < row_tol, (x, j, tail, row_tol)

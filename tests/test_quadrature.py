@@ -99,3 +99,20 @@ def test_zero_width_interval_integrates_to_zero():
     assert ok
     assert val.shape == err.shape == (3,)
     assert not val.any() and not err.any()
+
+
+def test_row_totals_match_add_at_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n_rows, n_panels = 40, 3000
+    rows = rng.permutation(np.repeat(np.arange(n_rows - 3), 100)[:n_panels])
+    val = rng.standard_normal((n_panels, 3)) * 10.0 ** rng.integers(
+        -12, 4, (n_panels, 1))
+    err = np.abs(rng.standard_normal((n_panels, 3))) * 1e-9
+    absv = np.abs(val) + err
+    got = quadrature._row_totals(rows, val, err, absv, n_rows, 1e-10)
+    for out, comp in zip(got[:3], (val, err, absv)):
+        ref = np.zeros((n_rows, 3))
+        np.add.at(ref, rows, comp)
+        assert np.array_equal(out, ref)
+    assert np.array_equal(got[3], np.bincount(rows, minlength=n_rows))
+    assert got[5][-3:].all()            # rows without panels read converged
