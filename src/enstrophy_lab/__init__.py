@@ -15,10 +15,9 @@ it from a config file or flags.
 from .profiles import (Profile, ProfileError, ProfileReport,
                        make_sine_profile, make_sine_series_profile,
                        make_custom_profile, validate_profile)
-from .exact_solver import (SolverConfig, ScaledIntegral, PhasePoint,
-                           StateSnapshot, eval_I, eval_fields, eval_u,
-                           eval_ux, snapshot, snapshot_at_a)
+from .exact_solver import SolverConfig, StateSnapshot, eval_fields, snapshot
 from .asymptotics import (RootSet, BifurcationData, Predictions, BoundCheck,
+                          ScaledIntegral,
                           SINGLE, TRIPLE, POST_FOLD, find_roots,
                           fold_location, matching_point, bifurcation_data,
                           laplace_interior, laplace_endpoint, asymptotic_u,
@@ -38,10 +37,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Profile", "ProfileError", "ProfileReport", "make_sine_profile",
     "make_sine_series_profile", "make_custom_profile", "validate_profile",
-    "SolverConfig", "ScaledIntegral", "PhasePoint", "StateSnapshot",
-    "eval_I", "eval_fields", "eval_u", "eval_ux", "snapshot",
-    "snapshot_at_a",
+    "SolverConfig", "StateSnapshot", "eval_fields", "snapshot",
     "RootSet", "BifurcationData", "Predictions", "BoundCheck",
+    "ScaledIntegral",
     "SINGLE", "TRIPLE", "POST_FOLD", "find_roots", "fold_location",
     "matching_point", "bifurcation_data", "laplace_interior",
     "laplace_endpoint", "asymptotic_u", "asymptotic_ux",

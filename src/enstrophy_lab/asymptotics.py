@@ -49,7 +49,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics, quadrature
-from .exact_solver import PhasePoint, ScaledIntegral
 from .profiles import ProfileError
 from .rootfind import bisect, newton_polish, bracketed_root
 
@@ -94,6 +93,18 @@ class Predictions:
     E_max_leading: float
     K_drop_leading: float
     K_at_max_leading: float
+
+
+@dataclass(frozen=True)
+class ScaledIntegral:
+    """I = mantissa * exp(-k * exponent); exponent is the phase where the
+    integral localizes, so mantissa carries no exponential factor."""
+    mantissa: float
+    exponent: float
+
+    def value(self, k):
+        """Unscaled value; may overflow/underflow for large k, by design."""
+        return self.mantissa * math.exp(-k * self.exponent)
 
 
 @dataclass(frozen=True)
@@ -236,20 +247,8 @@ def bifurcation_data(profile, k):
 # ----------------------------------------------------------------------
 # Laplace evaluations of exponential integrals
 
-def _phi_parts(phi):
-    """Accept a PhasePoint or a plain callable; return (phi, dphi, d2phi)
-    with finite-difference fallbacks."""
-    if hasattr(phi, "phi_prime"):
-        return phi.phi, phi.phi_prime, phi.phi_double_prime
-    h = 1e-6
-
-    def dphi(y):
-        return (phi(y + h) - phi(y - h)) / (2 * h)
-
-    def d2phi(y):
-        return (phi(y + h) - 2 * phi(y) + phi(y - h)) / (h * h)
-
-    return phi, dphi, d2phi
+# Step of the central differences that give phi' and phi''.
+FD_STEP = 1e-6
 
 
 def laplace_interior(phi, theta, c, k):
@@ -258,27 +257,27 @@ def laplace_interior(phi, theta, c, k):
     Returns ScaledIntegral(sqrt(2 pi / (k phi''(c))) * theta(c), phi(c));
     relative accuracy O(1/k).  c must be a genuine interior minimum.
     """
-    p, dp, d2p = _phi_parts(phi)
-    d1 = float(dp(c))
-    d2 = float(d2p(c))
+    h = FD_STEP
+    lo, mid, hi = phi(c - h), phi(c), phi(c + h)
+    d1 = float((hi - lo) / (2 * h))
+    d2 = float((hi - 2 * mid + lo) / (h * h))
     if d2 <= 1e-12:
         raise ValueError(f"phi''({c}) = {d2:.3g} is not positive")
     if abs(d1) > 1e-5 * max(1.0, d2):
         raise ValueError(f"phi'({c}) = {d1:.3g}: not a stationary point")
     val = math.sqrt(2.0 * math.pi / (k * d2)) * float(theta(c))
-    return ScaledIntegral(mantissa=val, exponent=float(p(c)))
+    return ScaledIntegral(mantissa=val, exponent=float(mid))
 
 
 def laplace_endpoint(phi, theta, k):
     """Endpoint Laplace value of int_0^{...} theta e^{-k phi} dy when the
     phase increases away from y = 0: theta(0) / (k phi'(0)), accurate to
     O(1/k) relatively."""
-    p, dp, _ = _phi_parts(phi)
-    d1 = float(dp(0.0))
+    d1 = float((phi(FD_STEP) - phi(-FD_STEP)) / (2 * FD_STEP))
     if d1 <= 0:
         raise ValueError(f"phi'(0) = {d1:.3g} must be positive")
     return ScaledIntegral(mantissa=float(theta(0.0)) / (k * d1),
-                          exponent=float(p(0.0)))
+                          exponent=float(phi(0.0)))
 
 
 # ----------------------------------------------------------------------

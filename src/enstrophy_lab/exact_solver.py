@@ -58,38 +58,6 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
-class ScaledIntegral:
-    """I = mantissa * exp(-k * exponent); exponent is the extracted phase
-    minimum, so mantissa stays O(window width)."""
-    mantissa: float
-    exponent: float
-
-    def value(self, k):
-        """Unscaled value; may overflow/underflow for large k, by design."""
-        return self.mantissa * math.exp(-k * self.exponent)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """The phase y -> F(y) + (a/2)(x-y)^2 at one (x, a), with derivatives."""
-    profile: object
-    x: float
-    a: float
-
-    def phi(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.profile.F(y) + 0.5 * self.a * (self.x - y) ** 2
-
-    def phi_prime(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.profile.f(y) + self.a * (y - self.x)
-
-    def phi_double_prime(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.profile.f_prime(y) + self.a
-
-
-@dataclass(frozen=True)
 class StateSnapshot:
     """u and u_x sampled on the uniform circle grid at one instant."""
     k: float
@@ -177,7 +145,8 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     r_0..r_n into one (n_moments+1, N) array.  An empty x batch gives
     empty results.  Returns (m, r) with m the per-row extracted phase
     minimum and r of shape (nx, n_moments+1).  Raises QuadratureError
-    when any row fails to converge, naming the offending (x, a, k).
+    when a row has no stationary point (a NaN or infinite x) or fails to
+    converge, naming the offending (x, a, k).
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -185,20 +154,21 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     rows, roots, curv = _stationary_points(profile, x, a, L)
     is_min = curv > 0
 
-    # per-row phase minimum (global: the window always contains it)
+    # per-row phase minimum (global: the window always contains it).  Near
+    # the pitchfork a row's minima can share one scan cell with its maximum
+    # and go unseen; its lowest stationary point then stands in.
+    has_min = np.zeros(nx, dtype=bool)
+    has_min[rows[is_min]] = True
+    sel = is_min | ~has_min[rows]
+    mr, rr = rows[sel], roots[sel]
     m = np.full(nx, np.inf)
-    if np.any(is_min):
-        mr, rr = rows[is_min], roots[is_min]
-        phi_min = profile.F(rr) + 0.5 * a * (x[mr] - rr) ** 2
-        np.minimum.at(m, mr, phi_min)
-    missing = ~np.isfinite(m)
-    if np.any(missing):
-        # no interior minimum found (can only happen for contrived inputs):
-        # fall back to a dense scan of the phase itself
-        idx = np.nonzero(missing)[0]
-        yy = x[idx, None] + np.linspace(-L, L, 2049)[None, :]
-        ph = profile.F(yy) + 0.5 * a * (x[idx, None] - yy) ** 2
-        m[idx] = ph.min(axis=1)
+    np.minimum.at(m, mr, profile.F(rr) + 0.5 * a * (x[mr] - rr) ** 2)
+    if not np.all(np.isfinite(m)):
+        # only a NaN or infinite x has no stationary point in its window
+        bad = np.nonzero(~np.isfinite(m))[0][0]
+        raise QuadratureError(
+            f"phase has no finite minimum at x={x[bad]:.6g}, a={a:.6g}, "
+            f"k={k:.6g}")
 
     # spike width of the narrowest possible minimum; nesting ladder
     w = 1.0 / math.sqrt(k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
@@ -240,24 +210,16 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
 
 
 def _require_positive(a, k):
-    if not (a > 0 and k > 0):
-        raise ValueError(f"need a > 0 and k > 0, got a={a}, k={k}")
-
-
-def eval_I(profile, x, a, k, config=None):
-    """The heat-kernel integral at one point, as a ScaledIntegral."""
-    _require_positive(a, k)
-    cfg = config or DEFAULT_CONFIG
-    m, r = _phase_moments(profile, np.array([float(x)]), a, k, cfg,
-                          n_moments=0)
-    return ScaledIntegral(mantissa=float(r[0, 0]), exponent=float(m[0]))
+    if not (0 < a < math.inf and 0 < k < math.inf):
+        raise ValueError(f"need finite a > 0 and k > 0, got a={a}, k={k}")
 
 
 def eval_fields(profile, x, a, k, config=None, want_uxx=False):
     """u, u_x (and optionally u_xx) on an array of x values.
 
     This is the batch workhorse: one adaptive pass shares panels across all
-    requested points and all moments.
+    requested points and all moments.  A NaN or infinite x raises
+    QuadratureError, a non-finite a or k ValueError.
     """
     _require_positive(a, k)
     cfg = config or DEFAULT_CONFIG
@@ -276,48 +238,23 @@ def eval_fields(profile, x, a, k, config=None, want_uxx=False):
     return u, ux, uxx
 
 
-def eval_u(profile, x, a, k, config=None):
-    """Pointwise exact u at (x, a)."""
-    u, _ = eval_fields(profile, [float(x)], a, k, config)
-    return float(u[0])
+def snapshot(profile, t, k, config=None):
+    """State at time t >= 0 on the standard grid.
 
-
-def eval_ux(profile, x, a, k, config=None):
-    """Pointwise exact u_x at (x, a)."""
-    _, ux = eval_fields(profile, [float(x)], a, k, config)
-    return float(ux[0])
-
-
-def _snapshot_core(profile, t, a, k, cfg):
+    The time enters only through a = 1/(2*k*t); t = 0 gives the initial
+    data k*f with no integrals involved.
+    """
+    cfg = config or DEFAULT_CONFIG
+    if not 0 <= t < math.inf:
+        raise ValueError(f"need finite t >= 0, got t={t}")
     n = 2 * cfg.grid_size
     xg = (np.arange(n) - n // 2) / n
-    if a is None:          # t == 0: initial data, no integrals involved
+    if t == 0:
         u = k * profile.f(xg)
         ux = k * profile.f_prime(xg)
     else:
-        u, ux = eval_fields(profile, xg, a, k, cfg)
+        u, ux = eval_fields(profile, xg, 1.0 / (2.0 * k * t), k, cfg)
     mirror = (n - np.arange(n)) % n
     odd = float(np.max(np.abs(u + u[mirror])))
     return StateSnapshot(k=k, t=t, x_grid=xg, u_values=u, ux_values=ux,
                          oddness_residual=odd)
-
-
-def snapshot(profile, t, k, config=None):
-    """State at time t >= 0 on the standard grid.
-
-    The time enters only through a = 1/(2*k*t); snapshot_at_a with that a
-    produces bit-identical fields.
-    """
-    cfg = config or DEFAULT_CONFIG
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return _snapshot_core(profile, 0.0, None, k, cfg)
-    return _snapshot_core(profile, t, 1.0 / (2.0 * k * t), k, cfg)
-
-
-def snapshot_at_a(profile, a, k, config=None):
-    """State at curvature parameter a > 0 (same machinery as snapshot)."""
-    _require_positive(a, k)
-    cfg = config or DEFAULT_CONFIG
-    return _snapshot_core(profile, 1.0 / (2.0 * k * a), a, k, cfg)

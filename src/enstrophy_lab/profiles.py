@@ -9,10 +9,12 @@ analyzed, means:
     * f'' >= 0 on [0, 1/2]  (one-sided convexity),
     * f' has the single interior zero x_star on (0, 1/2), f'(0) < 0.
 
-Profiles carry closures for f, f', f'', f''' and the antiderivative
+Profiles carry closures for f, f', f'' and the antiderivative
 F(x) = int_0^x f, plus a few cached ranges the solver uses to size its
 integration window.  Anything not supplied analytically is reconstructed
-from a sine series fitted on a dense grid.
+from a sine series fitted on a dense grid.  The exact solver evaluates
+these closures only at finite points: a non-finite x, a or k raises there
+(QuadratureError or ValueError) instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class Profile:
     f: Callable[[np.ndarray], np.ndarray]
     f_prime: Callable[[np.ndarray], np.ndarray]
     f_double_prime: Callable[[np.ndarray], np.ndarray]
-    f_triple_prime: Callable[[np.ndarray], np.ndarray]
     F: Callable[[np.ndarray], np.ndarray]
     x_star: float
     f_prime_at_zero: float
@@ -69,16 +70,12 @@ def make_sine_profile() -> Profile:
     def fpp(x):
         return _TWO_PI ** 3 * np.sin(_TWO_PI * np.asarray(x, dtype=float))
 
-    def fppp(x):
-        return _TWO_PI ** 4 * np.cos(_TWO_PI * np.asarray(x, dtype=float))
-
     def F(x):
         return np.cos(_TWO_PI * np.asarray(x, dtype=float)) - 1.0
 
-    return Profile(f=f, f_prime=fp, f_double_prime=fpp, f_triple_prime=fppp,
-                   F=F, x_star=0.25, f_prime_at_zero=-_TWO_PI ** 2,
-                   f_prime_max=_TWO_PI ** 2, F_min=-2.0, F_max=0.0,
-                   label="sine")
+    return Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=0.25,
+                   f_prime_at_zero=-_TWO_PI ** 2, f_prime_max=_TWO_PI ** 2,
+                   F_min=-2.0, F_max=0.0, label="sine")
 
 
 def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
@@ -108,30 +105,26 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
         x = np.asarray(x, dtype=float)
         return np.sin(np.multiply.outer(x, wn)) @ (a * wn ** 2)
 
-    def fppp(x):
-        x = np.asarray(x, dtype=float)
-        return np.cos(np.multiply.outer(x, wn)) @ (a * wn ** 3)
-
     def F(x):
         x = np.asarray(x, dtype=float)
         return (np.cos(np.multiply.outer(x, wn)) - 1.0) @ (a / wn)
 
     fp0 = float(-np.sum(a * wn))
-    prof = _finish_profile(f, fp, fpp, fppp, F, fp0,
+    prof = _finish_profile(f, fp, fpp, F, fp0,
                            label=label or f"sine-series[{len(a)}]")
     if validate:
         _raise_on_violation(prof)
     return prof
 
 
-def _finish_profile(f, fp, fpp, fppp, F, fp0, label):
+def _finish_profile(f, fp, fpp, F, fp0, label):
     """Fill in x_star and the cached ranges from dense samples."""
     grid = np.linspace(-0.5, 0.5, 4097)
     Fg = F(grid)
     fpg = fp(grid)
     x_star = _find_x_star(fp, fpp)
-    return Profile(f=f, f_prime=fp, f_double_prime=fpp, f_triple_prime=fppp,
-                   F=F, x_star=x_star, f_prime_at_zero=fp0,
+    return Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=x_star,
+                   f_prime_at_zero=fp0,
                    f_prime_max=float(np.max(fpg)),
                    F_min=float(np.min(Fg)), F_max=float(np.max(Fg)),
                    label=label)
@@ -146,7 +139,7 @@ def _find_x_star(fp, fpp):
 
 
 def make_custom_profile(source=None, *, f=None, f_prime=None,
-                        f_double_prime=None, f_triple_prime=None, F=None,
+                        f_double_prime=None, F=None,
                         validate=True, label="custom") -> Profile:
     """Build a profile from samples of f or from a callable f.
 
@@ -179,7 +172,6 @@ def make_custom_profile(source=None, *, f=None, f_prime=None,
         f=f,
         f_prime=f_prime or fitted.f_prime,
         f_double_prime=f_double_prime or fitted.f_double_prime,
-        f_triple_prime=f_triple_prime or fitted.f_triple_prime,
         F=F or fitted.F,
     )
     # x_star from the closure actually stored, not from the fit
