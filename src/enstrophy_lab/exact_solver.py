@@ -34,6 +34,8 @@ from .rootfind import bisect, newton_polish
 SCAN_DENSITY = 128
 # Uniform panels across the y window, before the ladders at the minima.
 COARSE_PANELS = 16
+# Share of a row's tolerance that the mass outside its y-window may take.
+TAIL_SHARE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,61 @@ class StateSnapshot:
         return 1.0 / (2.0 * self.k * self.t)
 
 
-def _window_halfwidth(profile, a, k, config):
-    """Truncation L: beyond |y - x| = L the phase exceeds its minimum by at
-    least dF + log(1/tol)/k, so the discarded tail is below tolerance."""
-    dF = profile.F_max - profile.F_min
-    margin = math.log(1.0 / config.quad_tolerance) / k
-    return 1.0 + math.sqrt(2.0 * (dF + margin) / a)
+def _window_halfwidth(profile, a, k, config, n_moments, depth):
+    """Half-width L = sqrt(2 D/a) + sqrt(2 M/(k a)) of the y-window of a row
+    whose phase minimum m lies D = m - F_min >= 0 above F_min.
+
+    Outside |y - x| = L each moment integrand |y - x|^j w, w = exp(-k(phi -
+    m)), j = 0..n_moments, holds at most eps = TAIL_SHARE * quad_tolerance
+    * FLOOR_FRAC times its integral over the window: less than TAIL_SHARE
+    of the row tolerance the quadrature works to.  With nu = (j + 1)/2 and
+    beta = k a/2:
+
+    * tail: phi >= F_min + (a/2)(y - x)^2, so the mass outside the window
+      is at most e^{kD} beta^-nu Gamma(nu, beta L^2), where beta L^2 =
+      (sqrt(kD) + sqrt(M))^2 >= M;
+    * window mass: phi - m <= (C/2)(y - y*)^2 about the global minimizer
+      y*, C = a + max(f'_max, 0).  Since |y* - x| <= sqrt(2D/a), the window
+      reaches at least sqrt(2M/(k a)) past y* on the side away from x,
+      where |y - x| >= |y - y*|; so the mass inside is at least
+      (1/2) Gamma(nu) (kC/2)^-nu, up to a factor 1 - Gamma(nu, M)/Gamma(nu)
+      that differs from 1 by far less than TAIL_SHARE;
+    * with Gamma(nu, Z) <= 2 Z^(nu-1) e^-Z (nu <= 2, Z >= 2) the factor
+      e^{kD} cancels, and for M > nu - 1 the ratio of the two bounds is
+      largest at D = 0, where it is 4 M^(nu-1) e^-M (C/a)^nu / Gamma(nu).
+
+    Keeping that below eps needs M - (nu - 1) log M >= c_nu = log(4/(eps
+    Gamma(nu))) + nu log(C/a); M = c_nu + max(nu - 1, 0) log(2 c_nu) does,
+    since c_nu >= log(2 c_nu) (c_nu > 20 here).  M is the largest over j.
+    depth may be an array of D values; L has its shape.
+    """
+    eps = TAIL_SHARE * config.quad_tolerance * quadrature.FLOOR_FRAC
+    log_ca = math.log1p(max(profile.f_prime_max, 0.0) / a)
+    M = 0.0
+    for j in range(n_moments + 1):
+        nu = 0.5 * (j + 1)
+        c = math.log(4.0 / eps) - math.lgamma(nu) + nu * log_ca
+        M = max(M, c + max(nu - 1.0, 0.0) * math.log(2.0 * c))
+    return np.sqrt(2.0 * np.asarray(depth) / a) + math.sqrt(2.0 * M / (k * a))
 
 
 def _stationary_points(profile, x, a, L):
-    """All zeros of g(y) = f(y) + a*(y - x) in each row's window.
+    """All zeros of g(y) = f(y) + a*(y - x) within L of each row's x.
+
+    g is sampled SCAN_DENSITY times per unit length and every sign change
+    is bracketed.  A pair of roots closer than one sample spacing (the
+    minimum and saddle born together at the fold) shows no sign change, so
+    each sampled extremum of g that keeps its sign but lies within its two
+    sample differences of zero is also checked: its extremum, the zero of
+    g' = f' + a, is located and, where g changes sign there, the roots on
+    either side of it are bracketed.
 
     Returns flat arrays (row, root, curvature) with curvature = f'(root)+a;
     positive curvature marks a phase minimum.
     """
+    def dg(y):
+        return profile.f_prime(y) + a
+
     ns = max(33, int(2 * L * SCAN_DENSITY) + 1)
     offs = np.linspace(-L, L, ns)
     ys = x[:, None] + offs[None, :]
@@ -98,24 +141,39 @@ def _stationary_points(profile, x, a, L):
     lo = ys[rows, cols]
     hi = ys[rows, cols + 1]
 
+    # sampled extrema of g (at column ec + 1) that keep their sign
+    rising = np.diff(g, axis=1) > 0
+    er, ec = np.nonzero(rising[:, :-1] != rising[:, 1:])
+    gl, gm, gr = g[er, ec], g[er, ec + 1], g[er, ec + 2]
+    near = ((gl * gm > 0) & (gm * gr > 0)
+            & (np.abs(gm) <= np.abs(gm - gl) + np.abs(gr - gm)))
+    er, ec, gm = er[near], ec[near], gm[near]
+    if er.size:
+        elo, ehi = ys[er, ec], ys[er, ec + 2]
+        turn = dg(elo) * dg(ehi) < 0
+        er, gm, elo, ehi = er[turn], gm[turn], elo[turn], ehi[turn]
+        e = bisect(dg, elo, ehi, iters=50)
+        cross = (profile.f(e) + a * (e - x[er])) * gm <= 0
+        er, elo, ehi, e = er[cross], elo[cross], ehi[cross], e[cross]
+        rows = np.concatenate([rows, er, er])
+        lo = np.concatenate([lo, elo, e])
+        hi = np.concatenate([hi, e, ehi])
+
     def g_rows(y):
         return profile.f(y) + a * (y - x[rows])
 
-    def dg_rows(y):
-        return profile.f_prime(y) + a
-
     roots = bisect(g_rows, lo, hi, iters=50)
-    roots = newton_polish(g_rows, dg_rows, roots, lo, hi, steps=2)
-    curv = profile.f_prime(roots) + a
-    return rows, roots, curv
+    roots = newton_polish(g_rows, dg, roots, lo, hi, steps=2)
+    return rows, roots, dg(roots)
 
 
 def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
     """Initial y-panels of every row, built in one sorted pass.
 
     Row i's breakpoints are x_i + coarse, its stationary points and the
-    ladder around each of its minima, clipped to [x_i - L, x_i + L].  After
-    one lexsort by (row, point), a row keeps its first point and every
+    ladder around each of its minima, clipped to [x_i - L_i, x_i + L_i]
+    (L is one half-width for all rows or one per row).  After one lexsort
+    by (row, point), a row keeps its first point and every
     later point lying more than gap above its predecessor, which is what
     np.unique followed by a diff > gap mask gives row by row.  Returns
     (row, lo, hi) of the panels between consecutive kept points, in row
@@ -127,7 +185,8 @@ def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
                            np.repeat(rows[is_min], len(ladder))])
     pts = np.concatenate([(x[:, None] + coarse[None, :]).ravel(), roots,
                           (mins[:, None] + ladder[None, :]).ravel()])
-    pts = np.clip(pts, x[prow] - L, x[prow] + L)
+    half = np.broadcast_to(L, x.shape)[prow]
+    pts = np.clip(pts, x[prow] - half, x[prow] + half)
     order = np.lexsort((pts, prow))
     prow, pts = prow[order], pts[order]
     keep = np.ones(len(pts), dtype=bool)
@@ -150,13 +209,18 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
-    L = _window_halfwidth(profile, a, k, config)
-    rows, roots, curv = _stationary_points(profile, x, a, L)
+    # phi(x_i) = F(x_i), so every row's window lies within the scan
+    # radius R, the half-width at the largest F(x_i) - F_min
+    Fx = profile.F(x)
+    R = float(_window_halfwidth(
+        profile, a, k, config, n_moments,
+        np.max(Fx[np.isfinite(Fx)] - profile.F_min, initial=0.0)))
+    rows, roots, curv = _stationary_points(profile, x, a, R)
     is_min = curv > 0
 
-    # per-row phase minimum (global: the window always contains it).  Near
-    # the pitchfork a row's minima can share one scan cell with its maximum
-    # and go unseen; its lowest stationary point then stands in.
+    # per-row phase minimum (global: the scan radius always contains it).
+    # Near the pitchfork a row's minima can share one scan cell with its
+    # maximum and go unseen; its lowest stationary point then stands in.
     has_min = np.zeros(nx, dtype=bool)
     has_min[rows[is_min]] = True
     sel = is_min | ~has_min[rows]
@@ -164,21 +228,23 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     m = np.full(nx, np.inf)
     np.minimum.at(m, mr, profile.F(rr) + 0.5 * a * (x[mr] - rr) ** 2)
     if not np.all(np.isfinite(m)):
-        # only a NaN or infinite x has no stationary point in its window
+        # only a NaN or infinite x has no stationary point within R
         bad = np.nonzero(~np.isfinite(m))[0][0]
         raise QuadratureError(
             f"phase has no finite minimum at x={x[bad]:.6g}, a={a:.6g}, "
             f"k={k:.6g}")
+    L = _window_halfwidth(profile, a, k, config, n_moments,
+                          np.maximum(m - profile.F_min, 0.0))
 
     # spike width of the narrowest possible minimum; nesting ladder
     w = 1.0 / math.sqrt(k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
-    h_coarse = 2 * L / COARSE_PANELS
+    h_coarse = 2 * R / COARSE_PANELS
     n_lad = max(1, int(math.ceil(math.log2(max(h_coarse / w, 2.0)))))
     ladder = w * 2.0 ** np.arange(n_lad + 1)
     ladder = np.concatenate([-ladder[::-1], ladder])
-    coarse = np.linspace(-L, L, COARSE_PANELS + 1)
+    coarse = np.linspace(-R, R, COARSE_PANELS + 1)
 
-    gap = max(w / 8.0, 4e-16 * L)
+    gap = max(w / 8.0, 4e-16 * R)
     prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, is_min,
                                       ladder, gap)
 

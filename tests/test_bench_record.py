@@ -16,12 +16,13 @@ def _load():
     return mod
 
 
-def _write(directory, workload, seed, trace, metrics, lists=3):
+def _write(directory, workload, seed, trace, metrics, lists=3,
+           machine=MACHINE):
     directory.mkdir(exist_ok=True)
     result = {"correct": True, "attempted": 6, "failed": 0,
               "metrics": {k: {"value": v, "unit": "x"}
                           for k, v in metrics.items()}}
-    data = {"machine": MACHINE, "run_s": [1.0] * lists, "setup_s": [0.1] * 9,
+    data = {"machine": machine, "run_s": [1.0] * lists, "setup_s": [0.1] * 9,
             "result": result}
     name = f"result-{workload}-seed{seed}-trace{trace}.json"
     (directory / name).write_text(json.dumps(data))
@@ -56,3 +57,47 @@ def test_bench_record_merges_both_sides(tmp_path, monkeypatch):
     assert record["machine"]["change"] == [MACHINE]
     assert "sweep-cli" in record["workloads"]      # no runs: layers only
     assert record["workloads"]["sweep-cli"]["layers"]["parent"] is None
+
+
+E2E = {"run_s": 1.0, "setup_s": 0.2, "peak_rss_mb": 80.0, "ok_frac": 1.0}
+
+
+def test_bench_record_refuses_unpaired_seeds(tmp_path, capsys,
+                                            monkeypatch):
+    tool = _load()
+    monkeypatch.chdir(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        _write(parent, "solve-oracle", seed, 0, E2E)
+    for seed in (1, 3):
+        _write(change, "solve-oracle", seed, 0, E2E)
+    assert tool.main(["--number", "9", "--parent", str(parent),
+                      "--change", str(change)]) == 2
+    err = capsys.readouterr().err
+    assert "solve-oracle" in err and "seeds differ" in err
+    assert not (tmp_path / "BENCH_9.json").exists()
+
+
+def test_bench_record_refuses_other_machine(tmp_path, capsys, monkeypatch):
+    tool = _load()
+    monkeypatch.chdir(tmp_path)
+    layers = {name: 7.0 for name in tool.LAYERS}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for key, other in (("cpu", "other"), ("nproc", 4), ("python", "3.12.0"),
+                       ("numpy", "1.26.4")):
+        for side in (parent, change):
+            _write(side, "sweep-cli", 1, 0, E2E)
+        _write(change, "sweep-cli", 2, 1, layers,
+               machine=dict(MACHINE, **{key: other}))
+        assert tool.main(["--number", "9", "--parent", str(parent),
+                          "--change", str(change)]) == 2, key
+        err = capsys.readouterr().err
+        assert "sweep-cli" in err and "machines differ" in err, key
+        (change / "result-sweep-cli-seed2-trace1.json").unlink()
+    # threads and blas may differ; the same files then merge
+    _write(change, "sweep-cli", 2, 1, layers,
+           machine=dict(MACHINE, threads=2, blas="other"))
+    _write(parent, "sweep-cli", 2, 1, layers)
+    assert tool.main(["--number", "9", "--parent", str(parent),
+                      "--change", str(change)]) == 0
+    assert (tmp_path / "BENCH_9.json").exists()

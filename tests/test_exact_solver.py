@@ -32,6 +32,23 @@ def _ux(profile, x, a, k):
     return float(exact_solver.eval_fields(profile, [x], a, k)[1][0])
 
 
+def _scan_radius(profile, x, a, k, n_moments):
+    """The stationary-scan radius `_phase_moments` uses for the batch x."""
+    return float(exact_solver._window_halfwidth(
+        profile, a, k, exact_solver.DEFAULT_CONFIG, n_moments,
+        np.max(profile.F(x) - profile.F_min)))
+
+
+def _row_halfwidths(profile, x, a, k, n_moments):
+    """(m, r, L): each row's phase minimum, scaled moments and y-window
+    half-width."""
+    cfg = exact_solver.DEFAULT_CONFIG
+    m, r = exact_solver._phase_moments(profile, x, a, k, cfg,
+                                       n_moments=n_moments)
+    return m, r, exact_solver._window_halfwidth(profile, a, k, cfg,
+                                                n_moments, m - profile.F_min)
+
+
 def test_gaussian_integral_closed_form():
     # with f = 0 the phase is purely quadratic: I = sqrt(2 pi / (k a))
     flat = _flat_profile()
@@ -106,7 +123,7 @@ def test_solver_config_validation():
 def test_unconverged_quadrature_names_the_point(sine, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_ROUNDS", 0)
     with pytest.raises(QuadratureError, match=r"x=0\.1"):
-        exact_solver.eval_fields(sine, [0.1], 50.0, 100.0)
+        exact_solver.eval_fields(sine, [0.1], 25.0, 2000.0)
 
 
 def test_negative_time_rejected(sine):
@@ -135,9 +152,8 @@ def test_pitchfork_row_whose_minima_the_scan_misses(sine):
     # moves by O(1e-6) relatively across the pitchfork
     apf = abs(sine.f_prime_at_zero)
     a = apf * (1 - 1e-6)
-    L = exact_solver._window_halfwidth(sine, a, 5.0,
-                                       exact_solver.DEFAULT_CONFIG)
-    _, _, curv = exact_solver._stationary_points(sine, np.array([0.0]), a, L)
+    R = _scan_radius(sine, np.array([0.0]), a, 5.0, 2)
+    _, _, curv = exact_solver._stationary_points(sine, np.array([0.0]), a, R)
     assert not np.any(curv > 0)
     below = exact_solver.eval_fields(sine, [0.0], a, 5.0)
     above = exact_solver.eval_fields(sine, [0.0], apf * (1 + 1e-6), 5.0)
@@ -153,13 +169,15 @@ def _skeleton_by_row(x, L, coarse, rows, roots, is_min, ladder, gap):
     drop each point within gap of its predecessor."""
     out_rows, out_lo, out_hi = [np.empty(0, np.intp)], [np.empty(0)], \
         [np.empty(0)]
+    half = np.broadcast_to(L, x.shape)
     for i in range(len(x)):
         ri = roots[rows == i]
         pts = [x[i] + coarse, ri]
         mins = ri[is_min[rows == i]]
         if len(mins):
             pts.append((mins[:, None] + ladder[None, :]).ravel())
-        b = np.unique(np.clip(np.concatenate(pts), x[i] - L, x[i] + L))
+        b = np.unique(np.clip(np.concatenate(pts), x[i] - half[i],
+                              x[i] + half[i]))
         if len(b) > 1:
             b = np.concatenate([b[:1], b[1:][np.diff(b) > gap]])
         out_rows.append(np.full(len(b) - 1, i, dtype=np.intp))
@@ -210,17 +228,17 @@ def test_panel_skeleton_matches_row_by_row_reference():
 
 
 def test_panel_skeleton_matches_reference_on_solver_input(sine, two_term):
-    cfg = exact_solver.DEFAULT_CONFIG
     for profile, a, k in ((sine, 3.0, 160.0), (two_term, 0.25, 40.0)):
         x = np.linspace(-0.5, 0.5, 33)
-        L = exact_solver._window_halfwidth(profile, a, k, cfg)
-        rows, roots, curv = exact_solver._stationary_points(profile, x, a, L)
-        coarse = np.linspace(-L, L, exact_solver.COARSE_PANELS + 1)
+        R = _scan_radius(profile, x, a, k, 2)
+        _, _, L = _row_halfwidths(profile, x, a, k, 2)
+        rows, roots, curv = exact_solver._stationary_points(profile, x, a, R)
+        coarse = np.linspace(-R, R, exact_solver.COARSE_PANELS + 1)
         w = 1.0 / math.sqrt(k * (a + profile.f_prime_max) + 1.0)
         ladder = w * 2.0 ** np.arange(6)
         ladder = np.concatenate([-ladder[::-1], ladder])
         _assert_same_skeleton(x, L, coarse, rows, roots, curv > 0, ladder,
-                              max(w / 8.0, 4e-16 * L))
+                              max(w / 8.0, 4e-16 * R))
 
 
 def test_empty_batch_gives_empty_fields(sine):
@@ -229,37 +247,95 @@ def test_empty_batch_gives_empty_fields(sine):
     assert u.shape == ux.shape == uxx.shape == (0,)
 
 
-@pytest.mark.parametrize("which, k, t", [("two_term", 40.0, 0.05),
-                                         ("sine", 2560.0, 7.8e-6)])
+# (profile, k, t), t absolute or relative to the predicted T*: at T*, at
+# T*/5 (a = 5 a* lies above the pitchfork, one minimum per row), and three
+# fixed times; at two-term k = 5, t = 0.2 the per-row window (about 6.2) is
+# wider than the global one it replaced (5.43)
+T_STAR_SHARE = {"T*": 1.0, "T*/5": 0.2}
+WINDOW_CASES = [(which, k, t) for which in ("sine", "two_term")
+                for k in (5.0, 40.0, 160.0, 2560.0) for t in T_STAR_SHARE]
+WINDOW_CASES += [("two_term", 40.0, 0.05), ("sine", 2560.0, 7.8e-6),
+                 ("two_term", 5.0, 0.2)]
+
+
+def _window_case(which, k, t, request):
+    profile = request.getfixturevalue(which)
+    if t in T_STAR_SHARE:
+        t = T_STAR_SHARE[t] * asymptotics.predict(profile, k).T_star
+    return profile, 1.0 / (2.0 * k * t)
+
+
+@pytest.mark.parametrize("which, k, t", WINDOW_CASES)
 def test_window_tail_below_row_tolerance(which, k, t, request):
-    """Outside |y - x| = L, each moment integrand |y-x|^j exp(-k(phi - m))
-    holds less mass than the row tolerance the quadrature works to,
-    quad_tolerance * max(|r_j|, FLOOR_FRAC * integral of |.|), measured
-    with scipy.integrate.quad."""
+    """Outside each row's |y - x| = L_i, each moment integrand
+    |y-x|^j exp(-k(phi - m)), j = 0..3, holds less mass than TAIL_SHARE of
+    the row tolerance the quadrature works to, quad_tolerance *
+    max(|r_j|, FLOOR_FRAC * integral of |.|), measured with
+    scipy.integrate.quad on [L_i, 3 L_i] on both sides."""
     from scipy.integrate import quad
 
-    profile = request.getfixturevalue(which)
+    profile, a = _window_case(which, k, t, request)
     cfg = exact_solver.DEFAULT_CONFIG
-    a = 1.0 / (2.0 * k * t)
-    L = exact_solver._window_halfwidth(profile, a, k, cfg)
-    xs = np.array([0.0, 0.15, 0.3, 0.5])
-    m, r = exact_solver._phase_moments(profile, xs, a, k, cfg, n_moments=3)
-    rows, roots, _ = exact_solver._stationary_points(profile, xs, a, L)
+    xs = np.linspace(0.0, 0.5, 11)
+    m, r, L = _row_halfwidths(profile, xs, a, k, 3)
+    rows, roots, _ = exact_solver._stationary_points(
+        profile, xs, a, _scan_radius(profile, xs, a, k, 3))
+    if (which, k, t) == ("two_term", 5.0, 0.2):
+        assert L.max() > 6.0
     for i, x in enumerate(xs):
+        inside_pts = roots[(rows == i) & (np.abs(roots - x) < L[i])]
         for j in range(4):
             def g(y):
                 d = abs(y - x)
                 ph = profile.F(y) + 0.5 * a * d * d - m[i]
                 return d ** j * math.exp(-k * ph)
 
-            inside = quad(g, x - L, x + L, points=roots[rows == i],
+            inside = quad(g, x - L[i], x + L[i], points=inside_pts,
                           epsabs=0.0, epsrel=1e-8, limit=400)[0]
-            # past |y - x| = 2L the weight is below exp(-k a (3/2) L^2)
-            # of its value at L
+            # past |y - x| = 3L the weight is below exp(-4 k a L^2) of
+            # its value at L
             tail = sum(quad(g, lo, hi, epsabs=0.0, epsrel=1e-6,
                             limit=400)[0]
-                       for lo, hi in ((x + L, x + 2 * L),
-                                      (x - 2 * L, x - L)))
+                       for lo, hi in ((x + L[i], x + 3 * L[i]),
+                                      (x - 3 * L[i], x - L[i])))
             row_tol = cfg.quad_tolerance * max(
                 abs(r[i, j]), quadrature.FLOOR_FRAC * inside)
-            assert tail < row_tol, (x, j, tail, row_tol)
+            assert tail < exact_solver.TAIL_SHARE * row_tol, \
+                (x, j, tail, row_tol)
+
+
+@pytest.mark.parametrize("which, k, t", WINDOW_CASES)
+def test_window_keeps_the_half_gaussian_past_the_minimum(which, k, t,
+                                                         request):
+    """Each row's located phase minimum y* sits at least sqrt(2M/(ka))
+    inside the row's window: |y* - x| + sqrt(2M/(ka)) <= L_i."""
+    profile, a = _window_case(which, k, t, request)
+    xs = np.linspace(-0.5, 0.5, 41)
+    m, _, L = _row_halfwidths(profile, xs, a, k, 3)
+    pad = float(exact_solver._window_halfwidth(
+        profile, a, k, exact_solver.DEFAULT_CONFIG, 3, 0.0))
+    rows, roots, curv = exact_solver._stationary_points(
+        profile, xs, a, _scan_radius(profile, xs, a, k, 3))
+    phase = profile.F(roots) + 0.5 * a * (xs[rows] - roots) ** 2
+    for i, x in enumerate(xs):
+        mine = (rows == i) & (curv > 0)
+        y_star = roots[mine][np.argmin(phase[mine])]
+        assert phase[mine].min() == m[i]
+        assert abs(y_star - x) + pad <= L[i] * (1.0 + 1e-12)
+
+
+def test_scan_finds_the_root_pair_born_at_the_fold(sine):
+    """Just before the fold x0(a*) the minimum s_minus and the saddle
+    s_mid are 2.4e-3 apart, closer than one scan cell, and g keeps its
+    sign on every sample around them; the scan still finds both."""
+    a = asymptotics.bifurcation_data(sine, 50.0).a_star
+    x = asymptotics.fold_location(sine, a) * (1.0 - 1e-4)
+    ref = asymptotics.find_roots(sine, x, a)
+    assert ref.regime == asymptotics.TRIPLE
+    xs = np.array([x])
+    _, roots, curv = exact_solver._stationary_points(
+        sine, xs, a, _scan_radius(sine, xs, a, 50.0, 2))
+    want = np.array([ref.s_minus, ref.s_mid, ref.s_plus])
+    assert len(roots) == 3
+    assert np.allclose(np.sort(roots), want, rtol=0.0, atol=1e-12)
+    assert list(curv[np.argsort(roots)] > 0) == [True, False, True]

@@ -23,6 +23,10 @@ For every workload the output gives, per side:
   - the deterministic counters and layer times of LAYERS, from the traced
     run (its seed is recorded with them);
 and the machine block of each side's runs.
+
+It exits 2, naming the workload, when the two sides ran different
+untraced seeds of it or ran it on machines that differ in cpu, nproc,
+python or numpy: such runs are not pairs.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = ("harness.E_evals", "quadrature.x_panels", "quadrature.y_panels",
           "quadrature.y_points", "exact_solver.panel_build_s",
-          "quadrature.y_self_s", "quadrature.kernel_s")
+          "exact_solver.stationary_s", "quadrature.y_self_s",
+          "quadrature.kernel_s")
+# Machine fields that must agree between the sides of one workload.
+SAME_MACHINE = ("cpu", "nproc", "python", "numpy")
 NAME = re.compile(r"result-(.+)-seed(\d+)-trace([01])\.json$")
 
 
@@ -103,6 +110,22 @@ def layers(traced):
                                    for name in LAYERS})
 
 
+def unpaired(p, c):
+    """Why the parent's and the change's runs of one workload are not
+    pairs, or None when they are."""
+    if set(p["untraced"]) != set(c["untraced"]):
+        return (f"untraced seeds differ: parent {sorted(p['untraced'])}, "
+                f"change {sorted(c['untraced'])}")
+    hosts = [sorted({tuple(data["machine"].get(key) for key in SAME_MACHINE)
+                     for kind in side.values() for data in kind.values()},
+                    key=repr)
+             for side in (p, c)]
+    if hosts[0] != hosts[1]:
+        return (f"machines differ in {'/'.join(SAME_MACHINE)}: parent "
+                f"{hosts[0]}, change {hosts[1]}")
+    return None
+
+
 def machines(runs):
     seen = []
     for by_kind in runs.values():
@@ -137,6 +160,10 @@ def main(argv=None):
     for wl in (w["name"] for w in bench["workloads"]):
         p = parent.get(wl, {"untraced": {}, "traced": {}})
         c = change.get(wl, {"untraced": {}, "traced": {}})
+        why = unpaired(p, c)
+        if why:
+            print(f"bench_record: {wl}: {why}", file=sys.stderr)
+            return 2
         entry = {}
         if p["untraced"] and c["untraced"]:
             entry["parent"] = end_to_end(p["untraced"], metrics)
