@@ -392,7 +392,7 @@ def check_required_bound(profile):
     """
     xs = np.linspace(0.0, profile.x_star, BOUND_GRID + 1)
     f2 = lambda y: np.atleast_2d(profile.f(y) ** 2)
-    seg = quadrature._panel_eval(lambda rows, ys: f2(ys),
+    seg = quadrature._panel_eval(quadrature._per_panel(f2),
                                  np.zeros(BOUND_GRID, dtype=np.intp),
                                  xs[:-1], xs[1:])[0][:, 0]
     cum = np.concatenate([[0.0], np.cumsum(seg)])

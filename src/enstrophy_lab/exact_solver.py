@@ -200,12 +200,12 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     """Scaled moments r_0..r_n of exp(-k*phi) for a batch of x values.
 
     The initial panels of all rows come from `_panel_skeleton`, and one
-    `quadrature.adaptive_batch` call refines them; its callback writes
-    r_0..r_n into one (n_moments+1, N) array.  An empty x batch gives
-    empty results.  Returns (m, r) with m the per-row extracted phase
-    minimum and r of shape (nx, n_moments+1).  Raises QuadratureError
-    when a row has no stationary point (a NaN or infinite x) or fails to
-    converge, naming the offending (x, a, k).
+    `quadrature.adaptive_batch` call refines them; its per-panel callback
+    writes r_0..r_n into one (n_moments+1, npanels, 15) array.  An empty
+    x batch gives empty results.  Returns (m, r) with m the per-row
+    extracted phase minimum and r of shape (nx, n_moments+1).  Raises
+    QuadratureError when a row has no stationary point (a NaN or infinite
+    x) or fails to converge, naming the offending (x, a, k).
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -248,16 +248,21 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, is_min,
                                       ladder, gap)
 
-    def integrand(ridx, ys):
-        xr = x[ridx]
-        d = ys - xr
-        arg = -k * (profile.F(ys) + 0.5 * a * d * d - m[ridx])
-        if arg.size and np.max(arg) > 45.0:
-            bad = ridx[np.argmax(arg)]
+    def integrand(prow, ys):
+        # per panel: x and m are gathered once and broadcast over the nodes
+        d = ys - x[prow][:, None]
+        arg = d * (0.5 * a)
+        arg *= d
+        arg += profile.F(ys)
+        arg -= m[prow][:, None]
+        arg *= -k
+        if arg.size and arg.max() > 45.0:
+            worst = np.argmax(arg)
+            bad = prow[worst // 15]
             raise QuadratureError(
-                f"phase fell {np.max(arg)/k:.3g} below its located minimum "
-                f"at x={x[bad]:.6g}, a={a:.6g}, k={k:.6g}")
-        out = np.empty((n_moments + 1, len(ys)))
+                f"phase fell {arg.flat[worst]/k:.3g} below its located "
+                f"minimum at x={x[bad]:.6g}, a={a:.6g}, k={k:.6g}")
+        out = np.empty((n_moments + 1,) + ys.shape)
         np.exp(arg, out=out[0])
         for j in range(n_moments):
             np.multiply(out[j], d, out=out[j + 1])

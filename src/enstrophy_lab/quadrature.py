@@ -7,8 +7,21 @@ comparing the 15-point Kronrod value against the embedded 7-point Gauss
 value on each panel.  The batch interface carries many integrals at once
 (one per grid point) with a shared vector of integrand components, which is
 what keeps the harness sweep fast: one callback evaluates every pending
-panel of every pending integral in a single numpy call.  `integral` is the
-one checked routine for a plain integral over a fixed interval.
+panel of every pending integral in a single numpy call.
+
+The batch callback works per panel: it gets the panels' rows, shape
+(npanels,), and their nodes ys, shape (npanels, 15), and returns
+(ncomp, npanels, 15), or (npanels, 15) for one component, so a row's
+parameters are gathered once per panel and broadcast over its 15 nodes.
+The Kronrod value, the Kronrod-minus-Gauss error and the integral of |f|
+are then three weighted sums over the node axis, taken with np.einsum in
+numpy's own single-threaded loop, whose CPU time equals its wall time.  A
+BLAS product (@, np.dot) gives the same sums but runs a large batch on
+BLAS's own threads, which compete with the harness's thread pool.
+
+`adaptive_quad`, `integral` and `fixed_gk` take a plain fvec(ys) of a 1-d
+array and adapt it with `_per_panel`.  `integral` is the one checked
+routine for a plain integral over a fixed interval.
 """
 
 from __future__ import annotations
@@ -52,6 +65,8 @@ W_KRONROD = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])[ORDER]
 _wg_full = np.zeros(15)
 _wg_full[1::2] = np.concatenate([_WG[:3], [_WG[3]], _WG[:3][::-1]])
 W_GAUSS = _wg_full
+# K15 - G7 on each node: nonzero everywhere, so the error sum sees every node
+W_ERROR = W_KRONROD - W_GAUSS
 
 # Share of the integral of |f| that bounds each row's tolerance from below.
 FLOOR_FRAC = 1e-3
@@ -80,27 +95,43 @@ class BatchQuadResult:
 
 
 def _panel_eval(f, rows, lo, hi):
-    """Kronrod + Gauss sums on each panel.  f(rows, ys) -> (ncomp, len(ys))."""
-    mid = 0.5 * (lo + hi)
+    """Kronrod value, error and |f| integral of each panel.
+
+    The per-panel callback f(rows, ys) gets rows of shape (npanels,) and
+    the nodes ys of shape (npanels, 15); it returns (ncomp, npanels, 15),
+    or (npanels, 15) for one component.  The error is |sum (w_K - w_G) f|,
+    the Kronrod-minus-Gauss difference in one sum.  The three sums are
+    einsum contractions, not BLAS products (@, np.dot): BLAS starts its own
+    threads, which compete with the harness's thread pool.  Returns (k15,
+    err, absv), each of shape (npanels, ncomp).
+    """
     half = 0.5 * (hi - lo)
-    ys = mid[:, None] + half[:, None] * NODES[None, :]
-    fv = np.atleast_2d(f(np.repeat(rows, 15), ys.ravel()))
-    fv = fv.reshape(len(fv), len(lo), 15)
-    fw = fv * W_KRONROD
-    k15 = fw.sum(axis=2) * half
-    g7 = (fv * W_GAUSS).sum(axis=2) * half
-    # W_KRONROD > 0, so |f*w| is |f|*w exactly
-    absv = np.abs(fw, out=fw).sum(axis=2) * half
-    err = np.abs(k15 - g7)
-    # (ncomp, npanels) -> (npanels, ncomp)
+    ys = (0.5 * (lo + hi))[:, None] + half[:, None] * NODES
+    fv = f(rows, ys)
+    if fv.ndim == 2:
+        fv = fv[None]
+    k15 = np.einsum("cpj,j->cp", fv, W_KRONROD) * half
+    err = np.abs(np.einsum("cpj,j->cp", fv, W_ERROR)) * half
+    absv = np.einsum("cpj,j->cp", np.abs(fv), W_KRONROD) * half
     return k15.T, err.T, absv.T
+
+
+def _per_panel(fvec):
+    """Per-panel callback of a 1-d fvec(ys) -> (ncomp, len(ys)) or
+    (len(ys),): it ravels the nodes, calls fvec and reshapes."""
+    def f(rows, ys):
+        fv = np.asarray(fvec(ys.ravel()))
+        return fv.reshape(fv.shape[:-1] + ys.shape)
+    return f
 
 
 def _row_totals(rows, val, err, absv, n_rows, epsrel):
     """Per-row value, error, |f| integral, panel count, tolerance, flag.
 
     Each component is totalled by one np.bincount, which adds a row's
-    panels one at a time in index order.
+    panels one at a time in index order.  A row converges only when its
+    totals are finite: an infinite integrand value makes the error and
+    the tolerance infinite together.
     """
     def total(a):
         return np.stack([np.bincount(rows, weights=c, minlength=n_rows)
@@ -109,7 +140,8 @@ def _row_totals(rows, val, err, absv, n_rows, epsrel):
     tot, toterr, totabs = total(val), total(err), total(absv)
     npan = np.bincount(rows, minlength=n_rows)
     tol = epsrel * np.maximum(np.abs(tot), FLOOR_FRAC * totabs) + 1e-300
-    conv = (toterr <= tol).all(axis=1)
+    conv = ((toterr <= tol) & np.isfinite(tot)
+            & np.isfinite(totabs)).all(axis=1)
     return tot, toterr, totabs, npan, tol, conv
 
 
@@ -117,14 +149,20 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10):
     """Adaptively integrate many rows at once.
 
     rows/lo/hi describe the initial panels: panel i spans [lo[i], hi[i]] and
-    belongs to integral rows[i].  The callback f(row_idx, ys) must return an
-    (ncomp, len(ys)) array; every row shares the component layout but may
-    interpret row_idx to select its own parameters (e.g. its own x).
+    belongs to integral rows[i].  The callback f(rows, ys) is called per
+    panel, as `_panel_eval` describes: rows has shape (npanels,), ys shape
+    (npanels, 15), and it returns (ncomp, npanels, 15) or, for one
+    component, (npanels, 15).  Every row shares the component layout but
+    may use its rows entry to select its own parameters (e.g. its own x),
+    once per panel.  The node sums are einsum contractions in numpy's own
+    single-threaded loop, not BLAS products, whose threads would compete
+    with the harness's thread pool.
 
-    A row converges when, for every component, the summed panel error is
-    below epsrel * max(|integral|, FLOOR_FRAC * integral of |f|).  The floor
-    keeps components whose exact value is ~0 by cancellation (odd moments at
-    symmetric points) from demanding impossible relative accuracy.
+    A row converges when its totals are finite and, for every component,
+    the summed panel error is below epsrel * max(|integral|, FLOOR_FRAC *
+    integral of |f|).  The floor keeps components whose exact value is ~0
+    by cancellation (odd moments at symmetric points) from demanding
+    impossible relative accuracy.
     Refinement stops after MAX_ROUNDS rounds or once the batch holds more
     than MAX_PANELS panels; rows still over tolerance then read unconverged.
     Zero-width panels are dropped, so a row with none integrates to zero.
@@ -173,7 +211,7 @@ def adaptive_quad(fvec, breakpoints, epsrel=1e-10):
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or len(bp) < 2:
         raise ValueError("need at least two breakpoints")
-    res = adaptive_batch(lambda rows, ys: fvec(ys),
+    res = adaptive_batch(_per_panel(fvec),
                          np.zeros(len(bp) - 1, dtype=np.intp),
                          bp[:-1], bp[1:], n_rows=1, epsrel=epsrel)
     return res.value[0], res.error[0], bool(res.converged[0])
@@ -200,7 +238,7 @@ def fixed_gk(fvec, lo, hi, n_panels=16):
     reproducible panel layout matters more than error control.
     """
     edges = np.linspace(lo, hi, n_panels + 1)
-    v, _, _ = _panel_eval(lambda rows, ys: fvec(ys),
+    v, _, _ = _panel_eval(_per_panel(fvec),
                           np.zeros(n_panels, dtype=np.intp),
                           edges[:-1], edges[1:])
     return v.sum(axis=0)

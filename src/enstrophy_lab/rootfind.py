@@ -50,7 +50,9 @@ def illinois(g, x0, x1, g0, g1, xtol):
     opposite sign, by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971):
     secant steps; when two in a row land on the same side, the far end's
     stored g is halved, so both ends move.  Returns the last point evaluated
-    once the ends are within xtol or g is exactly 0."""
+    once the ends are within xtol, a secant step moved by at most xtol, or
+    g is exactly 0.  The step test ends the search once g sits at its noise
+    floor, where further steps land on one side without closing the ends."""
     while g1 != 0 and abs(x1 - x0) > xtol:
         x = x1 - g1 * (x1 - x0) / (g1 - g0)
         gx = g(x)
@@ -58,5 +60,8 @@ def illinois(g, x0, x1, g0, g1, xtol):
             x0, g0 = x1, g1
         else:
             g0 *= 0.5
+        step = abs(x - x1)
         x1, g1 = x, gx
+        if step <= xtol:
+            break
     return x1

@@ -101,3 +101,21 @@ def test_bench_record_refuses_other_machine(tmp_path, capsys, monkeypatch):
     assert tool.main(["--number", "9", "--parent", str(parent),
                       "--change", str(change)]) == 0
     assert (tmp_path / "BENCH_9.json").exists()
+
+
+def test_bench_record_reports_kernel_ns_per_point(tmp_path, monkeypatch):
+    tool = _load()
+    assert "quadrature.kernel_ns_per_point" in tool.LAYERS
+    monkeypatch.chdir(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, ns in ((parent, 120.0), (change, 80.0)):
+        _write(side, "tstar-single", 1, 0, E2E)
+        _write(side, "tstar-single", 7, 1,
+               {name: (ns if name == "quadrature.kernel_ns_per_point"
+                       else 1.0) for name in tool.LAYERS})
+    assert tool.main(["--number", "9", "--parent", str(parent),
+                      "--change", str(change)]) == 0
+    layers = json.loads((tmp_path / "BENCH_9.json").read_text())[
+        "workloads"]["tstar-single"]["layers"]
+    assert layers["parent"]["quadrature.kernel_ns_per_point"] == 120.0
+    assert layers["change"]["quadrature.kernel_ns_per_point"] == 80.0

@@ -126,6 +126,28 @@ def test_unconverged_quadrature_names_the_point(sine, monkeypatch):
         exact_solver.eval_fields(sine, [0.1], 25.0, 2000.0)
 
 
+def test_phase_below_located_minimum_names_the_row(sine, monkeypatch):
+    # x = 0.08 has two minima at a = 10; with the scan made to drop its
+    # global one, the phase falls k * 0.63 = 63 below the located minimum
+    # on that row's panels, and the error must name that row's x
+    x = np.array([-0.3, -0.12, -0.04, 0.08, 0.2, 0.41])
+    scan = exact_solver._stationary_points
+
+    def drop_global_minimum(profile, xs, a, L):
+        rows, roots, curv = scan(profile, xs, a, L)
+        phase = profile.F(roots) + 0.5 * a * (xs[rows] - roots) ** 2
+        mins = np.nonzero((rows == 3) & (curv > 0))[0]
+        assert len(mins) == 2
+        keep = np.arange(len(rows)) != mins[np.argmin(phase[mins])]
+        return rows[keep], roots[keep], curv[keep]
+
+    monkeypatch.setattr(exact_solver, "_stationary_points",
+                        drop_global_minimum)
+    with pytest.raises(QuadratureError,
+                       match=r"below its located minimum at x=0\.08,"):
+        exact_solver.eval_fields(sine, x, 10.0, 100.0)
+
+
 def test_negative_time_rejected(sine):
     with pytest.raises(ValueError):
         exact_solver.snapshot(sine, -1.0, 5.0)

@@ -52,7 +52,7 @@ def test_vector_components_share_panels():
 def test_adaptive_batch_rows_are_independent():
     # row r integrates (y + r)^2 on [0, 1]: ((1+r)^3 - r^3) / 3
     def f(rows, ys):
-        return np.atleast_2d((ys + rows) ** 2)
+        return np.atleast_2d((ys + rows[:, None]) ** 2)
 
     rows = np.arange(6, dtype=np.intp)
     res = quadrature.adaptive_batch(f, rows, np.zeros(6), np.ones(6))
@@ -116,3 +116,65 @@ def test_row_totals_match_add_at_bit_for_bit():
         assert np.array_equal(out, ref)
     assert np.array_equal(got[3], np.bincount(rows, minlength=n_rows))
     assert got[5][-3:].all()            # rows without panels read converged
+
+
+def test_infinite_node_value_reads_unconverged():
+    # an infinite value at any one of the 15 nodes makes value, error and
+    # tolerance infinite together; the row must still read unconverged
+    for j in range(15):
+        def f(rows, ys):
+            v = np.ones_like(ys)
+            v[:, j] = np.inf
+            return v
+
+        res = quadrature.adaptive_batch(f, np.zeros(1, dtype=np.intp),
+                                        [0.0], [1.0])
+        assert not res.converged[0], j
+
+        def fvec(ys):
+            v = np.ones_like(ys)
+            v[j::15] = np.inf           # node j of every panel
+            return v
+
+        with pytest.raises(quadrature.QuadratureError):
+            quadrature.integral(fvec, 0.0, 1.0)
+
+
+def test_panel_eval_matches_per_panel_reference():
+    # K15, the K15 - G7 error and the |f| sum against separate per-panel
+    # Kronrod and Gauss sums; the callback sees one row entry per panel
+    rng = np.random.default_rng(5)
+    n = 40
+    lo = rng.uniform(-2.0, 2.0, n)
+    hi = lo + rng.uniform(1e-3, 1.5, n)
+    rows = rng.integers(0, 6, n).astype(np.intp)
+    shift = rng.uniform(-3.0, 3.0, (4, 6))
+    w_gauss = quadrature.W_GAUSS[1::2]      # the 7 Gauss nodes
+    assert np.all(w_gauss > 0) and not quadrature.W_GAUSS[::2].any()
+
+    def comps(ncomp, r, ys):
+        return np.cos(3.0 * ys + shift[:ncomp, r, None]) * np.exp(ys)
+
+    for ncomp in (1, 4):
+        shapes = []
+
+        def f(r, ys):
+            shapes.append((r.shape, ys.shape))
+            out = comps(ncomp, r, ys)
+            return out[0] if ncomp == 1 else out
+
+        k15, err, absv = quadrature._panel_eval(f, rows, lo, hi)
+        assert shapes == [((n,), (n, 15))]
+        assert k15.shape == err.shape == absv.shape == (n, ncomp)
+        for p in range(n):
+            half = 0.5 * (hi[p] - lo[p])
+            ys = 0.5 * (lo[p] + hi[p]) + half * quadrature.NODES
+            fv = comps(ncomp, np.array([rows[p]]), ys[None, :])[:, 0, :]
+            ref_k = half * np.sum(fv * quadrature.W_KRONROD, axis=1)
+            ref_g = half * np.sum(fv[:, 1::2] * w_gauss, axis=1)
+            ref_abs = half * np.sum(np.abs(fv) * quadrature.W_KRONROD,
+                                    axis=1)
+            bar = 1e-14 * ref_abs
+            assert np.all(np.abs(k15[p] - ref_k) <= bar)
+            assert np.all(np.abs(err[p] - np.abs(ref_k - ref_g)) <= bar)
+            assert np.all(np.abs(absv[p] - ref_abs) <= bar)

@@ -42,3 +42,22 @@ def test_illinois_superlinear_on_skewed_root():
     r = illinois(g, 1.5, 0.0, g(1.5), g(0.0), 1e-14)
     assert abs(r - root) < 1e-13
     assert len(calls) <= 2 + 20
+
+
+def test_illinois_stops_on_a_step_below_xtol():
+    # g carries a deterministic noise floor of 1e-12; once a secant step
+    # moves by at most xtol the search returns that point.  Without the
+    # step test it takes 12 calls here, the last three re-evaluating
+    # points within 1e-16 of each other while the far end stays put.
+    calls = []
+
+    def g(y):
+        calls.append(y)
+        return math.expm1(5.0 * (y - 0.3)) + 1e-12 * math.sin(1e9 * y * y
+                                                              + 3.0)
+
+    xtol = 1e-9
+    r = illinois(g, 0.25, 0.45, g(0.25), g(0.45), xtol)
+    assert abs(r - 0.3) <= xtol
+    assert r == calls[-1]               # the last point evaluated
+    assert len(calls) <= 10

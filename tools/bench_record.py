@@ -43,7 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = ("harness.E_evals", "quadrature.x_panels", "quadrature.y_panels",
           "quadrature.y_points", "exact_solver.panel_build_s",
           "exact_solver.stationary_s", "quadrature.y_self_s",
-          "quadrature.kernel_s")
+          "quadrature.kernel_s", "quadrature.kernel_ns_per_point")
 # Machine fields that must agree between the sides of one workload.
 SAME_MACHINE = ("cpu", "nproc", "python", "numpy")
 NAME = re.compile(r"result-(.+)-seed(\d+)-trace([01])\.json$")
