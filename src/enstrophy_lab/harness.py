@@ -7,11 +7,13 @@ batch evaluator as the integrand and panels nested geometrically toward
 x = 0.  Oddness of u halves every integral to [0, 1/2].
 
 T* is the zero of R = dE/dt (computed from the u_xx moment) where R turns
-from + to -: it is bracketed outward from the Laplace prediction T*_pred
-and polished by Illinois regula falsi.  The k-sweep runs each k in a
-thread pool (size from ENSTROPHY_LAB_THREADS, results merged in k order so
-the output is scheduling-independent) and fits log-log scaling exponents
-of T*, E_max and K_drop against the initial enstrophy E0.
+from + to -: the search opens at the Laplace prediction T*_pred, steps
+from it until R changes sign, and polishes the root by Pegasus regula
+falsi; every (t, K, E, R) it evaluates is kept on the result.  The k-sweep
+runs each k in a thread pool (size from ENSTROPHY_LAB_THREADS, results
+merged in k order so the output is scheduling-independent) and fits
+log-log scaling exponents of T*, E_max and K_drop against the initial
+enstrophy E0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import asymptotics, diagnostics, exact_solver, quadrature, rootfind
 
-# The T* search brackets from T*_pred with this ratio and widens by it.
+# The T* search steps t from T*_pred by this ratio until R changes sign.
 GROW = 1.25
 # Width of the final R bracket, relative to T*_pred.
 T_REL_TOL = 1e-9
@@ -44,6 +46,8 @@ class MaxSearchResult:
     E0: float
     K0: float
     R_at_max: float
+    # (t, K, E, R) of every evaluation of the T* search, in order.
+    search_trace: tuple = ()
 
     def diagnostics_at_max(self):
         return diagnostics.from_functionals(self.K_at_max,
@@ -135,50 +139,51 @@ def _enstrophy_of_t(profile, k, config):
 def find_enstrophy_max(profile, k, config=None):
     """T* as the zero of R = dE/dt where R turns from + to -, for one k.
 
-    The bracket [T*_pred / GROW, GROW * T*_pred] steps outward by GROW inside
-    [t0/4, 8 T*_pred] until R(lo) > 0 > R(hi), then Illinois polishes the
-    root; K, E and R are those of the final iterate.  No sign change in that
-    range raises with the (t, R) table.
+    The search opens with one evaluation at T*_pred, the Laplace prediction,
+    which is O(1/k) accurate.  If R(T*_pred) > 0 it steps t up by GROW until
+    R < 0, otherwise down by GROW until R > 0, inside [t0/4, 8 T*_pred];
+    Pegasus regula falsi then polishes the root between the last two points.
+    K, E and R are those of the final iterate, and `search_trace` holds every
+    (t, K, E, R) in evaluation order.  No sign change in that range raises
+    with the (t, R) table.
     """
     bd = asymptotics.bifurcation_data(profile, k)   # validates a* < |f'(0)|
     t_pred = asymptotics.predict(profile, k).T_star
     t_min, t_max = bd.t0 / 4.0, 8.0 * t_pred
     KER_of, counter = _enstrophy_of_t(profile, k, config)
-    seen = {}
+    trace = []
 
     def R_of(t):
-        seen[t] = KER_of(t)
-        return seen[t][2]
+        K, E, R = KER_of(t)
+        trace.append((t, K, E, R))
+        return R
 
-    lo, hi = t_pred / GROW, GROW * t_pred     # t0 < T*_pred: a* < |f'(0)|
-    R_lo, R_hi = R_of(lo), R_of(hi)
-    while not R_lo > 0 > R_hi:
-        if R_lo <= 0 and lo > t_min:        # the maximum lies below lo
-            hi, R_hi = lo, R_lo
-            lo = max(lo / GROW, t_min)
-            R_lo = R_of(lo)
-        elif R_hi >= 0 and hi < t_max:      # the maximum lies above hi
-            lo, R_lo = hi, R_hi
-            hi = min(hi * GROW, t_max)
-            R_hi = R_of(hi)
-        else:
-            table = "\n".join(f"  t={t:.6e}  R={v[2]:.6e}"
-                              for t, v in sorted(seen.items()))
+    t, R = t_pred, R_of(t_pred)
+    up = R > 0                  # the maximum lies above t
+    while True:
+        t_next = min(t * GROW, t_max) if up else max(t / GROW, t_min)
+        if t_next == t:
+            table = "\n".join(f"  t={s:.6e}  R={r:.6e}"
+                              for s, _, _, r in sorted(trace))
             raise RuntimeError(
                 f"R = dE/dt has no sign change from + to - in "
                 f"[{t_min:.6e}, {t_max:.6e}] for k={k}; (t, R) table:\n"
                 f"{table}")
+        R_next = R_of(t_next)
+        if (R_next < 0) if up else (R_next > 0):
+            break
+        t, R = t_next, R_next
 
-    t_star = rootfind.illinois(R_of, lo, hi, R_lo, R_hi,
-                               T_REL_TOL * t_pred)
-    K_at, E_at, R_at = seen[t_star]
+    t_star = rootfind.pegasus(R_of, t, t_next, R, R_next,
+                              T_REL_TOL * t_pred)
+    K_at, E_at, R_at = {t: ker for t, *ker in trace}[t_star]
     K0 = diagnostics.initial_energy(profile, k)
     E0 = diagnostics.initial_enstrophy(profile, k)
     return MaxSearchResult(
         k=float(k), T_star_measured=float(t_star), E_max_measured=E_at,
         K_at_max=K_at, K_drop_measured=K0 - K_at,
         n_evaluations=counter["count"],
-        E0=E0, K0=K0, R_at_max=R_at)
+        E0=E0, K0=K0, R_at_max=R_at, search_trace=tuple(trace))
 
 
 def _loglog_fit(x, y):

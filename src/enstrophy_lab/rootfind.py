@@ -3,7 +3,7 @@
 Bisection does the heavy lifting (it cannot leave the bracket), Newton
 squeezes out the last few digits.  Works elementwise on arrays so the phase
 stationary-point scan can polish every bracket of every grid point at once.
-`illinois` serves one scalar root of an expensive g with no derivative.
+`pegasus` serves one scalar root of an expensive g with no derivative.
 """
 
 from __future__ import annotations
@@ -45,21 +45,22 @@ def bracketed_root(g, lo, hi, dg=None, iters=52, polish=3):
     return float(r[0])
 
 
-def illinois(g, x0, x1, g0, g1, xtol):
+def pegasus(g, x0, x1, g0, g1, xtol):
     """Root of scalar g between x0 and x1, given g0 = g(x0) and g1 = g(x1) of
-    opposite sign, by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971):
+    opposite sign, by Pegasus regula falsi (Dowell & Jarratt, BIT 12, 1972):
     secant steps; when two in a row land on the same side, the far end's
-    stored g is halved, so both ends move.  Returns the last point evaluated
-    once the ends are within xtol, a secant step moved by at most xtol, or
-    g is exactly 0.  The step test ends the search once g sits at its noise
-    floor, where further steps land on one side without closing the ends."""
+    stored g is scaled by g1 / (g1 + g(x)), so both ends move.  Returns the
+    last point evaluated once the ends are within xtol, a secant step moved
+    by at most xtol, or g is exactly 0.  The step test ends the search once
+    g sits at its noise floor, where further steps land on one side without
+    closing the ends."""
     while g1 != 0 and abs(x1 - x0) > xtol:
         x = x1 - g1 * (x1 - x0) / (g1 - g0)
         gx = g(x)
         if (gx > 0) != (g1 > 0):
             x0, g0 = x1, g1
         else:
-            g0 *= 0.5
+            g0 *= g1 / (g1 + gx)
         step = abs(x - x1)
         x1, g1 = x, gx
         if step <= xtol:

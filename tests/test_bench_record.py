@@ -119,3 +119,21 @@ def test_bench_record_reports_kernel_ns_per_point(tmp_path, monkeypatch):
         "workloads"]["tstar-single"]["layers"]
     assert layers["parent"]["quadrature.kernel_ns_per_point"] == 120.0
     assert layers["change"]["quadrature.kernel_ns_per_point"] == 80.0
+
+
+def test_bench_record_reports_search_s(tmp_path, monkeypatch):
+    tool = _load()
+    assert "harness.search_s" in tool.LAYERS
+    monkeypatch.chdir(tmp_path)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, s in ((parent, 1.0), (change, 0.64)):
+        _write(side, "tstar-single", 1, 0, E2E)
+        _write(side, "tstar-single", 7, 1,
+               {name: (s if name == "harness.search_s" else 1.0)
+                for name in tool.LAYERS})
+    assert tool.main(["--number", "10", "--parent", str(parent),
+                      "--change", str(change)]) == 0
+    layers = json.loads((tmp_path / "BENCH_10.json").read_text())[
+        "workloads"]["tstar-single"]["layers"]
+    assert layers["parent"]["harness.search_s"] == 1.0
+    assert layers["change"]["harness.search_s"] == 0.64

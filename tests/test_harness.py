@@ -59,6 +59,26 @@ def test_enstrophy_max_matches_oracle(sine):
     assert r.n_evaluations <= 16
 
 
+@pytest.mark.parametrize("spec, k, budget", [
+    ("sine", 5.0, 7),          # T* < T*_pred: the search steps down
+    ("sine", 2560.0, 7),       # T* > T*_pred: the search steps up
+    ("two_term", 160.0, 9),
+])
+def test_tstar_search_evaluation_budget(request, spec, k, budget):
+    # the search opens at the Laplace prediction and polishes by Pegasus;
+    # opening at [T*_pred / 1.25, 1.25 T*_pred] with Illinois took 9, 11
+    # and 11 evaluations here
+    profile = request.getfixturevalue(spec)
+    r = harness.find_enstrophy_max(profile, k)
+    assert r.n_evaluations <= budget
+    assert abs(r.R_at_max) * r.T_star_measured < 1e-8 * r.E_max_measured
+    trace = r.search_trace
+    assert len(trace) == r.n_evaluations
+    assert trace[0][0] == asymptotics.predict(profile, k).T_star
+    assert (r.T_star_measured, r.K_at_max, r.E_max_measured,
+            r.R_at_max) in trace
+
+
 def test_extrapolated_ratios(acceptance_sweep, sine):
     # positive control for the leading-constant question: the measured
     # E_max ratio extrapolates to 4/3 (not 1), while T_star and K_drop
@@ -119,6 +139,21 @@ def test_no_interior_maximum_raises(sine, monkeypatch, sign):
     with pytest.raises(RuntimeError, match=r"no sign change.* k=10\.0"):
         harness.find_enstrophy_max(sine, 10.0)
     assert 2 <= len(calls) <= 16
+
+
+def test_no_sign_change_table_lists_every_evaluation(sine, monkeypatch):
+    calls = []
+
+    def monotone(profile, k, t, config=None, with_rate=False):
+        calls.append(t)
+        return 1.0, 1.0, -1.0
+
+    monkeypatch.setattr(harness, "state_functionals", monotone)
+    with pytest.raises(RuntimeError) as info:
+        harness.find_enstrophy_max(sine, 10.0)
+    rows = [line.split()[0] for line in str(info.value).splitlines()
+            if line.startswith("  t=")]
+    assert rows == [f"t={t:.6e}" for t in sorted(calls)]
 
 
 def test_thread_cap_env(monkeypatch):

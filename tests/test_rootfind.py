@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from enstrophy_lab.rootfind import (bisect, bracketed_root, illinois,
-                                   newton_polish)
+from enstrophy_lab.rootfind import (bisect, bracketed_root, newton_polish,
+                                   pegasus)
 
 
 def test_bracketed_root_cosine():
@@ -31,7 +31,7 @@ def test_newton_polish_stays_in_bracket():
 
 def test_illinois_superlinear_on_skewed_root():
     # plain regula falsi keeps one end fixed on a convex g like this one and
-    # never closes the bracket; Illinois must move both ends
+    # never closes the bracket; Pegasus must move both ends
     calls = []
 
     def g(y):
@@ -39,16 +39,16 @@ def test_illinois_superlinear_on_skewed_root():
         return y ** 5 - 0.5
 
     root = 0.5 ** 0.2
-    r = illinois(g, 1.5, 0.0, g(1.5), g(0.0), 1e-14)
+    r = pegasus(g, 1.5, 0.0, g(1.5), g(0.0), 1e-14)
     assert abs(r - root) < 1e-13
     assert len(calls) <= 2 + 20
 
 
 def test_illinois_stops_on_a_step_below_xtol():
     # g carries a deterministic noise floor of 1e-12; once a secant step
-    # moves by at most xtol the search returns that point.  Without the
-    # step test it takes 12 calls here, the last three re-evaluating
-    # points within 1e-16 of each other while the far end stays put.
+    # moves by at most xtol the search returns that point.  (From this end
+    # Pegasus needs 9 calls with or without the step test; the reversed
+    # bracket below is the case the step test shortens.)
     calls = []
 
     def g(y):
@@ -57,7 +57,40 @@ def test_illinois_stops_on_a_step_below_xtol():
                                                               + 3.0)
 
     xtol = 1e-9
-    r = illinois(g, 0.25, 0.45, g(0.25), g(0.45), xtol)
+    r = pegasus(g, 0.25, 0.45, g(0.25), g(0.45), xtol)
     assert abs(r - 0.3) <= xtol
     assert r == calls[-1]               # the last point evaluated
     assert len(calls) <= 10
+
+
+def test_pegasus_stops_on_a_step_below_xtol_from_the_far_end():
+    # the noise floor of the test above, bracketed from 0.45: without the
+    # step test the last four calls re-evaluate points within 1e-13 of the
+    # root while the far end stays put, 12 calls in all
+    calls = []
+
+    def g(y):
+        calls.append(y)
+        return math.expm1(5.0 * (y - 0.3)) + 1e-12 * math.sin(1e9 * y * y
+                                                              + 3.0)
+
+    xtol = 1e-9
+    r = pegasus(g, 0.45, 0.25, g(0.45), g(0.25), xtol)
+    assert abs(r - 0.3) <= xtol
+    assert r == calls[-1]
+    assert len(calls) <= 10
+
+
+def test_pegasus_beats_illinois_on_a_steep_exponential():
+    # exp(-30 y) - 0.05 is flat over most of [0, 1]; Illinois' halving of
+    # the stored g needs 17 calls here, Pegasus' g1 / (g1 + gx) factor 15
+    calls = []
+
+    def g(y):
+        calls.append(y)
+        return math.exp(-30.0 * y) - 0.05
+
+    xtol = 1e-12
+    r = pegasus(g, 0.0, 1.0, g(0.0), g(1.0), xtol)
+    assert abs(r - math.log(20.0) / 30.0) <= xtol
+    assert len(calls) <= 15

@@ -40,7 +40,8 @@ import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYERS = ("harness.E_evals", "quadrature.x_panels", "quadrature.y_panels",
+LAYERS = ("harness.E_evals", "harness.search_s", "quadrature.x_panels",
+          "quadrature.y_panels",
           "quadrature.y_points", "exact_solver.panel_build_s",
           "exact_solver.stationary_s", "quadrature.y_self_s",
           "quadrature.kernel_s", "quadrature.kernel_ns_per_point")
