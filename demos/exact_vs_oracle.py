@@ -12,10 +12,10 @@ bd_t0 = 1.0 / (8.0 * np.pi ** 2 * k)     # curvature time 1/(2 k |f'(0)|)
 t_star = 1.0 / (16.0 * np.pi * k)        # predicted enstrophy maximizer
 times = [0.5 * bd_t0, t_star, 2.0 * bd_t0]
 
-ocfg = spectral_oracle.OracleConfig(snapshot_points=1024)
-oracle_snaps = spectral_oracle.integrate(sine, k, max(times), times, ocfg)
+oracle_snaps = spectral_oracle.integrate(sine, k, times, snapshot_points=1024)
 
-print(f"k = {k}, grid 1024, oracle {ocfg.n_modes} modes, dt = {ocfg.dt:g}")
+print(f"k = {k}, grid 1024, oracle {spectral_oracle.N_MODES} modes, "
+      f"dt = {spectral_oracle.DT:g}")
 print(f"{'t':>12} {'sup|u_ex - u_or|':>18} {'K':>12} {'E':>12} {'R':>14}")
 for t, osnap in zip(times, oracle_snaps):
     snap = exact_solver.snapshot(sine, t, k,

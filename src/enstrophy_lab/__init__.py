@@ -26,7 +26,7 @@ from .asymptotics import (RootSet, BifurcationData, Predictions, BoundCheck,
 from .diagnostics import (Diagnostics, compute, from_functionals,
                           integral_bound_rhs, initial_energy,
                           initial_enstrophy)
-from .spectral_oracle import OracleConfig, OracleError, integrate
+from .spectral_oracle import OracleError, integrate
 from .harness import (MaxSearchResult, ScalingFit, SweepResult,
                       ComparisonReport, state_functionals,
                       find_enstrophy_max, sweep, compare_predictions)
@@ -47,7 +47,7 @@ __all__ = [
     "check_required_bound",
     "Diagnostics", "compute", "from_functionals", "integral_bound_rhs",
     "initial_energy", "initial_enstrophy",
-    "OracleConfig", "OracleError", "integrate",
+    "OracleError", "integrate",
     "MaxSearchResult", "ScalingFit", "SweepResult", "ComparisonReport",
     "state_functionals", "find_enstrophy_max", "sweep",
     "compare_predictions",

@@ -295,10 +295,8 @@ def _run_solve(cfg, profile, written):
     times = sorted(set(cfg.t))
     oracle_snaps = {}
     if cfg.oracle and max(times) > 0:
-        ocfg = spectral_oracle.OracleConfig(
-            snapshot_points=2 * scfg.grid_size)
-        snaps = spectral_oracle.integrate(profile, cfg.k, max(times),
-                                          times, ocfg)
+        snaps = spectral_oracle.integrate(profile, cfg.k, times,
+                                          2 * scfg.grid_size)
         oracle_snaps = dict(zip(times, snaps))
 
     diag_rows = []

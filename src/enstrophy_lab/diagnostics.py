@@ -60,7 +60,7 @@ def compute(snap) -> Diagnostics:
     tail = float(np.sum(power[cut:])) / tot
     if tail > 1e-6:
         warnings.warn(f"grid tail fraction {tail:.2e}: u_xx (and R) are "
-                      "under-resolved at n={n}".format(n=n), RuntimeWarning)
+                      f"under-resolved at n={n}", RuntimeWarning)
 
     w = 2.0 * math.pi * np.arange(len(spec))
     uxx = np.fft.irfft(-(w * w) * spec, n=n)

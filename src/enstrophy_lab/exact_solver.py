@@ -59,15 +59,30 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
+def grid(n):
+    """n uniform points (i - n//2)/n, i = 0..n-1, on the circle [-1/2, 1/2)."""
+    return (np.arange(n) - n // 2) / n
+
+
 @dataclass(frozen=True)
 class StateSnapshot:
     """u and u_x sampled on the uniform circle grid at one instant."""
     k: float
     t: float
-    x_grid: np.ndarray
     u_values: np.ndarray
     ux_values: np.ndarray
-    oddness_residual: float
+
+    @property
+    def x_grid(self):
+        """The grid the values sit on: grid(len(u_values))."""
+        return grid(len(self.u_values))
+
+    @property
+    def oddness_residual(self):
+        """max |u(x) + u(-x)| over the grid; zero for an exactly odd u."""
+        u = self.u_values
+        mirror = (len(u) - np.arange(len(u))) % len(u)
+        return float(np.max(np.abs(u + u[mirror])))
 
     @property
     def a(self):
@@ -318,14 +333,10 @@ def snapshot(profile, t, k, config=None):
     cfg = config or DEFAULT_CONFIG
     if not 0 <= t < math.inf:
         raise ValueError(f"need finite t >= 0, got t={t}")
-    n = 2 * cfg.grid_size
-    xg = (np.arange(n) - n // 2) / n
+    xg = grid(2 * cfg.grid_size)
     if t == 0:
         u = k * profile.f(xg)
         ux = k * profile.f_prime(xg)
     else:
         u, ux = eval_fields(profile, xg, 1.0 / (2.0 * k * t), k, cfg)
-    mirror = (n - np.arange(n)) % n
-    odd = float(np.max(np.abs(u + u[mirror])))
-    return StateSnapshot(k=k, t=t, x_grid=xg, u_values=u, ux_values=ux,
-                         oddness_residual=odd)
+    return StateSnapshot(k=k, t=t, u_values=u, ux_values=ux)

@@ -5,26 +5,29 @@ The equation is advanced in Fourier space in conservative form,
 
     d/dt u_hat = -w^2 u_hat - i w (u^2)_hat,   w = 2 pi n,
 
-with 2/3-rule dealiasing of the quadratic term.  Default time stepper is
-ETDRK4 (exact stiff linear part, fourth-order nonlinear part, with the
-phi-coefficients evaluated by the usual complex contour average so small
-h*L is not a cancellation hazard); an IMEX Crank-Nicolson/Adams-Bashforth2
-stepper is available for comparison.  An advective CFL bound clamps the
-step, and a spectral tail monitor doubles the resolution when the top of
-the band fills up.
+with 2/3-rule dealiasing of the quadratic term.  The time stepper is
+ETDRK4 (Kassam & Trefethen 2005): exact stiff linear part, fourth-order
+nonlinear part, with the phi-coefficients evaluated by the complex contour
+average so small h*L is not a cancellation hazard.  An advective CFL bound
+clamps the step, and a spectral tail monitor doubles the resolution when
+the top of the band fills up.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_solver import StateSnapshot
+from .exact_solver import StateSnapshot, grid
 
-INTEGRATORS = ("etd-rk4", "imex-cn-ab2")
+# Fourier modes of the first run, and the most the tail monitor doubles to.
+N_MODES = 1024
+MAX_N_MODES = 8192
+# Target time step, and the advective CFL constant that may shrink it.
+DT = 2e-6
+CFL_CONSTANT = 0.5
 # Share of the resolved band kept by the dealiasing mask (the 2/3 rule).
 DEALIAS_FRACTION = 2.0 / 3.0
 # Spectral tail fraction above which the run is repeated at double modes.
@@ -33,33 +36,6 @@ TAIL_THRESHOLD = 1e-8
 
 class OracleError(RuntimeError):
     """The oracle solution stopped being trustworthy (blow-up, NaN)."""
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Resolution and stepping knobs for the spectral integrator.
-
-    The run starts at n_modes and doubles while the tail monitor trips, up
-    to max_n_modes; max_n_modes = n_modes turns the doubling off.
-    """
-    n_modes: int = 1024
-    dt: float = 2e-6
-    integrator: str = "etd-rk4"
-    cfl_constant: float = 0.5
-    max_n_modes: int = 8192
-    snapshot_points: int = 512
-
-    def __post_init__(self):
-        n = self.n_modes
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError("n_modes must be a power of two >= 64")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
-DEFAULT_ORACLE = OracleConfig()
 
 
 def _etdrk4_coeffs(L, h, m=32):
@@ -83,7 +59,7 @@ class _Spectral:
 
     def __init__(self, n):
         self.n = n
-        self.x = (np.arange(n) - n // 2) / n
+        self.x = grid(n)
         self.w = 2.0 * math.pi * np.arange(n // 2 + 1)
         self.L = -self.w ** 2
         cut = int(DEALIAS_FRACTION * (n // 2))
@@ -102,7 +78,7 @@ class _Spectral:
         return float(np.sum(p[lo - 1:])) / tot
 
 
-def _advance(sp, v, t_span, h_target, cfg, coeff_cache):
+def _advance(sp, v, t_span, h_target, coeff_cache):
     """Advance v over t_span with uniform substeps close to h_target."""
     if t_span <= 0:
         return v
@@ -110,40 +86,20 @@ def _advance(sp, v, t_span, h_target, cfg, coeff_cache):
     h = t_span / nstep
     key = round(math.log(h), 12)
     if key not in coeff_cache:
-        if cfg.integrator == "etd-rk4":
-            coeff_cache[key] = _etdrk4_coeffs(sp.L, h)
-        else:
-            denom = 1.0 / (1.0 - 0.5 * h * sp.L)
-            coeff_cache[key] = (1.0 + 0.5 * h * sp.L, denom, h)
-    co = coeff_cache[key]
-
-    if cfg.integrator == "etd-rk4":
-        E, E2, Q, f1, f2, f3 = co
-        for _ in range(nstep):
-            Nv = sp.nonlinear(v)
-            a = E2 * v + Q * Nv
-            Na = sp.nonlinear(a)
-            b = E2 * v + Q * Na
-            Nb = sp.nonlinear(b)
-            c = E2 * a + Q * (2.0 * Nb - Nv)
-            Nc = sp.nonlinear(c)
-            v = E * v + Nv * f1 + 2.0 * (Na + Nb) * f2 + Nc * f3
-            if not np.all(np.isfinite(v)):
-                raise OracleError("spectral solution blew up (non-finite "
-                                  "coefficients) during a step")
-    else:
-        c1, denom, h_ = co
-        N_prev = sp.nonlinear(v)
-        v = denom * (c1 * v + h_ * N_prev)       # CN-Euler bootstrap
+        coeff_cache[key] = _etdrk4_coeffs(sp.L, h)
+    E, E2, Q, f1, f2, f3 = coeff_cache[key]
+    for _ in range(nstep):
+        Nv = sp.nonlinear(v)
+        a = E2 * v + Q * Nv
+        Na = sp.nonlinear(a)
+        b = E2 * v + Q * Na
+        Nb = sp.nonlinear(b)
+        c = E2 * a + Q * (2.0 * Nb - Nv)
+        Nc = sp.nonlinear(c)
+        v = E * v + Nv * f1 + 2.0 * (Na + Nb) * f2 + Nc * f3
         if not np.all(np.isfinite(v)):
-            raise OracleError("spectral solution blew up on the first step")
-        for _ in range(nstep - 1):
-            N_cur = sp.nonlinear(v)
-            v = denom * (c1 * v + h_ * (1.5 * N_cur - 0.5 * N_prev))
-            N_prev = N_cur
-            if not np.all(np.isfinite(v)):
-                raise OracleError("spectral solution blew up (non-finite "
-                                  "coefficients) during a step")
+            raise OracleError("spectral solution blew up (non-finite "
+                              "coefficients) during a step")
     return v
 
 
@@ -156,36 +112,34 @@ def _resample(v, n_src, n_dst):
 
 
 def _make_snapshot(sp, v, t, k, gp):
-    u = _resample(v, sp.n, gp)
-    ux = _resample(1j * sp.w * v, sp.n, gp)
-    n = len(u)
-    mirror = (n - np.arange(n)) % n
-    odd = float(np.max(np.abs(u + u[mirror])))
-    xg = (np.arange(gp) - gp // 2) / gp
-    return StateSnapshot(k=k, t=float(t), x_grid=xg, u_values=u,
-                         ux_values=ux, oddness_residual=odd)
+    return StateSnapshot(k=k, t=float(t), u_values=_resample(v, sp.n, gp),
+                         ux_values=_resample(1j * sp.w * v, sp.n, gp))
 
 
-def integrate(profile, k, t_end, save_times, config=None):
-    """Run the oracle and return StateSnapshots at the requested times.
+def integrate(profile, k, save_times, snapshot_points=512):
+    """Run the oracle and return StateSnapshots at the requested times,
+    each sampled on snapshot_points grid points.
 
-    save_times must be sorted, within [0, t_end].  The advective CFL clamp
-    dt <= cfl_constant / (2 k max|f| n_modes) is applied on top of the
-    configured dt; while the tail fraction exceeds TAIL_THRESHOLD the run is
-    repeated at double resolution, up to max_n_modes, and a tail still above
-    it there is reported as a warning.
+    save_times must be sorted, finite and >= 0, and k finite; anything
+    else raises ValueError naming the value.  The step is DT, clamped by
+    the advective CFL bound dt <= CFL_CONSTANT / (2 |k| max|f| n_modes).
+    The first run uses N_MODES; while the tail fraction exceeds
+    TAIL_THRESHOLD the run is repeated at double resolution, up to
+    MAX_N_MODES, and a tail still above it there is reported as a warning.
     """
-    cfg = config or DEFAULT_ORACLE
+    if not math.isfinite(k):
+        raise ValueError(f"need finite k, got k={k}")
     ts = [float(t) for t in save_times]
-    if any(t < -1e-300 for t in ts) or any(t > t_end * (1 + 1e-12) + 1e-300 for t in ts):
-        raise ValueError("save_times must lie in [0, t_end]")
+    for t in ts:
+        if not 0 <= t < math.inf:
+            raise ValueError(f"need finite save times >= 0, got t={t}")
     if sorted(ts) != ts:
         raise ValueError("save_times must be sorted")
 
-    n = cfg.n_modes
+    n = N_MODES
     while True:
-        snaps, worst_tail = _single_run(profile, k, ts, cfg, n)
-        if worst_tail <= TAIL_THRESHOLD or n >= cfg.max_n_modes:
+        snaps, worst_tail = _single_run(profile, k, ts, snapshot_points, n)
+        if worst_tail <= TAIL_THRESHOLD or n >= MAX_N_MODES:
             break
         n *= 2
     if worst_tail > TAIL_THRESHOLD:
@@ -195,13 +149,13 @@ def integrate(profile, k, t_end, save_times, config=None):
     return snaps
 
 
-def _single_run(profile, k, ts, cfg, n):
+def _single_run(profile, k, ts, snapshot_points, n):
     sp = _Spectral(n)
     u0 = k * profile.f(sp.x)
-    speed = 2.0 * k * float(np.max(np.abs(profile.f(sp.x)))) + 1e-300
-    h_cfl = cfg.cfl_constant / (speed * n)
-    h_target = min(cfg.dt, h_cfl)
-    if h_target < cfg.dt:
+    speed = 2.0 * float(np.max(np.abs(u0))) + 1e-300
+    h_cfl = CFL_CONSTANT / (speed * n)
+    h_target = min(DT, h_cfl)
+    if h_target < DT:
         warnings.warn(f"dt clamped to {h_target:.3e} by the advective CFL "
                       "bound", RuntimeWarning)
 
@@ -211,8 +165,8 @@ def _single_run(profile, k, ts, cfg, n):
     worst_tail = 0.0
     t_now = 0.0
     for t_save in ts:
-        v = _advance(sp, v, t_save - t_now, h_target, cfg, coeff_cache)
+        v = _advance(sp, v, t_save - t_now, h_target, coeff_cache)
         t_now = t_save
         worst_tail = max(worst_tail, sp.tail_fraction(v))
-        snaps.append(_make_snapshot(sp, v, t_save, k, cfg.snapshot_points))
+        snaps.append(_make_snapshot(sp, v, t_save, k, snapshot_points))
     return snaps, worst_tail

@@ -34,7 +34,7 @@ DT = 2e-6                                      # default oracle step
 def oracle_c3(sine, state_log):
     """Oracle states at t0/2, T*_pred, 2 t0 for the cross-validation."""
     times = (0.5 * T0_K5, TSTAR_K5, 2.0 * T0_K5)
-    snaps = spectral_oracle.integrate(sine, K5, times[-1], times)
+    snaps = spectral_oracle.integrate(sine, K5, times)
     for t, s in zip(times, snaps):
         d = diagnostics.compute(s)
         state_log.append((f"oracle k=5 t={t:.3e}", d.K, d.E, d.R))
@@ -45,7 +45,7 @@ def oracle_c3(sine, state_log):
 def oracle_dense(sine, state_log):
     """Oracle trajectory saved every dt = 2e-6 on [0, 4e-3] (k = 5)."""
     times = np.arange(2001) * DT
-    snaps = spectral_oracle.integrate(sine, K5, float(times[-1]), times)
+    snaps = spectral_oracle.integrate(sine, K5, times)
     diags = [diagnostics.compute(s) for s in snaps]
     for t, d in zip(times, diags):
         state_log.append((f"oracle k=5 t={t:.3e}", d.K, d.E, d.R))

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
     "bench_record.py"
 MACHINE = {"nproc": 2, "cpu": "test", "threads": 1}
@@ -103,37 +105,29 @@ def test_bench_record_refuses_other_machine(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "BENCH_9.json").exists()
 
 
-def test_bench_record_reports_kernel_ns_per_point(tmp_path, monkeypatch):
+# layer -> (workload, parent value, change value)
+LAYER_CASES = {
+    "quadrature.kernel_ns_per_point": ("tstar-single", 120.0, 80.0),
+    "harness.search_s": ("tstar-single", 1.0, 0.64),
+    "spectral_oracle.us_per_step": ("solve-oracle", 290.0, 260.0),
+}
+
+
+@pytest.mark.parametrize("layer", LAYER_CASES)
+def test_bench_record_reports_layer(tmp_path, monkeypatch, layer):
+    workload, before, after = LAYER_CASES[layer]
     tool = _load()
-    assert "quadrature.kernel_ns_per_point" in tool.LAYERS
+    assert layer in tool.LAYERS
     monkeypatch.chdir(tmp_path)
     parent, change = tmp_path / "parent", tmp_path / "change"
-    for side, ns in ((parent, 120.0), (change, 80.0)):
-        _write(side, "tstar-single", 1, 0, E2E)
-        _write(side, "tstar-single", 7, 1,
-               {name: (ns if name == "quadrature.kernel_ns_per_point"
-                       else 1.0) for name in tool.LAYERS})
+    for side, value in ((parent, before), (change, after)):
+        _write(side, workload, 1, 0, E2E)
+        _write(side, workload, 7, 1,
+               {name: (value if name == layer else 1.0)
+                for name in tool.LAYERS})
     assert tool.main(["--number", "9", "--parent", str(parent),
                       "--change", str(change)]) == 0
     layers = json.loads((tmp_path / "BENCH_9.json").read_text())[
-        "workloads"]["tstar-single"]["layers"]
-    assert layers["parent"]["quadrature.kernel_ns_per_point"] == 120.0
-    assert layers["change"]["quadrature.kernel_ns_per_point"] == 80.0
-
-
-def test_bench_record_reports_search_s(tmp_path, monkeypatch):
-    tool = _load()
-    assert "harness.search_s" in tool.LAYERS
-    monkeypatch.chdir(tmp_path)
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    for side, s in ((parent, 1.0), (change, 0.64)):
-        _write(side, "tstar-single", 1, 0, E2E)
-        _write(side, "tstar-single", 7, 1,
-               {name: (s if name == "harness.search_s" else 1.0)
-                for name in tool.LAYERS})
-    assert tool.main(["--number", "10", "--parent", str(parent),
-                      "--change", str(change)]) == 0
-    layers = json.loads((tmp_path / "BENCH_10.json").read_text())[
-        "workloads"]["tstar-single"]["layers"]
-    assert layers["parent"]["harness.search_s"] == 1.0
-    assert layers["change"]["harness.search_s"] == 0.64
+        "workloads"][workload]["layers"]
+    assert layers["parent"][layer] == before
+    assert layers["change"][layer] == after

@@ -12,9 +12,7 @@ def _sine_state(n=512):
     x = (np.arange(n) - n // 2) / n
     u = np.sin(2.0 * np.pi * x)
     ux = 2.0 * np.pi * np.cos(2.0 * np.pi * x)
-    return exact_solver.StateSnapshot(k=1.0, t=0.0, x_grid=x,
-                                      u_values=u, ux_values=ux,
-                                      oddness_residual=0.0)
+    return exact_solver.StateSnapshot(k=1.0, t=0.0, u_values=u, ux_values=ux)
 
 
 def test_single_mode_trig_integrals():
@@ -59,8 +57,6 @@ def test_tail_warning_on_rough_data():
     rng = np.random.default_rng(7)
     u = rng.standard_normal(n) * 1e-2 + np.sin(2 * np.pi * x)
     u -= u.mean()
-    snap = exact_solver.StateSnapshot(k=1.0, t=0.0, x_grid=x,
-                                      u_values=u, ux_values=u,
-                                      oddness_residual=0.0)
+    snap = exact_solver.StateSnapshot(k=1.0, t=0.0, u_values=u, ux_values=u)
     with pytest.warns(RuntimeWarning, match="tail"):
         diagnostics.compute(snap)

@@ -42,15 +42,15 @@ def test_state_functionals_match_grid_diagnostics(sine):
     assert abs(R - d.R) < 1e-8 * abs(d.R)
 
 
-def test_enstrophy_max_matches_oracle(sine):
+def test_enstrophy_max_matches_oracle(sine, monkeypatch):
     # the measured maximum should sit on the oracle's E(t) curve
     k = 20.0
     r = harness.find_enstrophy_max(sine, k)
-    cfg = spectral_oracle.OracleConfig(n_modes=2048, snapshot_points=4096)
+    monkeypatch.setattr(spectral_oracle, "N_MODES", 2048)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*CFL.*")
-        snap = spectral_oracle.integrate(sine, k, r.T_star_measured,
-                                         [r.T_star_measured], cfg)[0]
+        snap = spectral_oracle.integrate(sine, k, [r.T_star_measured],
+                                         snapshot_points=4096)[0]
     d = diagnostics.compute(snap)
     assert abs(d.E - r.E_max_measured) < 1e-8 * r.E_max_measured
     assert abs(d.K - r.K_at_max) < 1e-8 * r.K_at_max

@@ -44,7 +44,8 @@ LAYERS = ("harness.E_evals", "harness.search_s", "quadrature.x_panels",
           "quadrature.y_panels",
           "quadrature.y_points", "exact_solver.panel_build_s",
           "exact_solver.stationary_s", "quadrature.y_self_s",
-          "quadrature.kernel_s", "quadrature.kernel_ns_per_point")
+          "quadrature.kernel_s", "quadrature.kernel_ns_per_point",
+          "spectral_oracle.s", "spectral_oracle.us_per_step")
 # Machine fields that must agree between the sides of one workload.
 SAME_MACHINE = ("cpu", "nproc", "python", "numpy")
 NAME = re.compile(r"result-(.+)-seed(\d+)-trace([01])\.json$")
