@@ -30,7 +30,8 @@ from . import quadrature
 from .quadrature import QuadratureError
 from .rootfind import bisect, newton_polish
 
-# Stationary-point scan samples per unit length of the y window.
+# Samples per unit length of the shared stationary-point scan; even, so the
+# scan grid holds every multiple of 1/2 (see _stationary_points).
 SCAN_DENSITY = 128
 # Uniform panels across the y window, before the ladders at the minima.
 COARSE_PANELS = 16
@@ -133,53 +134,89 @@ def _window_halfwidth(profile, a, k, config, n_moments, depth):
 def _stationary_points(profile, x, a, L):
     """All zeros of g(y) = f(y) + a*(y - x) within L of each row's x.
 
-    g is sampled SCAN_DENSITY times per unit length and every sign change
-    is bracketed.  A pair of roots closer than one sample spacing (the
-    minimum and saddle born together at the fold) shows no sign change, so
-    each sampled extremum of g that keeps its sign but lies within its two
-    sample differences of zero is also checked: its extremum, the zero of
-    g' = f' + a, is located and, where g changes sign there, the roots on
-    either side of it are bracketed.
+    Row i's zeros solve G(y) = a*x_i for the one function G(y) = f(y) +
+    a*y, so a single scan of G serves every row.  f is 1-periodic, which
+    makes row x - n's zeros row x's shifted by -n: rows are moved into
+    [-1/2, 1/2] first, and the scan covers [min x - L, max x + L] on the
+    multiples of 1/SCAN_DENSITY.  That grid holds every multiple of 1/2,
+    between which an admissible f' is monotone (f'' >= 0 on [0, 1/2], f
+    odd); so G' = f' + a has at most one zero per cell, where it changes
+    sign.  Those zeros, the turning points of G, are polished and added to
+    the grid, after which G is monotone on every cell and row i has a
+    zero in a cell exactly when a*x_i lies between G at its ends (the
+    left end counted, the right one not).  np.searchsorted on the sorted
+    a*x_i finds every (row, cell) pair at once, with no row-by-sample
+    work, and no pair of zeros is missed however close they sit.
 
-    Returns flat arrays (row, root, curvature) with curvature = f'(root)+a;
-    positive curvature marks a phase minimum.
+    Each bracket is polished on g itself: a few bisections, then Newton
+    steps clamped to the narrowed bracket.  Where g does not change sign
+    across a bracket, because it is 0 at an end or because at large a the
+    sum a*y rounds f away and G misplaces a zero by a rounding step, the
+    end with the smaller |g| is the zero.  Non-finite rows have no zeros.
+
+    Returns flat arrays (row, root, curvature) in row order, roots
+    ascending within a row, with curvature = f'(root)+a; positive
+    curvature marks a phase minimum.
     """
-    def dg(y):
+    def dG(y):
         return profile.f_prime(y) + a
 
-    ns = max(33, int(2 * L * SCAN_DENSITY) + 1)
-    offs = np.linspace(-L, L, ns)
-    ys = x[:, None] + offs[None, :]
-    g = profile.f(ys) + a * (ys - x[:, None])
-    sign_flip = (g[:, :-1] * g[:, 1:] < 0) | (g[:, :-1] == 0)
-    rows, cols = np.nonzero(sign_flip)
-    lo = ys[rows, cols]
-    hi = ys[rows, cols + 1]
+    x = np.asarray(x, dtype=float)
+    live = np.nonzero(np.isfinite(x))[0]
+    if live.size == 0:
+        return np.empty(0, np.intp), np.empty(0), np.empty(0)
+    shift = np.round(x[live])
+    xr = x[live] - shift
 
-    # sampled extrema of g (at column ec + 1) that keep their sign
-    rising = np.diff(g, axis=1) > 0
-    er, ec = np.nonzero(rising[:, :-1] != rising[:, 1:])
-    gl, gm, gr = g[er, ec], g[er, ec + 1], g[er, ec + 2]
-    near = ((gl * gm > 0) & (gm * gr > 0)
-            & (np.abs(gm) <= np.abs(gm - gl) + np.abs(gr - gm)))
-    er, ec, gm = er[near], ec[near], gm[near]
-    if er.size:
-        elo, ehi = ys[er, ec], ys[er, ec + 2]
-        turn = dg(elo) * dg(ehi) < 0
-        er, gm, elo, ehi = er[turn], gm[turn], elo[turn], ehi[turn]
-        e = bisect(dg, elo, ehi, iters=50)
-        cross = (profile.f(e) + a * (e - x[er])) * gm <= 0
-        er, elo, ehi, e = er[cross], elo[cross], ehi[cross], e[cross]
-        rows = np.concatenate([rows, er, er])
-        lo = np.concatenate([lo, elo, e])
-        hi = np.concatenate([hi, e, ehi])
+    j0 = math.floor((xr.min() - L) * SCAN_DENSITY)
+    j1 = math.ceil((xr.max() + L) * SCAN_DENSITY)
+    ys = np.arange(j0, j1 + 1) / SCAN_DENSITY
+    gp = dG(ys)
+    turn = np.nonzero(gp[:-1] * gp[1:] < 0)[0]
+    if turn.size:
+        lo, hi = ys[turn], ys[turn + 1]
+        t = bisect(dG, lo, hi, iters=8)
+        t = newton_polish(dG, profile.f_double_prime, t, lo, hi, steps=4)
+        ys = np.insert(ys, turn + 1, t)
+    G = profile.f(ys) + a * ys
 
-    def g_rows(y):
-        return profile.f(y) + a * (y - x[rows])
+    # (cell, row) pairs: a*x_i in [G_j, G_j+1) on a rising cell and in
+    # (G_j+1, G_j] on a falling one
+    axr = a * xr
+    order = np.argsort(axr)
+    ax = axr[order]
+    g0, g1 = G[:-1], G[1:]
+    low, high = np.minimum(g0, g1), np.maximum(g0, g1)
+    rising = g1 > g0
+    start = np.where(rising, np.searchsorted(ax, low, "left"),
+                     np.searchsorted(ax, low, "right"))
+    stop = np.where(rising, np.searchsorted(ax, high, "left"),
+                    np.searchsorted(ax, high, "right"))
+    count = stop - start
+    cell = np.repeat(np.arange(len(count)), count)
+    first = np.cumsum(count) - count
+    pos = order[start[cell] + np.arange(len(cell)) - first[cell]]
+    lo, hi = ys[cell], ys[cell + 1]
+    near = (hi >= xr[pos] - L) & (lo <= xr[pos] + L)
+    pos, lo, hi = pos[near], lo[near], hi[near]
 
-    roots = bisect(g_rows, lo, hi, iters=50)
-    roots = newton_polish(g_rows, dg, roots, lo, hi, steps=2)
-    return rows, roots, dg(roots)
+    def g(y):
+        return profile.f(y) + a * (y - xr[pos])
+
+    glo, ghi = g(lo), g(hi)
+    iters = 10
+    roots = bisect(g, lo, hi, iters=iters)
+    half = (hi - lo) * 2.0 ** -(iters + 1)
+    roots = newton_polish(g, dG, roots, np.maximum(lo, roots - half),
+                          np.minimum(hi, roots + half), steps=3)
+    at_end = glo * ghi >= 0
+    roots = np.where(at_end, np.where(np.abs(glo) <= np.abs(ghi), lo, hi),
+                     roots)
+    keep = np.abs(roots - xr[pos]) <= L
+    pos, roots = pos[keep], roots[keep]
+    by_row = np.argsort(pos, kind="stable")
+    pos, roots = pos[by_row], roots[by_row]
+    return live[pos], roots + shift[pos], dG(roots)
 
 
 def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
@@ -234,8 +271,9 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     is_min = curv > 0
 
     # per-row phase minimum (global: the scan radius always contains it).
-    # Near the pitchfork a row's minima can share one scan cell with its
-    # maximum and go unseen; its lowest stationary point then stands in.
+    # A row whose minimum is degenerate (curvature 0, as at x = 0 exactly
+    # on the pitchfork) has no root with positive curvature; its lowest
+    # stationary point then stands in.
     has_min = np.zeros(nx, dtype=bool)
     has_min[rows[is_min]] = True
     sel = is_min | ~has_min[rows]

@@ -90,31 +90,53 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != 1 or len(a) == 0:
         raise ProfileError("need a non-empty 1-d coefficient sequence")
-    n = np.arange(1, len(a) + 1, dtype=float)
-    wn = _TWO_PI * n
+    wn = _TWO_PI * np.arange(1, len(a) + 1, dtype=float)
+    b_fp, b_fpp, b_F = a * wn, a * wn ** 2, a / wn
+    F0 = float(np.sum(b_F))
 
+    # With theta = 2 pi x and c = cos(theta), cos(n theta) = T_n(c) and
+    # sin(n theta) = sin(theta) U_{n-1}(c): one cos (and for f, f'' one
+    # sin) per point, then Clenshaw's recurrence over the coefficients
     def f(x):
-        x = np.asarray(x, dtype=float)
-        return -np.sin(np.multiply.outer(x, wn)) @ a
+        theta = _TWO_PI * np.asarray(x, dtype=float)
+        return -np.sin(theta) * _clenshaw(np.cos(theta), a)[0]
 
     def fp(x):
-        x = np.asarray(x, dtype=float)
-        return -np.cos(np.multiply.outer(x, wn)) @ (a * wn)
+        c = np.cos(_TWO_PI * np.asarray(x, dtype=float))
+        y1, y2 = _clenshaw(c, b_fp)
+        return y2 - c * y1
 
     def fpp(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(np.multiply.outer(x, wn)) @ (a * wn ** 2)
+        theta = _TWO_PI * np.asarray(x, dtype=float)
+        return np.sin(theta) * _clenshaw(np.cos(theta), b_fpp)[0]
 
     def F(x):
-        x = np.asarray(x, dtype=float)
-        return (np.cos(np.multiply.outer(x, wn)) - 1.0) @ (a / wn)
+        c = np.cos(_TWO_PI * np.asarray(x, dtype=float))
+        y1, y2 = _clenshaw(c, b_F)
+        return c * y1 - y2 - F0
 
-    fp0 = float(-np.sum(a * wn))
+    fp0 = float(-np.sum(b_fp))
     prof = _finish_profile(f, fp, fpp, F, fp0,
                            label=label or f"sine-series[{len(a)}]")
     if validate:
         _raise_on_violation(prof)
     return prof
+
+
+def _clenshaw(c, b):
+    """(y_1, y_2) of Clenshaw's recurrence y_n = b_n + 2c y_{n+1} - y_{n+2},
+    run from n = N down to 1 with y_{N+1} = y_{N+2} = 0, for the
+    coefficients b = (b_1..b_N).  Then sum b_n T_n(c) = c y_1 - y_2 and
+    sum b_n U_{n-1}(c) = y_1."""
+    y1 = np.zeros_like(c)
+    y2 = np.zeros_like(c)
+    two_c = 2.0 * c
+    for bn in b[::-1]:
+        y = two_c * y1
+        y -= y2
+        y += bn
+        y1, y2 = y, y1
+    return y1, y2
 
 
 def _finish_profile(f, fp, fpp, F, fp0, label):

@@ -2,7 +2,8 @@
 
 Bisection does the heavy lifting (it cannot leave the bracket), Newton
 squeezes out the last few digits.  Works elementwise on arrays so the phase
-stationary-point scan can polish every bracket of every grid point at once.
+stationary-point scan can polish the brackets of a whole batch of rows at
+once.
 `pegasus` serves one scalar root of an expensive g with no derivative.
 """
 

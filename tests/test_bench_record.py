@@ -109,6 +109,9 @@ def test_bench_record_refuses_other_machine(tmp_path, capsys, monkeypatch):
 LAYER_CASES = {
     "quadrature.kernel_ns_per_point": ("tstar-single", 120.0, 80.0),
     "harness.search_s": ("tstar-single", 1.0, 0.64),
+    "rootfind.calls": ("tstar-single", 115, 70),
+    "rootfind.brackets": ("tstar-single", 26690, 12000),
+    "rootfind.s": ("tstar-single", 0.089, 0.033),
     "spectral_oracle.us_per_step": ("solve-oracle", 290.0, 260.0),
 }
 

@@ -1,5 +1,6 @@
 """Heat-kernel integral evaluation: closed forms, symmetry, dual routes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -176,7 +177,7 @@ def test_pitchfork_row_whose_minima_the_scan_misses(sine):
     a = apf * (1 - 1e-6)
     R = _scan_radius(sine, np.array([0.0]), a, 5.0, 2)
     _, _, curv = exact_solver._stationary_points(sine, np.array([0.0]), a, R)
-    assert not np.any(curv > 0)
+    assert list(curv > 0) == [True, False, True]
     below = exact_solver.eval_fields(sine, [0.0], a, 5.0)
     above = exact_solver.eval_fields(sine, [0.0], apf * (1 + 1e-6), 5.0)
     assert abs(below[0][0]) < 1e-12
@@ -361,3 +362,111 @@ def test_scan_finds_the_root_pair_born_at_the_fold(sine):
     assert len(roots) == 3
     assert np.allclose(np.sort(roots), want, rtol=0.0, atol=1e-12)
     assert list(curv[np.argsort(roots)] > 0) == [True, False, True]
+
+
+def _dense_brentq_roots(profile, x, a, L, per_unit=2 ** 16):
+    """Zeros of g(y) = f(y) + a (y - x) on [x - L, x + L]: every sign
+    change of g on a grid of per_unit samples per unit, polished by
+    scipy.optimize.brentq, plus any sample where g is exactly 0."""
+    from scipy.optimize import brentq
+
+    ys = x + np.linspace(-L, L, int(math.ceil(2 * L * per_unit)) + 1)
+    g = profile.f(ys) + a * (ys - x)
+    roots = list(ys[g == 0])
+    for j in np.nonzero(g[:-1] * g[1:] < 0)[0]:
+        roots.append(brentq(lambda y: float(profile.f(y) + a * (y - x)),
+                            ys[j], ys[j + 1], xtol=1e-300, rtol=8.9e-16))
+    return np.sort(roots)
+
+
+# a as a share of the pitchfork curvature |f'(0)|, where row 0's minimum
+# splits into two; just below it the two minima and the maximum between
+# them lie closer together than one scan cell
+PITCHFORK_SHARES = (0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-4, 1 - 1e-6, 1 + 1e-6)
+
+
+@pytest.mark.parametrize("which", ["sine", "two_term"])
+def test_scan_finds_every_root_of_a_dense_reference(which, request):
+    """Every row gets the same number of roots as a dense per-row brentq
+    reference, each within 1e-12; non-finite rows get none.  2.37 is row
+    0.37 one period over two."""
+    profile = request.getfixturevalue(which)
+    xs = np.array([0.0, 1e-9, -1e-9, 1e-4, 0.37, 0.5, -0.5, 2.37,
+                   math.nan, math.inf])
+    L = 1.0
+    for share in PITCHFORK_SHARES:
+        a = share * abs(profile.f_prime_at_zero)
+        with np.errstate(invalid="ignore"):
+            rows, roots, curv = exact_solver._stationary_points(
+                profile, xs, a, L)
+        assert np.all(np.isfinite(xs[rows]))
+        for i, x in enumerate(xs[:-2]):
+            got = roots[rows == i]
+            want = _dense_brentq_roots(profile, x, a, L)
+            assert len(got) == len(want), (share, x, got, want)
+            assert np.all(np.diff(got) > 0)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, \
+                (share, x)
+        assert np.allclose(curv, profile.f_prime(roots) + a, rtol=0.0,
+                           atol=1e-12)
+
+
+def test_scan_at_large_a_keeps_each_root_beside_its_row(sine):
+    """At a = 1e8, G(y) = f(y) + a y rounds f away near x = +-1/2, so G
+    can put a root in a cell on which g keeps one sign; that root is the
+    cell end where |g| is smaller, not the far end bisection runs to.
+    Each row's one root lies where a Newton step from x puts it."""
+    x, a = exact_solver.grid(512), 1e8
+    rows, roots, _ = exact_solver._stationary_points(
+        sine, x, a, _scan_radius(sine, x, a, 5.0, 2))
+    assert np.array_equal(rows, np.arange(len(x)))
+    step = x - sine.f(x) / (sine.f_prime(x) + a)
+    assert np.max(np.abs(roots - step)) <= 1e-15
+
+
+def _counting(profile):
+    """(profile, counter): the profile with f, f' and f'' wrapped to add
+    the number of points they evaluate to counter[0]."""
+    counted = [0]
+
+    def counting(fn):
+        def wrapped(y):
+            counted[0] += np.size(y)
+            return fn(y)
+        return wrapped
+
+    return dataclasses.replace(
+        profile, f=counting(profile.f), f_prime=counting(profile.f_prime),
+        f_double_prime=counting(profile.f_double_prime)), counted
+
+
+def test_scan_work_has_no_rows_times_samples_term(sine):
+    """One scan of 450 rows evaluates f, f' and f'' at no more than 24
+    points per scan sample and per root: polishing costs a fixed number of
+    evaluations per bracket, and no row is sampled on its own grid (which
+    costs 103 per sample and root here)."""
+    profile, counted = _counting(sine)
+    x, a, k = np.linspace(-0.5, 0.5, 450), 25.0, 2560.0
+    L = _scan_radius(sine, x, a, k, 2)
+    _, roots, _ = exact_solver._stationary_points(profile, x, a, L)
+    samples = (math.ceil((x.max() + L) * exact_solver.SCAN_DENSITY)
+               - math.floor((x.min() - L) * exact_solver.SCAN_DENSITY) + 1)
+    assert len(roots) >= len(x)
+    assert counted[0] <= 24 * (samples + len(roots)), counted[0]
+
+
+def test_rows_whole_periods_apart_share_one_scan(sine):
+    """f is 1-periodic, so row x + n has row x's roots shifted by n; a
+    batch holding both costs at most twice the work of row x alone, not a
+    scan across the n periods between them."""
+    profile, counted = _counting(sine)
+    a, L = 25.0, 0.5
+    _, alone, _ = exact_solver._stationary_points(profile, np.array([0.1]),
+                                                  a, L)
+    work = counted[0]
+    rows, roots, _ = exact_solver._stationary_points(
+        profile, np.array([0.1, 1000.1]), a, L)
+    assert counted[0] - work <= 2 * work
+    assert np.array_equal(roots[rows == 0], alone)
+    assert np.allclose(roots[rows == 1], alone + 1000.0, rtol=0.0,
+                       atol=1e-12)

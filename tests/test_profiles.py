@@ -37,6 +37,34 @@ def test_series_profile_is_odd_and_periodic():
     assert np.max(np.abs(p.f(xs) - p.f(xs + 1.0))) < 1e-12
 
 
+def _smoothed_triangle(sigma, terms=60):
+    """Sine coefficients of a heat-smoothed triangle wave: odd n only,
+    a_n proportional to (-1)^((n-1)/2) n^-2 exp(-(2 pi n sigma)^2 / 2)."""
+    n = np.arange(1, terms + 1)
+    return np.where(n % 2 == 1, (-1.0) ** ((n - 1) // 2) / n ** 2
+                    * np.exp(-0.5 * (2.0 * np.pi * n * sigma) ** 2), 0.0)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.1], [0.7, 0.05, 0.01],
+                                    _smoothed_triangle(0.02)],
+                         ids=["two-term", "three-term", "triangle-60"])
+def test_series_closures_match_outer_product_sums(coeffs):
+    # the term-by-term sums each closure stands for, on |x| <= 2
+    a = np.asarray(coeffs)
+    wn = 2.0 * np.pi * np.arange(1, len(a) + 1)
+    xs = np.linspace(-2.0, 2.0, 8001)
+    arg = np.multiply.outer(xs, wn)
+    p = profiles.make_sine_series_profile(a, validate=False)
+    for got, want in ((p.f, -np.sin(arg) @ a),
+                      (p.f_prime, -np.cos(arg) @ (a * wn)),
+                      (p.f_double_prime, np.sin(arg) @ (a * wn ** 2)),
+                      (p.F, (np.cos(arg) - 1.0) @ (a / wn))):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got(xs) - want)) <= 1e-13 * scale
+    # scalars in, scalars out
+    assert np.ndim(p.f(0.3)) == 0 and np.ndim(p.F(0.3)) == 0
+
+
 def test_sign_flip_is_caught():
     p = profiles.make_sine_series_profile([-1.0], validate=False)
     rep = profiles.validate_profile(p)

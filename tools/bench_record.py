@@ -45,6 +45,7 @@ LAYERS = ("harness.E_evals", "harness.search_s", "quadrature.x_panels",
           "quadrature.y_points", "exact_solver.panel_build_s",
           "exact_solver.stationary_s", "quadrature.y_self_s",
           "quadrature.kernel_s", "quadrature.kernel_ns_per_point",
+          "rootfind.calls", "rootfind.brackets", "rootfind.s",
           "spectral_oracle.s", "spectral_oracle.us_per_step")
 # Machine fields that must agree between the sides of one workload.
 SAME_MACHINE = ("cpu", "nproc", "python", "numpy")
