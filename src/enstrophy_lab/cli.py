@@ -183,7 +183,6 @@ class RunConfig:
     k_list: tuple[float, ...] | None = None
     t: tuple[float, ...] | None = None
     out_dir: str = "enstrophy-out"
-    quad_tol: float | None = None
     grid_size: int | None = None
     oracle: bool = False
 
@@ -217,11 +216,7 @@ class RunConfig:
         self.solver_config()
 
     def solver_config(self):
-        kw = {}
-        if self.quad_tol is not None:
-            kw["quad_tolerance"] = self.quad_tol
-        if self.grid_size is not None:
-            kw["grid_size"] = self.grid_size
+        kw = {} if self.grid_size is None else {"grid_size": self.grid_size}
         try:
             return exact_solver.SolverConfig(**kw)
         except ValueError as err:
@@ -234,7 +229,7 @@ class RunConfig:
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 # text -> value, shared by flags and config-file keys; the rest stay text
 _CONVERT = {"k": float, "k_list": parse_float_list, "t": parse_float_list,
-            "quad_tol": float, "grid_size": int, "oracle": _parse_bool}
+            "grid_size": int, "oracle": _parse_bool}
 
 
 def build_config(argv):
@@ -253,7 +248,6 @@ def build_config(argv):
     ap.add_argument("--t", help="comma-separated times (solve)")
     ap.add_argument("--out-dir", help="artifact directory "
                                       "(default enstrophy-out)")
-    ap.add_argument("--quad-tol", help="relative quadrature tolerance")
     ap.add_argument("--grid-size",
                     help="snapshot points per half period (power of two)")
     ap.add_argument("--oracle", action="store_true", default=None,
@@ -351,11 +345,10 @@ def _run_asym(cfg, profile, written):
     apf = bif.a_pitchfork
     cases = (("single", 2.0 * apf), ("post-fold", bif.a_star))
     xs = np.linspace(1.0 / 128.0, 0.5 - 1.0 / 128.0, 63)
-    scfg = cfg.solver_config()
     rows = []
     sup = {}
     for label, a in cases:
-        u_exact, _ = exact_solver.eval_fields(profile, xs, a, k, scfg)
+        u_exact, _ = exact_solver.eval_fields(profile, xs, a, k)
         u_asym = asymptotics.asymptotic_u(profile, xs, a, k)
         err = np.abs(u_exact - u_asym)
         sup[label] = {"a": a, "sup_error": float(np.max(err)),
@@ -397,8 +390,7 @@ def _run_asym(cfg, profile, written):
 
 
 def _run_sweep(cfg, profile, written):
-    scfg = cfg.solver_config()
-    result = harness.sweep(profile, cfg.k_list, scfg)
+    result = harness.sweep(profile, cfg.k_list)
     report = harness.compare_predictions(result.results, profile)
     ratio_by_k = {row["k"]: row for row in report.rows}
 

@@ -35,23 +35,19 @@ from .rootfind import bisect, newton_polish
 SCAN_DENSITY = 128
 # Uniform panels across the y window, before the ladders at the minima.
 COARSE_PANELS = 16
+# Relative tolerance of each y-moment of a row.
+QUAD_TOL = 1e-10
 # Share of a row's tolerance that the mass outside its y-window may take.
 TAIL_SHARE = 1e-2
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the phase-integral evaluation.
-
-    quad_tolerance is the relative tolerance per moment; grid_size is the
-    number of snapshot points per half period (full grid is twice that).
-    """
-    quad_tolerance: float = 1e-10
+    """Snapshot grid: grid_size points per half period (the full grid is
+    twice that)."""
     grid_size: int = 256
 
     def __post_init__(self):
-        if not (0.0 < self.quad_tolerance <= 1e-4):
-            raise ValueError("quad_tolerance must lie in (0, 1e-4]")
         g = self.grid_size
         if g < 64 or (g & (g - 1)) != 0:
             raise ValueError("grid_size must be a power of two >= 64")
@@ -93,13 +89,13 @@ class StateSnapshot:
         return 1.0 / (2.0 * self.k * self.t)
 
 
-def _window_halfwidth(profile, a, k, config, n_moments, depth):
+def _window_halfwidth(profile, a, k, n_moments, depth):
     """Half-width L = sqrt(2 D/a) + sqrt(2 M/(k a)) of the y-window of a row
     whose phase minimum m lies D = m - F_min >= 0 above F_min.
 
     Outside |y - x| = L each moment integrand |y - x|^j w, w = exp(-k(phi -
-    m)), j = 0..n_moments, holds at most eps = TAIL_SHARE * quad_tolerance
-    * FLOOR_FRAC times its integral over the window: less than TAIL_SHARE
+    m)), j = 0..n_moments, holds at most eps = TAIL_SHARE * QUAD_TOL *
+    FLOOR_FRAC times its integral over the window: less than TAIL_SHARE
     of the row tolerance the quadrature works to.  With nu = (j + 1)/2 and
     beta = k a/2:
 
@@ -121,7 +117,7 @@ def _window_halfwidth(profile, a, k, config, n_moments, depth):
     since c_nu >= log(2 c_nu) (c_nu > 20 here).  M is the largest over j.
     depth may be an array of D values; L has its shape.
     """
-    eps = TAIL_SHARE * config.quad_tolerance * quadrature.FLOOR_FRAC
+    eps = TAIL_SHARE * QUAD_TOL * quadrature.FLOOR_FRAC
     log_ca = math.log1p(max(profile.f_prime_max, 0.0) / a)
     M = 0.0
     for j in range(n_moments + 1):
@@ -142,11 +138,15 @@ def _stationary_points(profile, x, a, L):
     between which an admissible f' is monotone (f'' >= 0 on [0, 1/2], f
     odd); so G' = f' + a has at most one zero per cell, where it changes
     sign.  Those zeros, the turning points of G, are polished and added to
-    the grid, after which G is monotone on every cell and row i has a
-    zero in a cell exactly when a*x_i lies between G at its ends (the
-    left end counted, the right one not).  np.searchsorted on the sorted
-    a*x_i finds every (row, cell) pair at once, with no row-by-sample
-    work, and no pair of zeros is missed however close they sit.
+    the grid.  Just below the pitchfork a = |f'(0)| the two about 0 sit
+    where G'' = f'' is near 0 and Newton steps on it gain little, so 24
+    bisections (to 2^-24 of a cell) come first; 8 leave row 0 at a = (1 -
+    1e-12)|f'(0)| without its two minima.  After that G is monotone on
+    every cell and row i has a zero in a cell exactly when a*x_i lies
+    between G at its ends (the left end counted, the right one not).
+    np.searchsorted on the sorted a*x_i finds every (row, cell) pair at
+    once, with no row-by-sample work, and no pair of zeros is missed
+    however close they sit.
 
     Each bracket is polished on g itself: a few bisections, then Newton
     steps clamped to the narrowed bracket.  Where g does not change sign
@@ -175,7 +175,7 @@ def _stationary_points(profile, x, a, L):
     turn = np.nonzero(gp[:-1] * gp[1:] < 0)[0]
     if turn.size:
         lo, hi = ys[turn], ys[turn + 1]
-        t = bisect(dG, lo, hi, iters=8)
+        t = bisect(dG, lo, hi, iters=24)
         t = newton_polish(dG, profile.f_double_prime, t, lo, hi, steps=4)
         ys = np.insert(ys, turn + 1, t)
     G = profile.f(ys) + a * ys
@@ -248,7 +248,7 @@ def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
     return prow[:-1][same], pts[:-1][same], pts[1:][same]
 
 
-def _phase_moments(profile, x, a, k, config, n_moments=2):
+def _phase_moments(profile, x, a, k, n_moments=2):
     """Scaled moments r_0..r_n of exp(-k*phi) for a batch of x values.
 
     The initial panels of all rows come from `_panel_skeleton`, and one
@@ -265,7 +265,7 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
     # radius R, the half-width at the largest F(x_i) - F_min
     Fx = profile.F(x)
     R = float(_window_halfwidth(
-        profile, a, k, config, n_moments,
+        profile, a, k, n_moments,
         np.max(Fx[np.isfinite(Fx)] - profile.F_min, initial=0.0)))
     rows, roots, curv = _stationary_points(profile, x, a, R)
     is_min = curv > 0
@@ -286,7 +286,7 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
         raise QuadratureError(
             f"phase has no finite minimum at x={x[bad]:.6g}, a={a:.6g}, "
             f"k={k:.6g}")
-    L = _window_halfwidth(profile, a, k, config, n_moments,
+    L = _window_halfwidth(profile, a, k, n_moments,
                           np.maximum(m - profile.F_min, 0.0))
 
     # spike width of the narrowest possible minimum; nesting ladder
@@ -322,7 +322,7 @@ def _phase_moments(profile, x, a, k, config, n_moments=2):
         return out
 
     res = quadrature.adaptive_batch(integrand, prow, plo, phi_, n_rows=nx,
-                                    epsrel=config.quad_tolerance)
+                                    epsrel=QUAD_TOL)
     if not res.converged.all():
         bad = np.nonzero(~res.converged)[0][:8]
         triples = ", ".join(f"(x={x[i]:.6g}, a={a:.6g}, k={k:.6g})"
@@ -338,7 +338,7 @@ def _require_positive(a, k):
         raise ValueError(f"need finite a > 0 and k > 0, got a={a}, k={k}")
 
 
-def eval_fields(profile, x, a, k, config=None, want_uxx=False):
+def eval_fields(profile, x, a, k, want_uxx=False):
     """u, u_x (and optionally u_xx) on an array of x values.
 
     This is the batch workhorse: one adaptive pass shares panels across all
@@ -346,10 +346,9 @@ def eval_fields(profile, x, a, k, config=None, want_uxx=False):
     QuadratureError, a non-finite a or k ValueError.
     """
     _require_positive(a, k)
-    cfg = config or DEFAULT_CONFIG
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_mom = 3 if want_uxx else 2
-    _, r = _phase_moments(profile, x, a, k, cfg, n_moments=n_mom)
+    _, r = _phase_moments(profile, x, a, k, n_moments=n_mom)
     ka = k * a
     q1 = r[:, 1] / r[:, 0]
     q2 = r[:, 2] / r[:, 0]
@@ -376,5 +375,5 @@ def snapshot(profile, t, k, config=None):
         u = k * profile.f(xg)
         ux = k * profile.f_prime(xg)
     else:
-        u, ux = eval_fields(profile, xg, 1.0 / (2.0 * k * t), k, cfg)
+        u, ux = eval_fields(profile, xg, 1.0 / (2.0 * k * t), k)
     return StateSnapshot(k=k, t=t, u_values=u, ux_values=ux)

@@ -91,7 +91,7 @@ def _x_breakpoints(profile, a, k):
     return np.unique(np.clip(pts, 0.0, 0.5))
 
 
-def state_functionals(profile, k, t, config=None, with_rate=False):
+def state_functionals(profile, k, t, with_rate=False):
     """K, E (and R when with_rate) at time t by adaptive x-integration."""
     if t <= 0:
         K0 = diagnostics.initial_energy(profile, k)
@@ -109,10 +109,10 @@ def state_functionals(profile, k, t, config=None, with_rate=False):
 
     def comps(xs):
         if with_rate:
-            u, ux, uxx = exact_solver.eval_fields(profile, xs, a, k, config,
+            u, ux, uxx = exact_solver.eval_fields(profile, xs, a, k,
                                                   want_uxx=True)
             return np.stack([u * u, ux * ux, uxx * uxx + ux ** 3])
-        u, ux = exact_solver.eval_fields(profile, xs, a, k, config)
+        u, ux = exact_solver.eval_fields(profile, xs, a, k)
         return np.stack([u * u, ux * ux])
 
     v, _, ok = quadrature.adaptive_quad(comps, bps, epsrel=X_REL_TOL)
@@ -125,18 +125,18 @@ def state_functionals(profile, k, t, config=None, with_rate=False):
     return K, E
 
 
-def _enstrophy_of_t(profile, k, config):
+def _enstrophy_of_t(profile, k):
     """Counted per-t evaluator of the T* search: t -> (K, E, R)."""
     counter = {"count": 0}
 
     def KER_of(t):
         counter["count"] += 1
-        return state_functionals(profile, k, t, config, with_rate=True)
+        return state_functionals(profile, k, t, with_rate=True)
 
     return KER_of, counter
 
 
-def find_enstrophy_max(profile, k, config=None):
+def find_enstrophy_max(profile, k):
     """T* as the zero of R = dE/dt where R turns from + to -, for one k.
 
     The search opens with one evaluation at T*_pred, the Laplace prediction,
@@ -150,7 +150,7 @@ def find_enstrophy_max(profile, k, config=None):
     bd = asymptotics.bifurcation_data(profile, k)   # validates a* < |f'(0)|
     t_pred = asymptotics.predict(profile, k).T_star
     t_min, t_max = bd.t0 / 4.0, 8.0 * t_pred
-    KER_of, counter = _enstrophy_of_t(profile, k, config)
+    KER_of, counter = _enstrophy_of_t(profile, k)
     trace = []
 
     def R_of(t):
@@ -209,7 +209,7 @@ def _worker_count(n_tasks):
     return n
 
 
-def sweep(profile, k_list, config=None):
+def sweep(profile, k_list):
     """Run find_enstrophy_max over a geometric k_list and fit the scalings.
 
     Requires >= 4 values of k in (approximately) geometric progression.
@@ -231,8 +231,8 @@ def sweep(profile, k_list, config=None):
         raise ValueError("k_list must be geometric")
 
     with ThreadPoolExecutor(max_workers=_worker_count(len(ks))) as ex:
-        results = tuple(ex.map(
-            lambda k: find_enstrophy_max(profile, k, config), ks))
+        results = tuple(ex.map(lambda k: find_enstrophy_max(profile, k),
+                               ks))
 
     excluded = ()
     r0 = results[0]

@@ -11,16 +11,17 @@ analyzed, means:
 
 Profiles carry closures for f, f', f'' and the antiderivative
 F(x) = int_0^x f, plus a few cached ranges the solver uses to size its
-integration window.  Anything not supplied analytically is reconstructed
-from a sine series fitted on a dense grid.  The exact solver evaluates
-these closures only at finite points: a non-finite x, a or k raises there
+integration window.  The sine and sine-series closures are exact; a
+custom f, callable or sampled, becomes the sine series fitted to its
+samples (make_custom_profile).  The exact solver evaluates these
+closures only at finite points: a non-finite x, a or k raises there
 (QuadratureError or ValueError) instead of returning NaN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -140,11 +141,15 @@ def _clenshaw(c, b):
 
 
 def _finish_profile(f, fp, fpp, F, fp0, label):
-    """Fill in x_star and the cached ranges from dense samples."""
+    """Fill in the cached ranges from dense samples, and x_star, the
+    interior zero of f' on (0, 1/2), by bisection then one Newton polish
+    (NaN when f' does not change sign from - to + there)."""
     grid = np.linspace(-0.5, 0.5, 4097)
     Fg = F(grid)
     fpg = fp(grid)
-    x_star = _find_x_star(fp, fpp)
+    lo, hi = 1e-9, 0.5 - 1e-9
+    x_star = (bracketed_root(fp, lo, hi, dg=fpp, iters=48, polish=1)
+              if fp(lo) < 0 < fp(hi) else math.nan)
     return Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=x_star,
                    f_prime_at_zero=fp0,
                    f_prime_max=float(np.max(fpg)),
@@ -152,58 +157,23 @@ def _finish_profile(f, fp, fpp, F, fp0, label):
                    label=label)
 
 
-def _find_x_star(fp, fpp):
-    """Interior zero of f' on (0, 1/2): bisection, then one Newton polish."""
-    lo, hi = 1e-9, 0.5 - 1e-9
-    if not (fp(lo) < 0 < fp(hi)):
-        return math.nan
-    return bracketed_root(fp, lo, hi, dg=fpp, iters=48, polish=1)
+def make_custom_profile(source, validate=True, label="custom") -> Profile:
+    """Build a profile from a callable f or from samples of f.
 
-
-def make_custom_profile(source=None, *, f=None, f_prime=None,
-                        f_double_prime=None, F=None,
-                        validate=True, label="custom") -> Profile:
-    """Build a profile from samples of f or from a callable f.
-
-    A callable `source` (or f=) is f itself, optionally with analytic
-    derivative / antiderivative closures passed by keyword; any other
-    `source` is an array of samples of f on the uniform grid
-    x_j = j/n - 1/2.  For sine coefficients use make_sine_series_profile.
-
-    Missing derivatives are filled in from a sine-series fit of f on a
-    FIT_GRID-point grid; supplied closures always win over the fit.  The
-    admissibility invariants are enforced unless validate=False.
+    A callable `source` is sampled on the FIT_GRID-point grid x_j = j/n -
+    1/2; any other `source` is an array of samples of f on that grid for
+    its own n (even, at least 16).  Either way f, f', f'' and F are those
+    of the sine series fitted to the samples, and the admissibility
+    invariants are enforced unless validate=False.  For sine coefficients
+    use make_sine_series_profile.
     """
     if callable(source):
-        f = source
-    elif source is not None:
-        s = np.asarray(source, dtype=float)
-        if s.ndim != 1 or len(s) < 16 or len(s) % 2:
-            raise ProfileError("samples must be a 1-d array of even length >= 16")
-        a = _series_from_samples(s)
-        return make_sine_series_profile(a, validate=validate, label=label)
-
-    if f is None:
-        raise ProfileError("nothing to build a profile from")
-
-    xs = np.arange(FIT_GRID) / FIT_GRID - 0.5
-    a = _series_from_samples(np.asarray(f(xs), dtype=float))
-    fitted = make_sine_series_profile(a, validate=False, label=label)
-    prof = replace(
-        fitted,
-        f=f,
-        f_prime=f_prime or fitted.f_prime,
-        f_double_prime=f_double_prime or fitted.f_double_prime,
-        F=F or fitted.F,
-    )
-    # x_star from the closure actually stored, not from the fit
-    fp = prof.f_prime
-    d2 = prof.f_double_prime
-    prof = replace(prof, x_star=_find_x_star(fp, d2),
-                   f_prime_at_zero=float(fp(0.0)))
-    if validate:
-        _raise_on_violation(prof)
-    return prof
+        source = source(np.arange(FIT_GRID) / FIT_GRID - 0.5)
+    s = np.asarray(source, dtype=float)
+    if s.ndim != 1 or len(s) < 16 or len(s) % 2:
+        raise ProfileError("samples must be a 1-d array of even length >= 16")
+    return make_sine_series_profile(_series_from_samples(s),
+                                    validate=validate, label=label)
 
 
 def _series_from_samples(s):

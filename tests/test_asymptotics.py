@@ -92,7 +92,6 @@ def test_laplace_interior_matches_exact_integral(sine):
     lap = asymptotics.laplace_interior(
         lambda y: sine.F(y) + 0.5 * a * (x - y) ** 2, lambda y: 1.0, s, k)
     m, r = exact_solver._phase_moments(sine, np.array([x]), a, k,
-                                       exact_solver.DEFAULT_CONFIG,
                                        n_moments=0)
     diff = (math.log(lap.mantissa) - k * lap.exponent) \
         - (math.log(r[0, 0]) - k * m[0])

@@ -6,8 +6,11 @@ import pathlib
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
-    "bench_record.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_record.py"
+# every per-layer metric BENCHMARK.json names; the tool records them all
+LAYERS = tuple(m["name"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["per_layer"])
 MACHINE = {"nproc": 2, "cpu": "test", "threads": 1}
 
 
@@ -38,7 +41,7 @@ def test_bench_record_merges_both_sides(tmp_path, monkeypatch):
             _write(side, "tstar-single", seed, 0,
                    {"run_s": run, "setup_s": 0.2, "peak_rss_mb": 80.0,
                     "ok_frac": 1.0})
-    layers = {name: 7.0 for name in tool.LAYERS}
+    layers = {name: 7.0 for name in LAYERS}
     _write(parent, "tstar-single", 7, 1, layers)
     _write(change, "tstar-single", 7, 1, dict(layers,
                                               **{"quadrature.kernel_s": 5.0}))
@@ -83,7 +86,7 @@ def test_bench_record_refuses_unpaired_seeds(tmp_path, capsys,
 def test_bench_record_refuses_other_machine(tmp_path, capsys, monkeypatch):
     tool = _load()
     monkeypatch.chdir(tmp_path)
-    layers = {name: 7.0 for name in tool.LAYERS}
+    layers = {name: 7.0 for name in LAYERS}
     parent, change = tmp_path / "parent", tmp_path / "change"
     for key, other in (("cpu", "other"), ("nproc", 4), ("python", "3.12.0"),
                        ("numpy", "1.26.4")):
@@ -120,14 +123,14 @@ LAYER_CASES = {
 def test_bench_record_reports_layer(tmp_path, monkeypatch, layer):
     workload, before, after = LAYER_CASES[layer]
     tool = _load()
-    assert layer in tool.LAYERS
+    assert layer in LAYERS
     monkeypatch.chdir(tmp_path)
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side, value in ((parent, before), (change, after)):
         _write(side, workload, 1, 0, E2E)
         _write(side, workload, 7, 1,
                {name: (value if name == layer else 1.0)
-                for name in tool.LAYERS})
+                for name in LAYERS})
     assert tool.main(["--number", "9", "--parent", str(parent),
                       "--change", str(change)]) == 0
     layers = json.loads((tmp_path / "BENCH_9.json").read_text())[

@@ -71,7 +71,7 @@ def test_solve_time_zero_echoes_initial_data(tmp_path):
     ["--mode", "solve", "--t", "0.1"],           # solve without k
     ["--mode", "solve", "--k", "2"],             # solve without times
     ["--mode", "sweep", "--k-list", "5,10,20"],  # too few k
-    ["--mode", "validate", "--quad-tol", "0.5"],  # tolerance out of range
+    ["--mode", "validate", "--grid-size", "32"],  # power of two below 64
     ["--mode", "validate", "--grid-size", "100"],  # not a power of two
 ])
 def test_config_errors_exit_two(argv, capsys):
@@ -83,31 +83,29 @@ def test_config_file_with_flag_override(tmp_path):
     ini = tmp_path / "run.ini"
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     ini.write_text("[run]\nmode = validate\nout_dir = %s\n"
-                   "quad_tol = 1e-10\n" % dir_a)
+                   "grid_size = 128\n" % dir_a)
     rc = cli.main(["--config", str(ini), "--out-dir", str(dir_b)])
     assert rc == 0
     assert not dir_a.exists()                    # flag beat the file
     data = json.loads((dir_b / "validate.json").read_text())
-    assert data["config"]["quad_tol"] == 1e-10
+    assert data["config"]["grid_size"] == 128
 
 
 def test_config_file_converts_like_flags(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nmode = solve\nprofile = 1,0.1\nk = 5\n"
                    "k_list = 5, 10, 20, 40\nt = 0,0.001\nout_dir = %s\n"
-                   "quad_tol = 1e-9\ngrid_size = 128\noracle = yes\n"
+                   "grid_size = 128\noracle = yes\n"
                    % tmp_path)
     from_file = cli.build_config(["--config", str(ini)]).echo()
     from_flags = cli.build_config([
         "--mode", "solve", "--profile", "1,0.1", "--k", "5",
         "--k-list", "5,10,20,40", "--t", "0,0.001", "--out-dir",
-        str(tmp_path), "--quad-tol", "1e-9", "--grid-size", "128",
-        "--oracle"]).echo()
+        str(tmp_path), "--grid-size", "128", "--oracle"]).echo()
     assert from_file == from_flags == {
         "mode": "solve", "profile": "1,0.1", "k": 5.0,
         "k_list": (5.0, 10.0, 20.0, 40.0), "t": (0.0, 0.001),
-        "out_dir": str(tmp_path), "quad_tol": 1e-9, "grid_size": 128,
-        "oracle": True}
+        "out_dir": str(tmp_path), "grid_size": 128, "oracle": True}
     assert type(from_file["grid_size"]) is int
     # a bad value names its key, from the file as from a flag
     ini.write_text("[run]\nmode = validate\ngrid_size = 12x\n")
@@ -143,6 +141,22 @@ def test_bad_config_file_keys(tmp_path, capsys):
     ini.write_text("[other]\nmode = validate\n")
     assert cli.main(["--config", str(ini)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_removed_quad_tol_exits_two_naming_it(tmp_path, capsys):
+    # the y-quadrature tolerance is the fixed exact_solver.QUAD_TOL
+    out = tmp_path / "out"
+    assert cli.main(["--mode", "validate", "--quad-tol", "1e-9",
+                     "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--quad-tol" in err
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\nmode = validate\nout_dir = {out}\n"
+                   "quad_tol = 1e-9\n")
+    assert cli.main(["--config", str(ini)]) == 2
+    assert "config error: unknown config key: quad_tol" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_writes_error_json(tmp_path, monkeypatch, capsys):

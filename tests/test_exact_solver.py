@@ -12,15 +12,12 @@ from enstrophy_lab.quadrature import QuadratureError
 
 def _flat_profile():
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return profiles.make_custom_profile(
-        f=zero, f_prime=zero, f_double_prime=zero, F=zero, validate=False,
-        label="flat")
+    return profiles.make_custom_profile(zero, validate=False, label="flat")
 
 
 def _log_I(profile, x, a, k):
     """log I_{x,a}(k) = log r0 - k*m from the scaled zeroth moment."""
     m, r = exact_solver._phase_moments(profile, np.array([float(x)]), a, k,
-                                       exact_solver.DEFAULT_CONFIG,
                                        n_moments=0)
     return math.log(r[0, 0]) - k * m[0]
 
@@ -36,18 +33,15 @@ def _ux(profile, x, a, k):
 def _scan_radius(profile, x, a, k, n_moments):
     """The stationary-scan radius `_phase_moments` uses for the batch x."""
     return float(exact_solver._window_halfwidth(
-        profile, a, k, exact_solver.DEFAULT_CONFIG, n_moments,
-        np.max(profile.F(x) - profile.F_min)))
+        profile, a, k, n_moments, np.max(profile.F(x) - profile.F_min)))
 
 
 def _row_halfwidths(profile, x, a, k, n_moments):
     """(m, r, L): each row's phase minimum, scaled moments and y-window
     half-width."""
-    cfg = exact_solver.DEFAULT_CONFIG
-    m, r = exact_solver._phase_moments(profile, x, a, k, cfg,
-                                       n_moments=n_moments)
-    return m, r, exact_solver._window_halfwidth(profile, a, k, cfg,
-                                                n_moments, m - profile.F_min)
+    m, r = exact_solver._phase_moments(profile, x, a, k, n_moments=n_moments)
+    return m, r, exact_solver._window_halfwidth(profile, a, k, n_moments,
+                                                m - profile.F_min)
 
 
 def test_gaussian_integral_closed_form():
@@ -115,8 +109,6 @@ def test_uxx_consistent_with_moment_identity(sine):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        exact_solver.SolverConfig(quad_tolerance=1e-3)
     with pytest.raises(ValueError):
         exact_solver.SolverConfig(grid_size=100)
 
@@ -292,13 +284,12 @@ def _window_case(which, k, t, request):
 def test_window_tail_below_row_tolerance(which, k, t, request):
     """Outside each row's |y - x| = L_i, each moment integrand
     |y-x|^j exp(-k(phi - m)), j = 0..3, holds less mass than TAIL_SHARE of
-    the row tolerance the quadrature works to, quad_tolerance *
+    the row tolerance the quadrature works to, QUAD_TOL *
     max(|r_j|, FLOOR_FRAC * integral of |.|), measured with
     scipy.integrate.quad on [L_i, 3 L_i] on both sides."""
     from scipy.integrate import quad
 
     profile, a = _window_case(which, k, t, request)
-    cfg = exact_solver.DEFAULT_CONFIG
     xs = np.linspace(0.0, 0.5, 11)
     m, r, L = _row_halfwidths(profile, xs, a, k, 3)
     rows, roots, _ = exact_solver._stationary_points(
@@ -321,7 +312,7 @@ def test_window_tail_below_row_tolerance(which, k, t, request):
                             limit=400)[0]
                        for lo, hi in ((x + L[i], x + 3 * L[i]),
                                       (x - 3 * L[i], x - L[i])))
-            row_tol = cfg.quad_tolerance * max(
+            row_tol = exact_solver.QUAD_TOL * max(
                 abs(r[i, j]), quadrature.FLOOR_FRAC * inside)
             assert tail < exact_solver.TAIL_SHARE * row_tol, \
                 (x, j, tail, row_tol)
@@ -335,8 +326,7 @@ def test_window_keeps_the_half_gaussian_past_the_minimum(which, k, t,
     profile, a = _window_case(which, k, t, request)
     xs = np.linspace(-0.5, 0.5, 41)
     m, _, L = _row_halfwidths(profile, xs, a, k, 3)
-    pad = float(exact_solver._window_halfwidth(
-        profile, a, k, exact_solver.DEFAULT_CONFIG, 3, 0.0))
+    pad = float(exact_solver._window_halfwidth(profile, a, k, 3, 0.0))
     rows, roots, curv = exact_solver._stationary_points(
         profile, xs, a, _scan_radius(profile, xs, a, k, 3))
     phase = profile.F(roots) + 0.5 * a * (xs[rows] - roots) ** 2
@@ -409,6 +399,22 @@ def test_scan_finds_every_root_of_a_dense_reference(which, request):
                 (share, x)
         assert np.allclose(curv, profile.f_prime(roots) + a, rtol=0.0,
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["sine", "two_term"])
+@pytest.mark.parametrize("share", [1 - 1e-12, 1 - 1e-15])
+def test_scan_keeps_both_minima_just_below_the_pitchfork(which, share,
+                                                          request):
+    """Closer to a = |f'(0)| than the dense reference resolves, row 0 still
+    has its maximum at 0 and a minimum on each side: the turning points
+    of G about 0, where f'' is near 0, are bisected before Newton polishes
+    them."""
+    profile = request.getfixturevalue(which)
+    a = share * abs(profile.f_prime_at_zero)
+    rows, roots, curv = exact_solver._stationary_points(
+        profile, np.array([0.0]), a, 1.0)
+    assert list(curv > 0) == [True, False, True], (roots, curv)
+    assert roots[0] < roots[1] == 0.0 < roots[2]
 
 
 def test_scan_at_large_a_keeps_each_root_beside_its_row(sine):

@@ -105,7 +105,7 @@ def test_sweep_keeps_smallest_k_when_only_E_max_ratio_is_off(
     # Leading-order maxima with E_max at the measured (2/3) prefactor, i.e.
     # 4/3 of predict's stated (1/2): the E_max ratio alone must not drop
     # the smallest k from the fits.
-    def leading_max(profile, k, config=None, **kw):
+    def leading_max(profile, k):
         pred = asymptotics.predict(profile, k)
         K0 = diagnostics.initial_energy(profile, k)
         return harness.MaxSearchResult(
@@ -131,7 +131,7 @@ def test_no_interior_maximum_raises(sine, monkeypatch, sign):
     # of evaluations, not return a range edge
     calls = []
 
-    def monotone(profile, k, t, config=None, with_rate=False):
+    def monotone(profile, k, t, with_rate=False):
         calls.append(t)
         return 1.0, 1.0, sign
 
@@ -144,7 +144,7 @@ def test_no_interior_maximum_raises(sine, monkeypatch, sign):
 def test_no_sign_change_table_lists_every_evaluation(sine, monkeypatch):
     calls = []
 
-    def monotone(profile, k, t, config=None, with_rate=False):
+    def monotone(profile, k, t, with_rate=False):
         calls.append(t)
         return 1.0, 1.0, -1.0
 

@@ -110,4 +110,19 @@ def test_callable_source_with_closures():
 
 def test_empty_input_rejected():
     with pytest.raises(profiles.ProfileError):
-        profiles.make_custom_profile()
+        profiles.make_custom_profile([])
+
+
+def test_callable_is_fitted_like_its_samples():
+    # a callable f is sampled on the FIT_GRID grid and fitted like samples:
+    # the stored closures are the fit's, not f
+    f = lambda x: -(np.sin(2.0 * np.pi * np.asarray(x))
+                    + 0.1 * np.sin(4.0 * np.pi * np.asarray(x)))
+    xs = np.arange(profiles.FIT_GRID) / profiles.FIT_GRID - 0.5
+    p = profiles.make_custom_profile(f)
+    q = profiles.make_custom_profile(f(xs))
+    xq = np.linspace(-0.5, 0.5, 257)
+    for name in ("f", "f_prime", "f_double_prime", "F"):
+        assert np.array_equal(getattr(p, name)(xq), getattr(q, name)(xq)), \
+            name
+    assert p.x_star == q.x_star and p.F_min == q.F_min

@@ -20,8 +20,8 @@ For every workload the output gives, per side:
     plus the number of operation lists and set-up probes behind them;
   - for each end-to-end metric, the number of seed pairs and how many of
     them the change won (ties count for neither side);
-  - the deterministic counters and layer times of LAYERS, from the traced
-    run (its seed is recorded with them);
+  - every per-layer counter and time BENCHMARK.json names, from the
+    traced run (its seed is recorded with them);
 and the machine block of each side's runs.
 
 It exits 2, naming the workload, when the two sides ran different
@@ -40,13 +40,6 @@ import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYERS = ("harness.E_evals", "harness.search_s", "quadrature.x_panels",
-          "quadrature.y_panels",
-          "quadrature.y_points", "exact_solver.panel_build_s",
-          "exact_solver.stationary_s", "quadrature.y_self_s",
-          "quadrature.kernel_s", "quadrature.kernel_ns_per_point",
-          "rootfind.calls", "rootfind.brackets", "rootfind.s",
-          "spectral_oracle.s", "spectral_oracle.us_per_step")
 # Machine fields that must agree between the sides of one workload.
 SAME_MACHINE = ("cpu", "nproc", "python", "numpy")
 NAME = re.compile(r"result-(.+)-seed(\d+)-trace([01])\.json$")
@@ -104,13 +97,13 @@ def change_wins(parent, change, metric):
     return len(seeds), won
 
 
-def layers(traced):
+def layers(traced, names):
     if not traced:
         return None
     seed = min(traced)
     metrics = traced[seed]["result"]["metrics"]
     return dict({"seed": seed}, **{name: metrics[name]["value"]
-                                   for name in LAYERS})
+                                   for name in names})
 
 
 def unpaired(p, c):
@@ -152,6 +145,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     metrics = bench["end_to_end"]
+    layer_names = [m["name"] for m in bench["per_layer"]]
     parent, change = load_side(args.parent), load_side(args.change)
     if not parent or not change:
         print("bench_record: no result files in "
@@ -176,8 +170,8 @@ def main(argv=None):
                 n, won = change_wins(p["untraced"], c["untraced"], m)
                 entry["pairs"][m["name"]] = {"n": n, "change_won": won,
                                              "better": m["better"]}
-        entry["layers"] = {"parent": layers(p["traced"]),
-                           "change": layers(c["traced"])}
+        entry["layers"] = {"parent": layers(p["traced"], layer_names),
+                           "change": layers(c["traced"], layer_names)}
         workloads[wl] = entry
 
     record = {"number": args.number,
