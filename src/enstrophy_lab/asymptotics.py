@@ -157,13 +157,11 @@ def fold_location(profile, a):
     return s_c + float(profile.f(s_c)) / a
 
 
-def _int_f(profile, lo, hi):
-    return float(quadrature.fixed_gk(
-        lambda ys: np.atleast_2d(profile.f(ys)), lo, hi, n_panels=16)[0])
-
-
 def find_roots(profile, x, a):
-    """Classify (x, a) and return the stationary points; x in [0, 1/2]."""
+    """Classify (x, a) and return the stationary points; x in [0, 1/2].
+
+    varphi's int f is F(s_plus) - F(s_minus), from the exact antiderivative.
+    """
     if not (0.0 <= x <= 0.5):
         raise ValueError("find_roots expects x in [0, 1/2]; use oddness")
     if a <= 0:
@@ -199,7 +197,7 @@ def find_roots(profile, x, a):
     _root_residual_check(profile, x, a, [s_minus, s_mid, s_plus])
 
     varphi = (0.5 * a * (s_minus - s_plus) * (s_plus + s_minus - 2.0 * x)
-              - _int_f(profile, s_minus, s_plus))
+              - float(profile.F(s_plus) - profile.F(s_minus)))
     cp = float(profile.f_prime(s_plus)) + a
     cm = float(profile.f_prime(s_minus)) + a
     if cp <= 0 or cm <= 0:
@@ -388,14 +386,19 @@ def check_required_bound(profile):
     G' = (2/3) f H, H' = -x f'', so admissibility (f <= 0, f'' >= 0) forces
     H decreasing from H(0) = 0 and G nondecreasing from G(0) = 0 on
     [0, x_star].  Reports grid samples plus a finite-difference check of
-    the G' identity.
+    the G' identity, whose G(xq + h) - G(xq - h) integrates f^2 over
+    [xq - h, xq + h] only.  The f^2 integrals (one adaptive batch row per
+    grid interval) raise QuadratureError when they do not converge.
     """
     xs = np.linspace(0.0, profile.x_star, BOUND_GRID + 1)
-    f2 = lambda y: np.atleast_2d(profile.f(y) ** 2)
-    seg = quadrature._panel_eval(quadrature._per_panel(f2),
-                                 np.zeros(BOUND_GRID, dtype=np.intp),
-                                 xs[:-1], xs[1:])[0][:, 0]
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    f2 = lambda y: profile.f(y) ** 2
+    res = quadrature.adaptive_batch(lambda rows, ys: f2(ys),
+                                    np.arange(BOUND_GRID), xs[:-1], xs[1:],
+                                    n_rows=BOUND_GRID, epsrel=1e-12)
+    if not res.converged.all():
+        raise quadrature.QuadratureError(
+            f"int f^2 on [0, {profile.x_star}] did not converge")
+    cum = np.concatenate([[0.0], np.cumsum(res.value[:, 0])])
     fv = profile.f(xs)
     G = cum - xs * fv ** 2 / 3.0
     H = fv - xs * profile.f_prime(xs)
@@ -403,11 +406,9 @@ def check_required_bound(profile):
     h = 1e-5
     resid = 0.0
     for xq in np.linspace(0.12, 0.88, 7) * profile.x_star:
-        gp = quadrature.fixed_gk(f2, 0.0, xq + h, 64)[0] \
-            - (xq + h) * float(profile.f(xq + h)) ** 2 / 3.0
-        gm = quadrature.fixed_gk(f2, 0.0, xq - h, 64)[0] \
-            - (xq - h) * float(profile.f(xq - h)) ** 2 / 3.0
-        fd = (gp - gm) / (2.0 * h)
+        lo, hi = xq - h, xq + h
+        fd = float(quadrature.integral(f2, lo, hi)[0]
+                   - (hi * f2(hi) - lo * f2(lo)) / 3.0) / (2.0 * h)
         ident = (2.0 / 3.0) * float(profile.f(xq)) * (
             float(profile.f(xq)) - xq * float(profile.f_prime(xq)))
         resid = max(resid, abs(fd - ident))

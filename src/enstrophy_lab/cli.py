@@ -206,8 +206,8 @@ class RunConfig:
         if self.mode == "sweep":
             if not self.k_list:
                 raise ConfigError("mode 'sweep' needs --k-list")
-            if len(self.k_list) < 4:
-                raise ConfigError("--k-list needs at least 4 values")
+            if len(self.k_list) < 4 or min(self.k_list) <= 0:
+                raise ConfigError("--k-list needs at least 4 values, all > 0")
             # surface bad numeric knobs at parse time (exit 2), not mid-run
             try:
                 harness._worker_count(len(self.k_list))

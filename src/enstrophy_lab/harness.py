@@ -145,8 +145,10 @@ def find_enstrophy_max(profile, k):
     Pegasus regula falsi then polishes the root between the last two points.
     K, E and R are those of the final iterate, and `search_trace` holds every
     (t, K, E, R) in evaluation order.  No sign change in that range raises
-    with the (t, R) table.
+    with the (t, R) table, and a k outside (0, inf) raises ValueError.
     """
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"k must be positive and finite; got k={k}")
     bd = asymptotics.bifurcation_data(profile, k)   # validates a* < |f'(0)|
     t_pred = asymptotics.predict(profile, k).T_star
     t_min, t_max = bd.t0 / 4.0, 8.0 * t_pred
@@ -212,7 +214,7 @@ def _worker_count(n_tasks):
 def sweep(profile, k_list):
     """Run find_enstrophy_max over a geometric k_list and fit the scalings.
 
-    Requires >= 4 values of k in (approximately) geometric progression.
+    Requires >= 4 finite k > 0 in (approximately) geometric progression.
     The smallest k is excluded from the fits when its T* or K_drop
     measured/predicted ratio is off by more than 30% (finite-k shift), and
     the exclusion is recorded on the fit objects.  The E_max ratio is left
@@ -224,6 +226,8 @@ def sweep(profile, k_list):
     ks = [float(k) for k in k_list]
     if len(ks) < 4:
         raise ValueError("sweep needs at least 4 values of k")
+    if not all(0.0 < k < np.inf for k in ks):
+        raise ValueError(f"k must be positive and finite; got k_list={ks}")
     if sorted(ks) != ks:
         raise ValueError("k_list must be increasing")
     ratios = np.diff(np.log(ks))

@@ -128,11 +128,11 @@ def _clenshaw(c, b):
     """(y_1, y_2) of Clenshaw's recurrence y_n = b_n + 2c y_{n+1} - y_{n+2},
     run from n = N down to 1 with y_{N+1} = y_{N+2} = 0, for the
     coefficients b = (b_1..b_N).  Then sum b_n T_n(c) = c y_1 - y_2 and
-    sum b_n U_{n-1}(c) = y_1."""
-    y1 = np.zeros_like(c)
-    y2 = np.zeros_like(c)
+    sum b_n U_{n-1}(c) = y_1.  The recurrence starts from the scalars
+    y_N = b_N and y_{N+1} = 0, so for N = 1 both outputs are scalars."""
+    y1, y2 = b[-1], 0.0
     two_c = 2.0 * c
-    for bn in b[::-1]:
+    for bn in b[-2::-1]:
         y = two_c * y1
         y -= y2
         y += bn

@@ -19,9 +19,10 @@ numpy's own single-threaded loop, whose CPU time equals its wall time.  A
 BLAS product (@, np.dot) gives the same sums but runs a large batch on
 BLAS's own threads, which compete with the harness's thread pool.
 
-`adaptive_quad`, `integral` and `fixed_gk` take a plain fvec(ys) of a 1-d
-array and adapt it with `_per_panel`.  `integral` is the one checked
-routine for a plain integral over a fixed interval.
+`adaptive_quad` and `integral` take a plain fvec(ys) of a 1-d array and
+adapt it with `_per_panel`; `integral` is the one checked routine for a
+plain integral over a fixed interval.  The per-panel kernel `_panel_eval`
+and its layout are private to this module.
 """
 
 from __future__ import annotations
@@ -229,16 +230,3 @@ def integral(fvec, lo, hi, epsrel=1e-12):
     if not ok:
         raise QuadratureError(f"integral on [{lo}, {hi}] did not converge")
     return v
-
-
-def fixed_gk(fvec, lo, hi, n_panels=16):
-    """Non-adaptive composite Kronrod rule; deterministic and symmetric.
-
-    Used where the integrand is an entire function on a short interval and a
-    reproducible panel layout matters more than error control.
-    """
-    edges = np.linspace(lo, hi, n_panels + 1)
-    v, _, _ = _panel_eval(_per_panel(fvec),
-                          np.zeros(n_panels, dtype=np.intp),
-                          edges[:-1], edges[1:])
-    return v.sum(axis=0)

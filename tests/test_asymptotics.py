@@ -1,11 +1,14 @@
 """Root structure, Laplace reductions and the leading-order predictions."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from enstrophy_lab import asymptotics, exact_solver, profiles
+from enstrophy_lab.quadrature import QuadratureError
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -195,3 +198,11 @@ def test_required_bound_report(sine):
     assert bc.ok
     assert bc.identity_residual < 1e-6
     assert bc.x[0] == 0.0 and abs(bc.x[-1] - sine.x_star) < 1e-15
+
+
+def test_required_bound_raises_when_f_squared_is_not_integrable(sine):
+    # f^2 = |y - 0.1|^-1.5 has no integral across y = 0.1 in [0, x_star]
+    bad = dataclasses.replace(sine, f=lambda y: -abs(y - 0.1) ** -0.75)
+    with np.errstate(divide="ignore"), pytest.raises(
+            QuadratureError, match=re.escape(f"[0, {sine.x_star}]")):
+        asymptotics.check_required_bound(bad)

@@ -73,6 +73,8 @@ def test_solve_time_zero_echoes_initial_data(tmp_path):
     ["--mode", "sweep", "--k-list", "5,10,20"],  # too few k
     ["--mode", "validate", "--grid-size", "32"],  # power of two below 64
     ["--mode", "validate", "--grid-size", "100"],  # not a power of two
+    ["--mode", "sweep", "--k-list", "0,1,2,4"],  # k = 0
+    ["--mode", "sweep", "--k-list=-80,-40,-20,-10"],  # negative k
 ])
 def test_config_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2

@@ -98,6 +98,15 @@ def test_sweep_input_validation(sine):
         harness.sweep(sine, [10.0, 20.0, 40.0, 70.0])
     with pytest.raises(ValueError):
         harness.sweep(sine, [40.0, 20.0, 10.0, 5.0])
+    for ks in ([0.0, 1.0, 2.0, 4.0], [-80.0, -40.0, -20.0, -10.0]):
+        with pytest.raises(ValueError, match="k_list="):
+            harness.sweep(sine, ks)
+
+
+@pytest.mark.parametrize("k", [0.0, -5.0, math.nan, math.inf])
+def test_find_enstrophy_max_rejects_k_outside_zero_to_inf(sine, k):
+    with pytest.raises(ValueError, match=f"k={k}"):
+        harness.find_enstrophy_max(sine, k)
 
 
 def test_sweep_keeps_smallest_k_when_only_E_max_ratio_is_off(

@@ -45,9 +45,10 @@ def _smoothed_triangle(sigma, terms=60):
                     * np.exp(-0.5 * (2.0 * np.pi * n * sigma) ** 2), 0.0)
 
 
-@pytest.mark.parametrize("coeffs", [[1.0, 0.1], [0.7, 0.05, 0.01],
+@pytest.mark.parametrize("coeffs", [[1.0], [1.0, 0.1], [0.7, 0.05, 0.01],
                                     _smoothed_triangle(0.02)],
-                         ids=["two-term", "three-term", "triangle-60"])
+                         ids=["one-term", "two-term", "three-term",
+                              "triangle-60"])
 def test_series_closures_match_outer_product_sums(coeffs):
     # the term-by-term sums each closure stands for, on |x| <= 2
     a = np.asarray(coeffs)

@@ -62,12 +62,6 @@ def test_adaptive_batch_rows_are_independent():
     assert res.panels.shape == (6,)
 
 
-def test_fixed_gk_exponential():
-    val = quadrature.fixed_gk(lambda ys: np.atleast_2d(np.exp(ys)),
-                              0.0, 1.0, n_panels=8)
-    assert abs(val[0] - (np.e - 1.0)) < 1e-14
-
-
 def test_unconverged_flag_not_raise(monkeypatch):
     # integrable endpoint singularity, refinement capped: must report,
     # not die
