@@ -7,17 +7,20 @@ batch evaluator as the integrand and panels nested geometrically toward
 x = 0.  Oddness of u halves every integral to [0, 1/2].
 
 T* is the zero of R = dE/dt (computed from the u_xx moment) where R turns
-from + to -: the search opens at the Laplace prediction T*_pred, steps
-from it until R changes sign, and polishes the root by Pegasus regula
-falsi; every (t, K, E, R) it evaluates is kept on the result.  The k-sweep
-runs each k in a thread pool (size from ENSTROPHY_LAB_THREADS, results
-merged in k order so the output is scheduling-independent) and fits
-log-log scaling exponents of T*, E_max and K_drop against the initial
-enstrophy E0.
+from + to -: the search opens at the Laplace prediction T*_pred, sizes its
+first step from rho = R t / E = d ln E / d ln t there (about -c ln(t/T*)
+near the maximum, so a step of |rho| / C in ln t with C below every c
+steps past T*), steps on by GROW until R changes sign, and polishes the
+root by Pegasus regula falsi; every (t, K, E, R) it evaluates is kept on
+the result.  The k-sweep runs each k in a thread pool (size from
+ENSTROPHY_LAB_THREADS, results merged in k order so the output is
+scheduling-independent) and fits log-log scaling exponents of T*, E_max
+and K_drop against the initial enstrophy E0.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,6 +31,12 @@ from . import asymptotics, diagnostics, exact_solver, quadrature, rootfind
 
 # The T* search steps t from T*_pred by this ratio until R changes sign.
 GROW = 1.25
+# Lower bound on the curvature c of ln E against ln t at the maximum, where
+# rho = R t / E = d ln E / d ln t is about -c ln(t / T*).  Measured c: 2.3
+# (sine, k = 5) rising to 7.4 (sine, k = 2560), and about 6.9 for the
+# two-term profile [1, 0.1] at k = 153.  A first step of |rho| / C in ln t
+# therefore overshoots T* and brackets it.
+C = 2.0
 # Width of the final R bracket, relative to T*_pred.
 T_REL_TOL = 1e-9
 # Relative tolerance of the x-integrals of K, E and R.
@@ -140,8 +149,11 @@ def find_enstrophy_max(profile, k):
     """T* as the zero of R = dE/dt where R turns from + to -, for one k.
 
     The search opens with one evaluation at T*_pred, the Laplace prediction,
-    which is O(1/k) accurate.  If R(T*_pred) > 0 it steps t up by GROW until
-    R < 0, otherwise down by GROW until R > 0, inside [t0/4, 8 T*_pred];
+    which is O(1/k) accurate.  If R(T*_pred) > 0 it steps t up until R < 0,
+    otherwise down until R > 0, inside [t0/4, 8 T*_pred]: the first step
+    is |ln(t1 / T*_pred)| = min(ln GROW, max(|rho| / C, 100 T_REL_TOL))
+    with rho = R t / E at T*_pred, which overshoots T* when the curvature
+    of ln E against ln t exceeds C, and every later step is GROW.
     Pegasus regula falsi then polishes the root between the last two points.
     K, E and R are those of the final iterate, and `search_trace` holds every
     (t, K, E, R) in evaluation order.  No sign change in that range raises
@@ -162,8 +174,10 @@ def find_enstrophy_max(profile, k):
 
     t, R = t_pred, R_of(t_pred)
     up = R > 0                  # the maximum lies above t
+    rho = R * t / trace[0][2]
+    grow = min(GROW, math.exp(max(abs(rho) / C, 100.0 * T_REL_TOL)))
     while True:
-        t_next = min(t * GROW, t_max) if up else max(t / GROW, t_min)
+        t_next = min(t * grow, t_max) if up else max(t / grow, t_min)
         if t_next == t:
             table = "\n".join(f"  t={s:.6e}  R={r:.6e}"
                               for s, _, _, r in sorted(trace))
@@ -174,7 +188,7 @@ def find_enstrophy_max(profile, k):
         R_next = R_of(t_next)
         if (R_next < 0) if up else (R_next > 0):
             break
-        t, R = t_next, R_next
+        t, R, grow = t_next, R_next, GROW
 
     t_star = rootfind.pegasus(R_of, t, t_next, R, R_next,
                               T_REL_TOL * t_pred)

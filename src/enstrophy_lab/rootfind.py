@@ -51,19 +51,20 @@ def pegasus(g, x0, x1, g0, g1, xtol):
     opposite sign, by Pegasus regula falsi (Dowell & Jarratt, BIT 12, 1972):
     secant steps; when two in a row land on the same side, the far end's
     stored g is scaled by g1 / (g1 + g(x)), so both ends move.  Returns the
-    last point evaluated once the ends are within xtol, a secant step moved
-    by at most xtol, or g is exactly 0.  The step test ends the search once
-    g sits at its noise floor, where further steps land on one side without
-    closing the ends."""
+    last point evaluated once the ends are within xtol, the secant step it
+    would take next is at most xtol, or g is exactly 0.  The step test ends
+    the search once g sits at its noise floor, where further steps land on
+    one side without closing the ends, and it does so before evaluating a
+    point within xtol of the last one."""
     while g1 != 0 and abs(x1 - x0) > xtol:
-        x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        step = g1 * (x1 - x0) / (g1 - g0)
+        if abs(step) <= xtol:
+            break
+        x = x1 - step
         gx = g(x)
         if (gx > 0) != (g1 > 0):
             x0, g0 = x1, g1
         else:
             g0 *= g1 / (g1 + gx)
-        step = abs(x - x1)
         x1, g1 = x, gx
-        if step <= xtol:
-            break
     return x1

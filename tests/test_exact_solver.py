@@ -401,6 +401,11 @@ def test_scan_finds_every_root_of_a_dense_reference(which, request):
                            atol=1e-12)
 
 
+# coefficients c_n of f(y) = -sum c_n sin(2 pi n y) for the sine and
+# two_term fixtures
+SERIES = {"sine": [2.0 * math.pi], "two_term": [1.0, 0.1]}
+
+
 @pytest.mark.parametrize("which", ["sine", "two_term"])
 @pytest.mark.parametrize("share", [1 - 1e-12, 1 - 1e-15])
 def test_scan_keeps_both_minima_just_below_the_pitchfork(which, share,
@@ -408,13 +413,34 @@ def test_scan_keeps_both_minima_just_below_the_pitchfork(which, share,
     """Closer to a = |f'(0)| than the dense reference resolves, row 0 still
     has its maximum at 0 and a minimum on each side: the turning points
     of G about 0, where f'' is near 0, are bisected before Newton polishes
-    them."""
+    them.  The minima, about sqrt(6 (1 - share) |f'(0)| / f'''(0)) from 0,
+    match mpmath.findroot at 30 digits on f written with the profile's
+    float constants.  One rounding of g = f(y) + a y, about eps a |y|,
+    moves a root by eps |y| / (2 (1 - share)), since g' = f' + a is about
+    2 (1 - share) |f'(0)| there; each minimum must lie within four times
+    that (10 bisections of its cell left it 2e4 times that off at share
+    1 - 1e-12)."""
+    mp = pytest.importorskip("mpmath")
     profile = request.getfixturevalue(which)
     a = share * abs(profile.f_prime_at_zero)
     rows, roots, curv = exact_solver._stationary_points(
         profile, np.array([0.0]), a, 1.0)
     assert list(curv > 0) == [True, False, True], (roots, curv)
     assert roots[0] < roots[1] == 0.0 < roots[2]
+    with mp.workdps(30):
+        two_pi = mp.mpf(2.0 * math.pi)
+        terms = [(mp.mpf(c), n * two_pi)
+                 for n, c in enumerate(SERIES[which], start=1)]
+
+        def g(y):
+            return -sum(c * mp.sin(w * y) for c, w in terms) + mp.mpf(a) * y
+
+        fp0 = -sum(c * w for c, w in terms)
+        f3 = sum(c * w ** 3 for c, w in terms)
+        ref = float(mp.findroot(g, mp.sqrt(-6 * (fp0 + a) / f3)))
+    tol = 4.0 * np.finfo(float).eps * ref / (2.0 * (1.0 - share))
+    assert abs(roots[2] - ref) <= tol, (roots, ref, tol)
+    assert abs(roots[0] + ref) <= tol, (roots, ref, tol)
 
 
 def test_scan_at_large_a_keeps_each_root_beside_its_row(sine):

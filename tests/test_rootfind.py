@@ -94,3 +94,41 @@ def test_pegasus_beats_illinois_on_a_steep_exponential():
     r = pegasus(g, 0.0, 1.0, g(0.0), g(1.0), xtol)
     assert abs(r - math.log(20.0) / 30.0) <= xtol
     assert len(calls) <= 15
+
+
+def _pegasus_step_rule(g, x0, x1, g0, g1, xtol):
+    """Reference: `pegasus` without the stop on the predicted step, so it
+    evaluates the secant point before testing the step it took."""
+    while g1 != 0 and abs(x1 - x0) > xtol:
+        x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        gx = g(x)
+        if (gx > 0) != (g1 > 0):
+            x0, g0 = x1, g1
+        else:
+            g0 *= g1 / (g1 + gx)
+        step = abs(x - x1)
+        x1, g1 = x, gx
+        if step <= xtol:
+            break
+    return x1
+
+
+def test_pegasus_stops_when_the_next_step_is_below_xtol():
+    # on a smooth g the secant step shrinks superlinearly, so once the step
+    # Pegasus would take is at most xtol the last point evaluated is within
+    # xtol of the root, and evaluating that step costs one call for nothing
+    root = 0.5 ** 0.2
+    xtol = 1e-9
+    counts = []
+    for solve in (pegasus, _pegasus_step_rule):
+        calls = []
+
+        def g(y):
+            calls.append(y)
+            return y ** 5 - 0.5
+
+        r = solve(g, 0.5, 1.2, g(0.5), g(1.2), xtol)
+        assert abs(r - root) <= xtol
+        assert r == calls[-1]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] - 1
