@@ -377,11 +377,14 @@ def snapshot(profile, t, k, config=None):
     """State at time t >= 0 on the standard grid.
 
     The time enters only through a = 1/(2*k*t); t = 0 gives the initial
-    data k*f with no integrals involved.
+    data k*f with no integrals involved.  A t outside [0, inf) or a k
+    outside (0, inf) raises ValueError at every t.
     """
     cfg = config or DEFAULT_CONFIG
     if not 0 <= t < math.inf:
         raise ValueError(f"need finite t >= 0, got t={t}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"need finite k > 0, got k={k}")
     xg = grid(2 * cfg.grid_size)
     if t == 0:
         u = k * profile.f(xg)

@@ -228,7 +228,9 @@ def _worker_count(n_tasks):
 def sweep(profile, k_list):
     """Run find_enstrophy_max over a geometric k_list and fit the scalings.
 
-    Requires >= 4 finite k > 0 in (approximately) geometric progression.
+    Requires >= 4 finite k > 0, strictly increasing and in (approximately)
+    geometric progression; any other k_list raises ValueError before a
+    search starts.
     The smallest k is excluded from the fits when its T* or K_drop
     measured/predicted ratio is off by more than 30% (finite-k shift), and
     the exclusion is recorded on the fit objects.  The E_max ratio is left
@@ -242,8 +244,9 @@ def sweep(profile, k_list):
         raise ValueError("sweep needs at least 4 values of k")
     if not all(0.0 < k < np.inf for k in ks):
         raise ValueError(f"k must be positive and finite; got k_list={ks}")
-    if sorted(ks) != ks:
-        raise ValueError("k_list must be increasing")
+    if any(lo >= hi for lo, hi in zip(ks, ks[1:])):
+        raise ValueError(f"k_list must be strictly increasing; got "
+                         f"k_list={ks}")
     ratios = np.diff(np.log(ks))
     if np.max(np.abs(ratios - ratios[0])) > 1e-6:
         raise ValueError("k_list must be geometric")

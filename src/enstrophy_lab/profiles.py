@@ -11,9 +11,10 @@ analyzed, means:
 
 Profiles carry closures for f, f', f'' and the antiderivative
 F(x) = int_0^x f, plus a few cached ranges the solver uses to size its
-integration window.  The sine and sine-series closures are exact; a
-custom f, callable or sampled, becomes the sine series fitted to its
-samples (make_custom_profile).  The exact solver evaluates these
+integration window.  Every profile is a sine series with exact closures,
+built by make_sine_series_profile: the reference sine is the one-term
+series, and a custom f, callable or sampled, becomes the series fitted
+to its samples (make_custom_profile).  The exact solver evaluates these
 closures only at finite points: a non-finite x, a or k raises there
 (QuadratureError or ValueError) instead of returning NaN.
 """
@@ -57,33 +58,21 @@ class Profile:
 
 
 def make_sine_profile() -> Profile:
-    """The reference profile f(x) = -2*pi*sin(2*pi*x).
+    """The reference profile f(x) = -2*pi*sin(2*pi*x), the one-term series.
 
-    Everything is closed-form: F(x) = cos(2*pi*x) - 1, x_star = 1/4,
+    Its closed forms: F(x) = cos(2*pi*x) - 1, x_star = 1/4,
     f'(0) = -4*pi^2.
     """
-    def f(x):
-        return -_TWO_PI * np.sin(_TWO_PI * np.asarray(x, dtype=float))
-
-    def fp(x):
-        return -_TWO_PI ** 2 * np.cos(_TWO_PI * np.asarray(x, dtype=float))
-
-    def fpp(x):
-        return _TWO_PI ** 3 * np.sin(_TWO_PI * np.asarray(x, dtype=float))
-
-    def F(x):
-        return np.cos(_TWO_PI * np.asarray(x, dtype=float)) - 1.0
-
-    return Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=0.25,
-                   f_prime_at_zero=-_TWO_PI ** 2, f_prime_max=_TWO_PI ** 2,
-                   F_min=-2.0, F_max=0.0, label="sine")
+    return make_sine_series_profile([_TWO_PI], label="sine")
 
 
 def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
                              label: Optional[str] = None) -> Profile:
     """Profile f(x) = -sum_n a_n sin(2*pi*n*x) from coefficients a_1, a_2, ...
 
-    All derivatives and F are exact term-by-term.  With validate=True the
+    All derivatives and F are exact term-by-term.  An empty or non-finite
+    coefficient list raises ProfileError, naming any non-finite a_n,
+    before anything is evaluated.  With validate=True the
     admissibility invariants are checked on a dense grid and violations
     raise ProfileError; validate=False skips that (useful for building
     deliberately bad profiles to exercise validate_profile).
@@ -91,6 +80,10 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != 1 or len(a) == 0:
         raise ProfileError("need a non-empty 1-d coefficient sequence")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if len(bad):
+        raise ProfileError("non-finite coefficient(s): " + ", ".join(
+            f"a_{n + 1} = {a[n]}" for n in bad))
     wn = _TWO_PI * np.arange(1, len(a) + 1, dtype=float)
     b_fp, b_fpp, b_F = a * wn, a * wn ** 2, a / wn
     F0 = float(np.sum(b_F))
@@ -116,9 +109,19 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
         y1, y2 = _clenshaw(c, b_F)
         return c * y1 - y2 - F0
 
-    fp0 = float(-np.sum(b_fp))
-    prof = _finish_profile(f, fp, fpp, F, fp0,
-                           label=label or f"sine-series[{len(a)}]")
+    # cached ranges from dense samples; x_star, the interior zero of f' on
+    # (0, 1/2), by bisection then one Newton polish (NaN when f' does not
+    # change sign from - to + there)
+    grid = np.linspace(-0.5, 0.5, 4097)
+    Fg = F(grid)
+    lo, hi = 1e-9, 0.5 - 1e-9
+    x_star = (bracketed_root(fp, lo, hi, dg=fpp, iters=48, polish=1)
+              if fp(lo) < 0 < fp(hi) else math.nan)
+    prof = Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=x_star,
+                   f_prime_at_zero=float(-np.sum(b_fp)),
+                   f_prime_max=float(np.max(fp(grid))),
+                   F_min=float(np.min(Fg)), F_max=float(np.max(Fg)),
+                   label=label or f"sine-series[{len(a)}]")
     if validate:
         _raise_on_violation(prof)
     return prof
@@ -138,23 +141,6 @@ def _clenshaw(c, b):
         y += bn
         y1, y2 = y, y1
     return y1, y2
-
-
-def _finish_profile(f, fp, fpp, F, fp0, label):
-    """Fill in the cached ranges from dense samples, and x_star, the
-    interior zero of f' on (0, 1/2), by bisection then one Newton polish
-    (NaN when f' does not change sign from - to + there)."""
-    grid = np.linspace(-0.5, 0.5, 4097)
-    Fg = F(grid)
-    fpg = fp(grid)
-    lo, hi = 1e-9, 0.5 - 1e-9
-    x_star = (bracketed_root(fp, lo, hi, dg=fpp, iters=48, polish=1)
-              if fp(lo) < 0 < fp(hi) else math.nan)
-    return Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=x_star,
-                   f_prime_at_zero=fp0,
-                   f_prime_max=float(np.max(fpg)),
-                   F_min=float(np.min(Fg)), F_max=float(np.max(Fg)),
-                   label=label)
 
 
 def make_custom_profile(source, validate=True, label="custom") -> Profile:

@@ -207,3 +207,27 @@ def test_sweep_csv_contract(tmp_path, monkeypatch, sine):
                          "provenance"}
     # measured == predicted here, so every ratio is exactly 1
     assert fits["extrapolated_ratios"]["ratio_E_max"] == 1.0
+
+
+@pytest.mark.parametrize("k_list", ["20,20,20,20", "5,5,5,5"])
+def test_constant_k_list_exits_three_before_any_search(
+        k_list, tmp_path, monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a T* search ran")
+    monkeypatch.setattr(harness, "find_enstrophy_max", no_search)
+    rc = cli.main(["--mode", "sweep", "--k-list", k_list,
+                   "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "strictly increasing" in capsys.readouterr().err
+    report = json.loads((tmp_path / "error.json").read_text())
+    assert report["error"] == "ValueError"
+    assert "k_list=" in report["message"]
+
+
+@pytest.mark.parametrize("spec", ["1,nan", "nan", "1,-inf"])
+def test_non_finite_profile_coefficient_exits_two(spec, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["--mode", "validate", "--profile", spec,
+                     "--out-dir", str(out)]) == 2
+    assert "non-finite coefficient" in capsys.readouterr().err
+    assert not out.exists()

@@ -502,3 +502,10 @@ def test_rows_whole_periods_apart_share_one_scan(sine):
     assert np.array_equal(roots[rows == 0], alone)
     assert np.allclose(roots[rows == 1], alone + 1000.0, rtol=0.0,
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3])
+@pytest.mark.parametrize("k", [math.nan, math.inf, -3.0, 0.0])
+def test_snapshot_rejects_k_outside_zero_to_inf(sine, t, k):
+    with pytest.raises(ValueError, match=f"k={k}"):
+        exact_solver.snapshot(sine, t, k)

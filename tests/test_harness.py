@@ -183,3 +183,13 @@ def test_diagnostics_at_max_bound(acceptance_sweep):
         assert d.bound_R_residual is not None
         assert d.bound_R_residual >= 0.0
         assert d.poincare_residual >= 0.0
+
+
+@pytest.mark.parametrize("ks", [[20.0] * 4, [5.0] * 4,
+                                [10.0, 20.0, 20.0, 40.0]])
+def test_sweep_rejects_repeated_k_before_any_search(sine, monkeypatch, ks):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a T* search ran")
+    monkeypatch.setattr(harness, "find_enstrophy_max", no_search)
+    with pytest.raises(ValueError, match=r"strictly increasing.*k_list="):
+        harness.sweep(sine, ks)

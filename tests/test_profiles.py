@@ -127,3 +127,31 @@ def test_callable_is_fitted_like_its_samples():
         assert np.array_equal(getattr(p, name)(xq), getattr(q, name)(xq)), \
             name
     assert p.x_star == q.x_star and p.F_min == q.F_min
+
+
+def test_sine_is_the_one_term_series_bit_for_bit():
+    # make_sine_profile builds the one-term series [2 pi]; its closures
+    # and cached constants equal the closed forms exactly
+    p = profiles.make_sine_profile()
+    two_pi = 2.0 * math.pi
+    x = np.linspace(-2.0, 2.0, 200001)
+    theta = two_pi * x
+    assert np.array_equal(p.f(x), -two_pi * np.sin(theta))
+    assert np.array_equal(p.f_prime(x), -two_pi ** 2 * np.cos(theta))
+    assert np.array_equal(p.f_double_prime(x), two_pi ** 3 * np.sin(theta))
+    assert np.array_equal(p.F(x), np.cos(theta) - 1.0)
+    assert p.x_star == 0.25
+    assert p.F_min == -2.0 and p.F_max == 0.0
+    assert p.f_prime_at_zero == -two_pi ** 2
+    assert p.f_prime_max == two_pi ** 2
+    assert p.label == "sine"
+
+
+@pytest.mark.parametrize("coeffs, named", [
+    ([math.nan], "a_1 = nan"), ([1.0, math.inf], "a_2 = inf"),
+    ([-math.inf, 0.1], "a_1 = -inf")])
+@pytest.mark.parametrize("validate", [True, False])
+def test_non_finite_coefficients_rejected_by_name(coeffs, named, validate):
+    with pytest.raises(profiles.ProfileError,
+                       match=f"non-finite coefficient.*{named}"):
+        profiles.make_sine_series_profile(coeffs, validate=validate)
