@@ -37,6 +37,9 @@ a_star = |f(x_star)|/x_star, giving
     T_star ~ x_star / (2 k |f(x_star)|),
     E(u_*) ~ (1/2) k^3 |f(x_star)|^3,
     K(u_0) - K(u_*) ~ k^2 ( int_0^{x_star} f^2 - x_star f(x_star)^2 / 3 ).
+
+Every function here that takes k raises ValueError, naming k, for a k
+outside (0, inf); find_roots and the leading_* functions do the same for a.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,18 +65,19 @@ BOUND_GRID = 512
 
 @dataclass(frozen=True)
 class RootSet:
-    """Stationary points of the phase at one (x, a).
+    """Stationary points of the phase at one a, for every x.
 
-    s_plus always holds the dominant (right) minimum; s_minus/s_mid and the
-    competition quantities varphi, chi are populated only in the triple
-    regime.
+    Each field has the shape of find_roots' x (a str and floats for a
+    scalar x); regime names each row's regime.  s_plus always holds the
+    dominant (right) minimum; s_minus, s_mid and the competition
+    quantities varphi, chi are NaN outside the triple regime.
     """
-    regime: str
-    s_plus: float
-    s_minus: Optional[float] = None
-    s_mid: Optional[float] = None
-    varphi: Optional[float] = None
-    chi: Optional[float] = None
+    regime: str | np.ndarray
+    s_plus: float | np.ndarray
+    s_minus: float | np.ndarray
+    s_mid: float | np.ndarray
+    varphi: float | np.ndarray
+    chi: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,25 +130,28 @@ class BoundCheck:
                 and self.g_nonnegative and self.g_nondecreasing)
 
 
+def _check_positive(name, value):
+    """Raise ValueError naming `name` unless value is in (0, inf)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite; got "
+                         f"{name}={value}")
+
+
 def _root_residual_check(profile, x, a, roots):
-    g = profile.f(np.asarray(roots)) + a * (np.asarray(roots) - x)
-    worst = float(np.max(np.abs(g)))
-    if worst > 1e-12 * max(1.0, a):
-        raise RuntimeError(f"stationary-point residual {worst:.2e} at "
-                           f"x={x}, a={a}")
+    """Raise unless every root has |g| <= 1e-12 max(1, a); a NaN fails."""
+    g = np.abs(profile.f(roots) + a * (roots - x))
+    if not np.all(g <= 1e-12 * max(1.0, a)):
+        raise RuntimeError(f"stationary-point residual {np.max(g):.2e} at "
+                           f"x in [{np.min(x)}, {np.max(x)}], a={a}")
 
 
-def _g_root(profile, x, a, lo, hi):
-    g = lambda s: profile.f(s) + a * (s - x)
-    dg = lambda s: profile.f_prime(s) + a
-    return bracketed_root(g, lo, hi, dg=dg, iters=54, polish=3)
-
-
-def _mirror_point(profile, a):
-    """sigma in (0, 1/2) with f'(sigma) = -a; s_c = -sigma."""
+def _fold(profile, a):
+    """(sigma, x0(a)) for 0 < a < |f'(0)|: sigma in (0, 1/2) solves
+    f'(sigma) = -a, and s_c = -sigma gives x0 = s_c + f(s_c)/a."""
     h = lambda s: profile.f_prime(s) + a
-    dh = lambda s: profile.f_double_prime(s)
-    return bracketed_root(h, 0.0, 0.5, dg=dh, iters=54, polish=2)
+    sigma = bracketed_root(h, 0.0, 0.5, dg=profile.f_double_prime,
+                           iters=54, polish=2)
+    return sigma, -sigma + float(profile.f(-sigma)) / a
 
 
 def fold_location(profile, a):
@@ -152,59 +159,66 @@ def fold_location(profile, a):
     apf = abs(profile.f_prime_at_zero)
     if not (0.0 < a < apf):
         raise ValueError(f"fold exists only for a in (0, {apf:.6g}); got {a}")
-    sigma = _mirror_point(profile, a)
-    s_c = -sigma
-    return s_c + float(profile.f(s_c)) / a
+    return _fold(profile, a)[1]
 
 
 def find_roots(profile, x, a):
     """Classify (x, a) and return the stationary points; x in [0, 1/2].
 
+    x is a scalar or an array, solved at one a: sigma and x0 once, s_plus
+    for every row in one bisection and Newton pass, s_minus and s_mid only
+    for the rows with x < x0.  The RootSet's fields have x's shape.
     varphi's int f is F(s_plus) - F(s_minus), from the exact antiderivative.
+    An x outside [0, 1/2] or an a outside (0, inf) raises ValueError.
     """
-    if not (0.0 <= x <= 0.5):
+    x = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= x) & (x <= 0.5)):
         raise ValueError("find_roots expects x in [0, 1/2]; use oddness")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    _check_positive("a", a)
     apf = abs(profile.f_prime_at_zero)
+
+    def roots(xs, lo, hi):
+        g = lambda s: profile.f(s) + a * (s - xs)
+        lo, hi = np.broadcast_to(lo, xs.shape), np.broadcast_to(hi, xs.shape)
+        s = newton_polish(g, lambda s: profile.f_prime(s) + a,
+                          bisect(g, lo, hi, iters=54), lo, hi, steps=3)
+        _root_residual_check(profile, xs, a, s)
+        return s
 
     if a >= apf:
         if a == apf:
             warnings.warn("a equals the pitchfork value |f'(0)|; treating "
                           "as the single-root regime", RuntimeWarning)
-        w = 0.5
         g = lambda s: profile.f(s) + a * (s - x)
+        w = np.full(x.shape, 0.5)
         for _ in range(60):
-            if g(x - w) < 0 < g(x + w):
+            bracketed = (g(x - w) < 0) & (0 < g(x + w))
+            if bracketed.all():
                 break
-            w *= 2.0
-        s = _g_root(profile, x, a, x - w, x + w)
-        _root_residual_check(profile, x, a, [s])
-        return RootSet(regime=SINGLE, s_plus=s)
+            w = np.where(bracketed, w, 2.0 * w)
+        s_plus = roots(x, x - w, x + w)
+        regime = np.full(x.shape, SINGLE)
+    else:
+        sigma, x0 = _fold(profile, a)
+        s_plus = roots(x, sigma, 0.5)
+        regime = np.where(x < x0, TRIPLE, POST_FOLD)
 
-    sigma = _mirror_point(profile, a)
-    s_c = -sigma
-    x0 = s_c + float(profile.f(s_c)) / a
-
-    if x >= x0:
-        s_plus = _g_root(profile, x, a, sigma, 0.5)
-        _root_residual_check(profile, x, a, [s_plus])
-        return RootSet(regime=POST_FOLD, s_plus=s_plus)
-
-    s_minus = _g_root(profile, x, a, -0.5, s_c)
-    s_mid = _g_root(profile, x, a, s_c, sigma)
-    s_plus = _g_root(profile, x, a, sigma, 0.5)
-    _root_residual_check(profile, x, a, [s_minus, s_mid, s_plus])
-
-    varphi = (0.5 * a * (s_minus - s_plus) * (s_plus + s_minus - 2.0 * x)
-              - float(profile.F(s_plus) - profile.F(s_minus)))
-    cp = float(profile.f_prime(s_plus)) + a
-    cm = float(profile.f_prime(s_minus)) + a
-    if cp <= 0 or cm <= 0:
-        raise RuntimeError("non-positive curvature at a phase minimum")
-    chi = math.sqrt(cp / cm)
-    return RootSet(regime=TRIPLE, s_plus=s_plus, s_minus=s_minus,
-                   s_mid=s_mid, varphi=varphi, chi=chi)
+    triple = regime == TRIPLE
+    s_minus, s_mid, varphi, chi = (np.full(x.shape, np.nan) for _ in range(4))
+    if triple.any():
+        xt, sp = x[triple], s_plus[triple]
+        s_minus[triple] = sm = roots(xt, -0.5, -sigma)
+        s_mid[triple] = roots(xt, -sigma, sigma)
+        varphi[triple] = (0.5 * a * (sm - sp) * (sp + sm - 2.0 * xt)
+                          - (profile.F(sp) - profile.F(sm)))
+        cp = profile.f_prime(sp) + a
+        cm = profile.f_prime(sm) + a
+        if np.any(cp <= 0) or np.any(cm <= 0):
+            raise RuntimeError("non-positive curvature at a phase minimum")
+        chi[triple] = np.sqrt(cp / cm)
+    return RootSet(regime=regime[()], s_plus=s_plus[()],
+                   s_minus=s_minus[()], s_mid=s_mid[()], varphi=varphi[()],
+                   chi=chi[()])
 
 
 def matching_point(profile, a, k):
@@ -213,6 +227,7 @@ def matching_point(profile, a, k):
     Smallest x with k*varphi(x) >= 36, clamped into [x0/100, x0/2]; varphi
     is increasing in x so a bisection on the gap does it.
     """
+    _check_positive("k", k)
     x0 = fold_location(profile, a)
     lo, hi = x0 / 100.0, x0 / 2.0
     gap = lambda x: k * find_roots(profile, x, a).varphi - 36.0
@@ -225,6 +240,7 @@ def matching_point(profile, a, k):
 
 def bifurcation_data(profile, k):
     """t0, the two critical curvatures, and the fold/matching maps."""
+    _check_positive("k", k)
     apf = abs(profile.f_prime_at_zero)
     fxs = abs(float(profile.f(profile.x_star)))
     a_star = fxs / profile.x_star
@@ -281,37 +297,23 @@ def laplace_endpoint(phi, theta, k):
 # ----------------------------------------------------------------------
 # matched asymptotic fields
 
-def _two_spike(profile, rs, k):
-    fp_ = float(profile.f(rs.s_plus))
-    fm_ = float(profile.f(rs.s_minus))
-    e = rs.chi * math.exp(-k * rs.varphi)
-    u = k * (fp_ + e * fm_) / (1.0 + e)
-    ux = -k * k * e * (fp_ - fm_) ** 2 / (1.0 + e) ** 2
-    return u, ux
-
-
-def _one_spike(profile, s, a, k):
-    fs = float(profile.f(s))
-    fps = float(profile.f_prime(s))
-    return k * fs, k * a * fps / (a + fps)
-
-
 def _asym_fields(profile, x, a, k):
+    """(u, u_x) at every x, each with x's shape: the two-spike fields on
+    the triple rows with |x| <= x1, the one-spike fields elsewhere."""
+    _check_positive("k", k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    apf = abs(profile.f_prime_at_zero)
-    u = np.empty_like(x)
-    ux = np.empty_like(x)
-    x1 = matching_point(profile, a, k) if a < apf else None
-    for i, xi in enumerate(x):
-        s = abs(xi)
-        rs = find_roots(profile, s, a)
-        if rs.regime == TRIPLE and s <= x1:
-            ui, uxi = _two_spike(profile, rs, k)
-        else:
-            ui, uxi = _one_spike(profile, rs.s_plus, a, k)
-        u[i] = -ui if xi < 0 else ui
-        ux[i] = uxi
-    return u, ux
+    s = np.abs(x)
+    rs = find_roots(profile, s, a)
+    fps = profile.f_prime(rs.s_plus)
+    u, ux = k * profile.f(rs.s_plus), k * a * fps / (a + fps)
+    two = rs.regime == TRIPLE
+    if two.any():
+        two &= s <= matching_point(profile, a, k)
+        fp_, fm_ = profile.f(rs.s_plus[two]), profile.f(rs.s_minus[two])
+        e = rs.chi[two] * np.exp(-k * rs.varphi[two])
+        u[two] = k * (fp_ + e * fm_) / (1.0 + e)
+        ux[two] = -k * k * e * (fp_ - fm_) ** 2 / (1.0 + e) ** 2
+    return np.where(x < 0, -u, u), ux
 
 
 def asymptotic_u(profile, x, a, k):
@@ -336,6 +338,8 @@ def leading_enstrophy(profile, a, k):
     The spike formula carries the stated (1/2) prefactor; the measured
     enstrophy tends to (2/3) k^3 |f(s+)|^3, the enstrophy of a viscous
     shock of half-jump k |f(s+)| (see the README)."""
+    _check_positive("k", k)
+    _check_positive("a", a)
     apf = abs(profile.f_prime_at_zero)
     if a > apf:
         val = quadrature.integral(
@@ -351,6 +355,8 @@ def leading_enstrophy(profile, a, k):
 def leading_energy(profile, a, k):
     """Leading K(t) at fixed a; K(u0) before the pitchfork, and after it
     k^2 ( int_{s+_{0,a}}^{1/2} f^2 + |f(s+_{0,a})|^3 / (3a) )."""
+    _check_positive("k", k)
+    _check_positive("a", a)
     apf = abs(profile.f_prime_at_zero)
     if a >= apf:
         return diagnostics.initial_energy(profile, k)
@@ -366,6 +372,7 @@ def predict(profile, k):
     that the reference values are computed from; the measured maximum
     tends to (2/3) k^3 |f(x*)|^3, so measured/predicted tends to 4/3 (see
     the README).  T_star and K_drop_leading match the measured values."""
+    _check_positive("k", k)
     xs = profile.x_star
     fxs = abs(float(profile.f(xs)))
     K0 = diagnostics.initial_energy(profile, k)

@@ -206,10 +206,9 @@ class RunConfig:
         if self.mode == "sweep":
             if not self.k_list:
                 raise ConfigError("mode 'sweep' needs --k-list")
-            if len(self.k_list) < 4 or min(self.k_list) <= 0:
-                raise ConfigError("--k-list needs at least 4 values, all > 0")
             # surface bad numeric knobs at parse time (exit 2), not mid-run
             try:
+                harness._check_k_list(self.k_list)
                 harness._worker_count(len(self.k_list))
             except ValueError as err:
                 raise ConfigError(str(err)) from None
@@ -443,13 +442,8 @@ def _run_validate(cfg, profile, written):
     apf = abs(profile.f_prime_at_zero)
     a = 0.5 * apf
     x0 = asymptotics.fold_location(profile, a)
-    xs = np.linspace(0.0, x0, 257)[:-1]
-    varphi = np.empty(len(xs))
-    chi = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        rs = asymptotics.find_roots(profile, float(x), a)
-        varphi[i] = rs.varphi
-        chi[i] = rs.chi
+    rs = asymptotics.find_roots(profile, np.linspace(0.0, x0, 257)[:-1], a)
+    varphi, chi = rs.varphi, rs.chi
     mono_tol = 1e-12 * max(1.0, float(np.max(chi)))
     bif_checks = {
         "a": a,

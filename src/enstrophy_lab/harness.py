@@ -225,6 +225,23 @@ def _worker_count(n_tasks):
     return n
 
 
+def _check_k_list(k_list):
+    """sweep's k_list as floats; a list sweep does not accept raises
+    ValueError.  The CLI calls this too, so --k-list fails at parse time."""
+    ks = [float(k) for k in k_list]
+    if len(ks) < 4:
+        raise ValueError("sweep needs at least 4 values of k")
+    if not all(0.0 < k < np.inf for k in ks):
+        raise ValueError(f"k must be positive and finite; got k_list={ks}")
+    if any(lo >= hi for lo, hi in zip(ks, ks[1:])):
+        raise ValueError(f"k_list must be strictly increasing; got "
+                         f"k_list={ks}")
+    ratios = np.diff(np.log(ks))
+    if np.max(np.abs(ratios - ratios[0])) > 1e-6:
+        raise ValueError("k_list must be geometric")
+    return ks
+
+
 def sweep(profile, k_list):
     """Run find_enstrophy_max over a geometric k_list and fit the scalings.
 
@@ -239,18 +256,7 @@ def sweep(profile, k_list):
     that ratio tends to 4/3 and would drop the smallest k of every sweep
     that starts at large k.
     """
-    ks = [float(k) for k in k_list]
-    if len(ks) < 4:
-        raise ValueError("sweep needs at least 4 values of k")
-    if not all(0.0 < k < np.inf for k in ks):
-        raise ValueError(f"k must be positive and finite; got k_list={ks}")
-    if any(lo >= hi for lo, hi in zip(ks, ks[1:])):
-        raise ValueError(f"k_list must be strictly increasing; got "
-                         f"k_list={ks}")
-    ratios = np.diff(np.log(ks))
-    if np.max(np.abs(ratios - ratios[0])) > 1e-6:
-        raise ValueError("k_list must be geometric")
-
+    ks = _check_k_list(k_list)
     with ThreadPoolExecutor(max_workers=_worker_count(len(ks))) as ex:
         results = tuple(ex.map(lambda k: find_enstrophy_max(profile, k),
                                ks))

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from enstrophy_lab import asymptotics, exact_solver, profiles
 from enstrophy_lab.quadrature import QuadratureError
@@ -43,6 +44,117 @@ def test_find_roots_domain(sine):
         asymptotics.find_roots(sine, 0.6, TWO_PI_SQ)
     with pytest.raises(ValueError):
         asymptotics.find_roots(sine, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: asymptotics.find_roots(p, 0.1, math.nan),
+    lambda p: asymptotics.find_roots(p, 0.1, math.inf),
+    lambda p: asymptotics.find_roots(p, 0.1, 0.0),
+    lambda p: asymptotics.asymptotic_u(p, [0.05, 0.1], math.nan, 5.0),
+    lambda p: asymptotics.leading_enstrophy(p, math.inf, 5.0),
+    lambda p: asymptotics.leading_energy(p, math.inf, 5.0),
+], ids=["find_roots-nan", "find_roots-inf", "find_roots-0", "asymptotic_u-nan",
+        "leading_enstrophy-inf", "leading_energy-inf"])
+def test_curvature_outside_open_half_line_raises(sine, call):
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        call(sine)
+
+
+@pytest.mark.parametrize("k", [0.0, -3.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda p, k: asymptotics.predict(p, k),
+    lambda p, k: asymptotics.bifurcation_data(p, k),
+    lambda p, k: asymptotics.matching_point(p, 10.0, k),
+    lambda p, k: asymptotics.asymptotic_u(p, [0.05, 0.1], TWO_PI_SQ, k),
+    lambda p, k: asymptotics.asymptotic_ux(p, 0.1, TWO_PI_SQ, k),
+    lambda p, k: asymptotics.leading_enstrophy(p, TWO_PI_SQ, k),
+    lambda p, k: asymptotics.leading_energy(p, TWO_PI_SQ, k),
+], ids=["predict", "bifurcation_data", "matching_point", "asymptotic_u",
+        "asymptotic_ux", "leading_enstrophy", "leading_energy"])
+def test_k_outside_open_half_line_raises(sine, call, k):
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        call(sine, k)
+
+
+def _brentq_roots(profile, x, a, lo, hi):
+    g = lambda s: float(profile.f(s)) + a * (s - x)
+    return brentq(g, lo, hi, xtol=1e-16, rtol=4 * np.finfo(float).eps,
+                  maxiter=200)
+
+
+@pytest.mark.parametrize("name", ["sine", "two_term"])
+def test_find_roots_array_matches_brentq(name, request):
+    profile = request.getfixturevalue(name)
+    apf = abs(profile.f_prime_at_zero)
+    a = 2.0 * apf
+    xs = np.linspace(0.0, 0.5, 21)
+    rs = asymptotics.find_roots(profile, xs, a)
+    assert rs.s_plus.shape == xs.shape
+    assert (rs.regime == asymptotics.SINGLE).all()
+    ref = [_brentq_roots(profile, x, a, x - 0.5, x + 0.5) for x in xs]
+    assert np.max(np.abs(rs.s_plus - ref)) <= 1e-13
+    for field in (rs.s_minus, rs.s_mid, rs.varphi, rs.chi):
+        assert np.isnan(field).all()
+
+    # at a*, x on both sides of the fold: triple, then post-fold
+    a = asymptotics.bifurcation_data(profile, 50.0).a_star
+    x0 = asymptotics.fold_location(profile, a)
+    xs = np.concatenate([x0 * np.linspace(0.0, 0.95, 11),
+                         np.linspace(1.05 * x0, 0.45, 11)])
+    triple = xs < x0
+    rs = asymptotics.find_roots(profile, xs, a)
+    assert list(rs.regime) == [asymptotics.TRIPLE] * 11 \
+        + [asymptotics.POST_FOLD] * 11
+    sigma = brentq(lambda s: float(profile.f_prime(s)) + a, 0.0, 0.5,
+                   xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    for i, x in enumerate(xs):
+        assert abs(rs.s_plus[i]
+                   - _brentq_roots(profile, x, a, sigma, 0.5)) <= 1e-13
+        if triple[i]:
+            assert abs(rs.s_minus[i]
+                       - _brentq_roots(profile, x, a, -0.5, -sigma)) <= 1e-13
+            assert abs(rs.s_mid[i]
+                       - _brentq_roots(profile, x, a, -sigma, sigma)) <= 1e-13
+    for field in (rs.s_minus, rs.s_mid, rs.varphi, rs.chi):
+        assert np.array_equal(np.isnan(field), ~triple)
+
+    # a scalar x gets a str regime and float fields
+    one = asymptotics.find_roots(profile, float(xs[3]), a)
+    assert isinstance(one.regime, str) and one.regime == asymptotics.TRIPLE
+    for value in (one.s_plus, one.s_minus, one.s_mid, one.varphi, one.chi):
+        assert isinstance(value, float)
+    assert one.varphi == rs.varphi[3] and one.chi == rs.chi[3]
+
+    # one x outside [0, 1/2] fails the whole array
+    for bad in (0.6, -0.1, math.nan):
+        with pytest.raises(ValueError, match="x in \\[0, 1/2\\]"):
+            asymptotics.find_roots(profile, np.append(xs, bad), a)
+
+
+def test_find_roots_solves_the_fold_once_per_call(sine, monkeypatch):
+    solves = []
+    real = asymptotics.bracketed_root
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(asymptotics, "bracketed_root", counted)
+    rs = asymptotics.find_roots(sine, np.linspace(0.0, 0.45, 40), TWO_PI_SQ)
+    assert set(rs.regime) == {asymptotics.TRIPLE, asymptotics.POST_FOLD}
+    assert len(solves) == 1
+
+
+def test_asymptotic_u_array_matches_pointwise_calls(sine):
+    a, k = TWO_PI_SQ, 50.0
+    x1 = asymptotics.matching_point(sine, a, k)
+    x0 = asymptotics.fold_location(sine, a)
+    half = np.array([0.0, 0.5 * x1, x1, 1.5 * x1, 0.5 * (x1 + x0),
+                     1.5 * x0, 0.45])
+    xs = np.concatenate([half, -half[::-1]])
+    for field in (asymptotics.asymptotic_u, asymptotics.asymptotic_ux):
+        whole = field(sine, xs, a, k)
+        each = np.array([field(sine, float(x), a, k) for x in xs])
+        assert np.array_equal(whole, each)
 
 
 def test_symmetric_point_values(sine):

@@ -75,6 +75,8 @@ def test_solve_time_zero_echoes_initial_data(tmp_path):
     ["--mode", "validate", "--grid-size", "100"],  # not a power of two
     ["--mode", "sweep", "--k-list", "0,1,2,4"],  # k = 0
     ["--mode", "sweep", "--k-list=-80,-40,-20,-10"],  # negative k
+    ["--mode", "sweep", "--k-list", "40,20,80,160"],  # not increasing
+    ["--mode", "sweep", "--k-list", "20,40,70,160"],  # not geometric
 ])
 def test_config_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
@@ -210,18 +212,17 @@ def test_sweep_csv_contract(tmp_path, monkeypatch, sine):
 
 
 @pytest.mark.parametrize("k_list", ["20,20,20,20", "5,5,5,5"])
-def test_constant_k_list_exits_three_before_any_search(
+def test_constant_k_list_exits_two_before_any_search(
         k_list, tmp_path, monkeypatch, capsys):
     def no_search(*args, **kwargs):
         raise AssertionError("a T* search ran")
     monkeypatch.setattr(harness, "find_enstrophy_max", no_search)
+    out = tmp_path / "out"
     rc = cli.main(["--mode", "sweep", "--k-list", k_list,
-                   "--out-dir", str(tmp_path)])
-    assert rc == 3
+                   "--out-dir", str(out)])
+    assert rc == 2
     assert "strictly increasing" in capsys.readouterr().err
-    report = json.loads((tmp_path / "error.json").read_text())
-    assert report["error"] == "ValueError"
-    assert "k_list=" in report["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["1,nan", "nan", "1,-inf"])
