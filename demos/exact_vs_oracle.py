@@ -15,7 +15,7 @@ times = [0.5 * bd_t0, t_star, 2.0 * bd_t0]
 oracle_snaps = spectral_oracle.integrate(sine, k, times, snapshot_points=1024)
 
 print(f"k = {k}, grid 1024, oracle {spectral_oracle.N_MODES} modes, "
-      f"dt = {spectral_oracle.DT:g}")
+      f"step-doubling rtol = {spectral_oracle.STEP_RTOL:g}")
 print(f"{'t':>12} {'sup|u_ex - u_or|':>18} {'K':>12} {'E':>12} {'R':>14}")
 for t, osnap in zip(times, oracle_snaps):
     snap = exact_solver.snapshot(sine, t, k,

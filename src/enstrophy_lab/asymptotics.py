@@ -147,7 +147,11 @@ def _root_residual_check(profile, x, a, roots):
 
 def _fold(profile, a):
     """(sigma, x0(a)) for 0 < a < |f'(0)|: sigma in (0, 1/2) solves
-    f'(sigma) = -a, and s_c = -sigma gives x0 = s_c + f(s_c)/a."""
+    f'(sigma) = -a, and s_c = -sigma gives x0 = s_c + f(s_c)/a.  Any
+    other a raises ValueError."""
+    apf = abs(profile.f_prime_at_zero)
+    if not (0.0 < a < apf):
+        raise ValueError(f"fold exists only for a in (0, {apf:.6g}); got {a}")
     h = lambda s: profile.f_prime(s) + a
     sigma = bracketed_root(h, 0.0, 0.5, dg=profile.f_double_prime,
                            iters=54, polish=2)
@@ -156,9 +160,6 @@ def _fold(profile, a):
 
 def fold_location(profile, a):
     """x0(a): the fold where s_minus and s_mid merge, for 0 < a < |f'(0)|."""
-    apf = abs(profile.f_prime_at_zero)
-    if not (0.0 < a < apf):
-        raise ValueError(f"fold exists only for a in (0, {apf:.6g}); got {a}")
     return _fold(profile, a)[1]
 
 
@@ -176,7 +177,15 @@ def find_roots(profile, x, a):
         raise ValueError("find_roots expects x in [0, 1/2]; use oddness")
     _check_positive("a", a)
     apf = abs(profile.f_prime_at_zero)
+    if a == apf:
+        warnings.warn("a equals the pitchfork value |f'(0)|; treating "
+                      "as the single-root regime", RuntimeWarning)
+    return _roots(profile, x, a, _fold(profile, a) if a < apf else None)
 
+
+def _roots(profile, x, a, fold):
+    """find_roots on a checked x array, given fold = _fold(profile, a)
+    below the pitchfork and None at or above it."""
     def roots(xs, lo, hi):
         g = lambda s: profile.f(s) + a * (s - xs)
         lo, hi = np.broadcast_to(lo, xs.shape), np.broadcast_to(hi, xs.shape)
@@ -185,10 +194,7 @@ def find_roots(profile, x, a):
         _root_residual_check(profile, xs, a, s)
         return s
 
-    if a >= apf:
-        if a == apf:
-            warnings.warn("a equals the pitchfork value |f'(0)|; treating "
-                          "as the single-root regime", RuntimeWarning)
+    if fold is None:
         g = lambda s: profile.f(s) + a * (s - x)
         w = np.full(x.shape, 0.5)
         for _ in range(60):
@@ -199,7 +205,7 @@ def find_roots(profile, x, a):
         s_plus = roots(x, x - w, x + w)
         regime = np.full(x.shape, SINGLE)
     else:
-        sigma, x0 = _fold(profile, a)
+        sigma, x0 = fold
         s_plus = roots(x, sigma, 0.5)
         regime = np.where(x < x0, TRIPLE, POST_FOLD)
 
@@ -225,12 +231,17 @@ def matching_point(profile, a, k):
     """x1: where the two-spike and one-spike descriptions are glued.
 
     Smallest x with k*varphi(x) >= 36, clamped into [x0/100, x0/2]; varphi
-    is increasing in x so a bisection on the gap does it.
+    is increasing in x so a bisection on the gap does it.  The fold is
+    solved once, not at every bisection step.
     """
     _check_positive("k", k)
-    x0 = fold_location(profile, a)
-    lo, hi = x0 / 100.0, x0 / 2.0
-    gap = lambda x: k * find_roots(profile, x, a).varphi - 36.0
+    fold = _fold(profile, a)
+    lo, hi = fold[1] / 100.0, fold[1] / 2.0
+
+    def gap(x):
+        return k * _roots(profile, np.asarray(x, dtype=float), a,
+                          fold).varphi - 36.0
+
     if gap(hi) < 0:
         return hi
     if gap(lo) >= 0:

@@ -7,10 +7,17 @@ The equation is advanced in Fourier space in conservative form,
 
 with 2/3-rule dealiasing of the quadratic term.  The time stepper is
 ETDRK4 (Kassam & Trefethen 2005): exact stiff linear part, fourth-order
-nonlinear part, with the phi-coefficients evaluated by the complex contour
-average so small h*L is not a cancellation hazard.  An advective CFL bound
-clamps the step, and a spectral tail monitor doubles the resolution when
-the top of the band fills up.
+nonlinear part.  Its phi-coefficients come from the complex contour
+average where |h L| < CONTOUR_LIMIT, so small h*L is not a cancellation
+hazard, and from the direct formulas elsewhere.
+
+The step is chosen by step doubling.  It starts at the advective CFL bound
+h = CFL_CONSTANT / (2 max|k f| n_modes); a coarse pass takes steps of at
+most 2h and a fine pass exactly half as long, and (fine - coarse) / 15
+estimates the fine pass's error, because ETDRK4 is fourth order.  The step
+is halved until that estimate meets STEP_RTOL * max|k f|.  The estimate
+uses only the oracle's own passes, never the exact solver.  A spectral
+tail monitor doubles the resolution when the top of the band fills up.
 """
 
 from __future__ import annotations
@@ -25,13 +32,17 @@ from .exact_solver import StateSnapshot, grid
 # Fourier modes of the first run, and the most the tail monitor doubles to.
 N_MODES = 1024
 MAX_N_MODES = 8192
-# Target time step, and the advective CFL constant that may shrink it.
-DT = 2e-6
+# Advective CFL constant: no fine-pass step exceeds
+# CFL_CONSTANT / (2 max|k f| n_modes).
 CFL_CONSTANT = 0.5
+# Bound on the step-doubling error estimate, relative to max|k f|.
+STEP_RTOL = 1e-10
 # Share of the resolved band kept by the dealiasing mask (the 2/3 rule).
 DEALIAS_FRACTION = 2.0 / 3.0
 # Spectral tail fraction above which the run is repeated at double modes.
 TAIL_THRESHOLD = 1e-8
+# |h L| below which the phi-coefficients take the contour average.
+CONTOUR_LIMIT = 4.0
 
 
 class OracleError(RuntimeError):
@@ -39,19 +50,36 @@ class OracleError(RuntimeError):
 
 
 def _etdrk4_coeffs(L, h, m=32):
-    """phi-function coefficients via the half-circle contour average."""
-    E = np.exp(h * L)
-    E2 = np.exp(0.5 * h * L)
-    r = np.exp(1j * math.pi * (np.arange(m) + 0.5) / m)
-    LR = h * L[:, None] + r[None, :]
-    Q = h * np.real(np.mean((np.exp(LR / 2) - 1.0) / LR, axis=1))
-    f1 = h * np.real(np.mean(
-        (-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR ** 2)) / LR ** 3, axis=1))
-    f2 = h * np.real(np.mean(
-        (2.0 + LR + np.exp(LR) * (LR - 2.0)) / LR ** 3, axis=1))
-    f3 = h * np.real(np.mean(
-        (-4.0 - 3.0 * LR - LR ** 2 + np.exp(LR) * (4.0 - LR)) / LR ** 3, axis=1))
-    return E, E2, Q, f1, f2, f3
+    """phi-function coefficients: the half-circle contour average for
+    |h L| < CONTOUR_LIMIT, the direct formulas (no cancellation there,
+    since h L <= -CONTOUR_LIMIT) elsewhere."""
+    z = h * L
+    E = np.exp(z)
+    E2 = np.exp(0.5 * z)
+    Q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
+    near = np.abs(z) < CONTOUR_LIMIT
+    far = ~near
+
+    # circles of radius 1 + |z| keep every node at least 1 from the
+    # origin, where the closed forms below would cancel
+    zn = z[near, None]
+    LR = zn + (1.0 - zn) * np.exp(1j * math.pi * (np.arange(m) + 0.5) / m)
+    eLR = np.exp(LR)
+    LR3 = LR ** 3
+    Q[near] = np.real(np.mean((np.exp(LR / 2) - 1.0) / LR, axis=1))
+    f1[near] = np.real(np.mean(
+        (-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR ** 2)) / LR3, axis=1))
+    f2[near] = np.real(np.mean((2.0 + LR + eLR * (LR - 2.0)) / LR3, axis=1))
+    f3[near] = np.real(np.mean(
+        (-4.0 - 3.0 * LR - LR ** 2 + eLR * (4.0 - LR)) / LR3, axis=1))
+
+    zf, ef = z[far], E[far]
+    zf3 = zf ** 3
+    Q[far] = (E2[far] - 1.0) / zf
+    f1[far] = (-4.0 - zf + ef * (4.0 - 3.0 * zf + zf ** 2)) / zf3
+    f2[far] = (2.0 + zf + ef * (zf - 2.0)) / zf3
+    f3[far] = (-4.0 - 3.0 * zf - zf ** 2 + ef * (4.0 - zf)) / zf3
+    return E, E2, h * Q, h * f1, h * f2, h * f3
 
 
 class _Spectral:
@@ -63,13 +91,15 @@ class _Spectral:
         self.w = 2.0 * math.pi * np.arange(n // 2 + 1)
         self.L = -self.w ** 2
         cut = int(DEALIAS_FRACTION * (n // 2))
-        self.mask = (np.arange(n // 2 + 1) <= cut)
         self.cut = cut
+        # -i w on the kept band, 0 above it: dealiases (u^2)_hat
+        self.minus_iw = np.where(np.arange(n // 2 + 1) <= cut,
+                                 -1j * self.w, 0.0)
 
     def nonlinear(self, v):
-        u = np.fft.irfft(np.where(self.mask, v, 0.0), n=self.n)
-        w_hat = np.fft.rfft(u * u)
-        return -1j * self.w * np.where(self.mask, w_hat, 0.0)
+        u = np.fft.irfft(v[:self.cut + 1], self.n)
+        u *= u
+        return self.minus_iw * np.fft.rfft(u)
 
     def tail_fraction(self, v):
         p = np.abs(v[1:self.cut + 1]) ** 2
@@ -121,11 +151,14 @@ def integrate(profile, k, save_times, snapshot_points=512):
     each sampled on snapshot_points grid points.
 
     save_times must be sorted, finite and >= 0, and k finite; anything
-    else raises ValueError naming the value.  The step is DT, clamped by
-    the advective CFL bound dt <= CFL_CONSTANT / (2 |k| max|f| n_modes).
-    The first run uses N_MODES; while the tail fraction exceeds
-    TAIL_THRESHOLD the run is repeated at double resolution, up to
-    MAX_N_MODES, and a tail still above it there is reported as a warning.
+    else raises ValueError naming the value.  The step starts at the
+    advective CFL bound CFL_CONSTANT / (2 max|k f| n_modes) and is halved
+    until the step-doubling estimate of sup_x |u error| over the save
+    times is at most STEP_RTOL * max|k f|; an estimate that stops
+    shrinking (the round-off floor) is reported as a warning.  The first
+    run uses N_MODES; while the tail fraction exceeds TAIL_THRESHOLD the
+    run is repeated at double resolution, up to MAX_N_MODES, and a tail
+    still above it there is reported as a warning.
     """
     if not math.isfinite(k):
         raise ValueError(f"need finite k, got k={k}")
@@ -138,7 +171,8 @@ def integrate(profile, k, save_times, snapshot_points=512):
 
     n = N_MODES
     while True:
-        snaps, worst_tail = _single_run(profile, k, ts, snapshot_points, n)
+        snaps, worst_tail, _ = _single_run(profile, k, ts, snapshot_points,
+                                           n)
         if worst_tail <= TAIL_THRESHOLD or n >= MAX_N_MODES:
             break
         n *= 2
@@ -150,23 +184,57 @@ def integrate(profile, k, save_times, snapshot_points=512):
 
 
 def _single_run(profile, k, ts, snapshot_points, n):
+    """One resolution: (snapshots, worst tail fraction, error estimate).
+
+    The coarse pass runs first; when its tail is above TAIL_THRESHOLD and
+    n < MAX_N_MODES the snapshots and the estimate are None, so no finer
+    pass is paid at a resolution integrate discards.  Otherwise the step
+    is halved until the step-doubling estimate meets STEP_RTOL * max|k f|,
+    and the snapshots come from the finest pass that met it (or, at the
+    round-off floor, from the pass with the smallest estimate).
+    """
     sp = _Spectral(n)
     u0 = k * profile.f(sp.x)
-    speed = 2.0 * float(np.max(np.abs(u0))) + 1e-300
-    h_cfl = CFL_CONSTANT / (speed * n)
-    h_target = min(DT, h_cfl)
-    if h_target < DT:
-        warnings.warn(f"dt clamped to {h_target:.3e} by the advective CFL "
-                      "bound", RuntimeWarning)
+    u_max = float(np.max(np.abs(u0)))
+    h = CFL_CONSTANT / ((2.0 * u_max + 1e-300) * n)
+    v0 = np.fft.rfft(u0)
+    spans = np.diff(ts, prepend=0.0)
+    # coarse substeps per save interval, each at most 2h
+    m = [max(1, math.ceil(span / (2.0 * h))) for span in spans]
 
-    v = np.fft.rfft(u0)
-    coeff_cache = {}
-    snaps = []
-    worst_tail = 0.0
-    t_now = 0.0
-    for t_save in ts:
-        v = _advance(sp, v, t_save - t_now, h_target, coeff_cache)
-        t_now = t_save
-        worst_tail = max(worst_tail, sp.tail_fraction(v))
-        snaps.append(_make_snapshot(sp, v, t_save, k, snapshot_points))
-    return snaps, worst_tail
+    def run(per_m):
+        """v at every save time, with m_i * per_m substeps per interval.
+        Each pass halves the last one's steps, so step lengths seldom
+        repeat across passes and each pass keeps its own coefficients."""
+        v, out, coeff_cache = v0, [], {}
+        for span, m_i in zip(spans, m):
+            v = _advance(sp, v, span, span / (m_i * per_m), coeff_cache)
+            out.append(v)
+        return out
+
+    def estimate(fine, coarse):
+        return max((float(np.max(np.abs(np.fft.irfft(vf - vc, n))))
+                    for vf, vc in zip(fine, coarse)), default=0.0) / 15.0
+
+    coarse = run(1)
+    worst_tail = max((sp.tail_fraction(v) for v in coarse), default=0.0)
+    if worst_tail > TAIL_THRESHOLD and n < MAX_N_MODES:
+        return None, worst_tail, None
+
+    tol = STEP_RTOL * u_max
+    per_m = 2
+    fine = run(per_m)
+    err = estimate(fine, coarse)
+    while err > tol:
+        per_m *= 2
+        finer = run(per_m)
+        finer_err = estimate(finer, fine)
+        if finer_err >= err:
+            warnings.warn(
+                f"oracle step-doubling estimate {err:.2e} above tolerance "
+                f"{tol:.2e} and no longer shrinking when the step is "
+                f"halved (round-off floor) at n_modes={n}", RuntimeWarning)
+            break
+        fine, err = finer, finer_err
+    return ([_make_snapshot(sp, v, t, k, snapshot_points)
+             for v, t in zip(fine, ts)], worst_tail, err)

@@ -24,7 +24,7 @@ from enstrophy_lab import (asymptotics, cli, diagnostics, exact_solver,
 K5 = 5.0
 T0_K5 = 1.0 / (8.0 * math.pi ** 2 * K5)        # pitchfork time, k = 5
 TSTAR_K5 = 1.0 / (16.0 * math.pi * K5)         # predicted maximizer time
-DT = 2e-6                                      # default oracle step
+DT = 2e-6                                      # dense save spacing
 
 
 # ----------------------------------------------------------------------

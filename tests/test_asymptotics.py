@@ -144,6 +144,28 @@ def test_find_roots_solves_the_fold_once_per_call(sine, monkeypatch):
     assert len(solves) == 1
 
 
+@pytest.mark.parametrize("a, k, x1", [
+    (10.0, 5.0, 0.19929282690050365),
+    (None, 40.0, 0.026314207794127326),
+    (None, 160.0, 0.017943856911299558),
+])
+def test_matching_point_pinned_and_solves_the_fold_once(sine, monkeypatch,
+                                                        a, k, x1):
+    # x1 pinned bit for bit from the version that re-solved the fold at
+    # every bisection step; a = None is a* at that k
+    if a is None:
+        a = asymptotics.bifurcation_data(sine, k).a_star
+    solves = []
+    real = asymptotics._fold
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+    monkeypatch.setattr(asymptotics, "_fold", counted)
+    assert asymptotics.matching_point(sine, a, k) == x1
+    assert len(solves) == 1
+
+
 def test_asymptotic_u_array_matches_pointwise_calls(sine):
     a, k = TWO_PI_SQ, 50.0
     x1 = asymptotics.matching_point(sine, a, k)

@@ -1,12 +1,13 @@
 """Fourier time stepper: linear limits, resolution control, guards."""
 
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
-from enstrophy_lab import spectral_oracle
+from enstrophy_lab import exact_solver, spectral_oracle
 
 # exp(-4 pi^2 * 0.01), frozen
 HEAT_FACTOR = 0.67382545123143356
@@ -21,7 +22,6 @@ def test_zero_amplitude_stays_zero(sine):
 def test_linear_heat_decay(sine, monkeypatch):
     # k -> 0 freezes the nonlinearity; mode 1 must decay by e^{-4 pi^2 t}
     k = 1e-6
-    monkeypatch.setattr(spectral_oracle, "DT", 1e-4)
     monkeypatch.setattr(spectral_oracle, "N_MODES", 256)
     snap = spectral_oracle.integrate(sine, k, [0.01])[0]
     ref = k * sine.f(snap.x_grid) * HEAT_FACTOR
@@ -37,9 +37,30 @@ def test_snapshot_time_zero_and_oddness(sine):
         assert s.oddness_residual < 1e-9
 
 
-def test_cfl_clamp_warns(sine):
-    with pytest.warns(RuntimeWarning, match="CFL"):
-        spectral_oracle.integrate(sine, 2e4, [1e-8])
+def test_substeps_respect_cfl_bound(sine, monkeypatch):
+    # at k = 2e4 the advective bound h = CFL_CONSTANT / (2 max|k f| n),
+    # not the error estimate, sets the step.  The coarse pass steps by at
+    # most 2h; every later pass, whose result is kept, by at most h.
+    k = 2e4
+    calls = []
+    real = spectral_oracle._advance
+
+    def advance(sp, v, t_span, h_target, coeff_cache):
+        nstep = max(1, math.ceil(t_span / h_target - 1e-12))
+        calls.append((sp.n, t_span / nstep))
+        return real(sp, v, t_span, h_target, coeff_cache)
+
+    monkeypatch.setattr(spectral_oracle, "_advance", advance)
+    snap = spectral_oracle.integrate(sine, k, [1e-8])[0]
+    assert np.all(np.isfinite(snap.u_values))
+    assert np.all(np.isfinite(snap.ux_values))
+    u_max = k * float(np.max(np.abs(sine.f(exact_solver.grid(1024)))))
+    n = calls[-1][0]
+    steps = [step for m, step in calls if m == n]
+    h = spectral_oracle.CFL_CONSTANT / (2.0 * u_max * n)
+    assert len(steps) >= 2
+    assert steps[0] <= 2.0 * h * (1.0 + 1e-12)
+    assert all(step <= h * (1.0 + 1e-12) for step in steps[1:])
 
 
 def test_negative_amplitude_is_half_period_shift(sine):
@@ -78,7 +99,6 @@ def test_auto_doubling_resolves(sine, monkeypatch):
 
 
 def test_blowup_raises(sine, monkeypatch):
-    monkeypatch.setattr(spectral_oracle, "DT", 1e-3)
     monkeypatch.setattr(spectral_oracle, "CFL_CONSTANT", 1e9)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
@@ -87,6 +107,7 @@ def test_blowup_raises(sine, monkeypatch):
 
 
 def test_save_time_validation(sine):
+    assert spectral_oracle.integrate(sine, 5.0, []) == []
     with pytest.raises(ValueError):
         spectral_oracle.integrate(sine, 5.0, [1e-3, 5e-4])
     # a bad time or amplitude is named before any stepping
@@ -97,3 +118,81 @@ def test_save_time_validation(sine):
                             (math.inf, [1e-3], "k=inf")):
         with pytest.raises(ValueError, match=named):
             spectral_oracle.integrate(sine, k, times)
+
+
+def _phi_weights(z):
+    """(Q, f1, f2, f3) / h of ETDRK4 at z = h L, from phi_1..phi_3 in
+    mpmath at 30 digits: Q = phi_1(z/2)/2, f1 = phi_1 - 3 phi_2 + 4 phi_3,
+    f2 = phi_2 - 2 phi_3, f3 = -phi_2 + 4 phi_3."""
+    mp = pytest.importorskip("mpmath")
+
+    def phi(j, z):
+        # phi_j(z) = sum_i z^i / (i + j)!, summed directly where the
+        # closed form (e^z - sum_{i<j} z^i/i!) / z^j would cancel
+        if abs(z) < 1:
+            return mp.nsum(lambda i: z ** i / mp.factorial(i + j),
+                           [0, mp.inf])
+        return (mp.exp(z) - sum(z ** i / mp.factorial(i)
+                                for i in range(j))) / z ** j
+
+    with mp.workdps(30):
+        z = mp.mpf(z)
+        p1, p2, p3 = phi(1, z), phi(2, z), phi(3, z)
+        return (phi(1, z / 2) / 2, p1 - 3 * p2 + 4 * p3, p2 - 2 * p3,
+                -p2 + 4 * p3)
+
+
+def test_etdrk4_coeffs_match_mpmath_phi_functions():
+    # mode 0, a fine scan of the contour region, both sides of the
+    # contour/direct switch at |h L| = 4, and out to h L = -1e5
+    h = 1e-4
+    z = np.concatenate([[0.0], -np.linspace(0.05, 4.5, 90),
+                        -np.geomspace(1e-10, 1e5, 60),
+                        [-3.999, -4.0, -4.001]])
+    L = z / h
+    E, E2, Q, f1, f2, f3 = spectral_oracle._etdrk4_coeffs(L, h)
+    for i, zi in enumerate(h * L):
+        ref = _phi_weights(float(zi))
+        for j, (got, want) in enumerate(zip((Q[i], f1[i], f2[i], f3[i]),
+                                            ref)):
+            want = h * float(want)
+            # f1 changes sign near h L = -2.69, where no relative bound
+            # can hold; there it is held to 1e-14 of its h L = 0 value h/6
+            scale = h / 6.0 if j == 1 and -3.2 < zi < -2.2 else abs(want)
+            assert abs(got - want) <= 1e-14 * scale, (j, zi, got, want)
+        assert E[i] == np.exp(zi) and E2[i] == np.exp(0.5 * zi)
+
+
+def _solve_oracle_times():
+    """The 16 jittered save times in (0, 4e-3] of the benchmark's
+    solve-oracle workload at seed 7."""
+    rng = random.Random("solve-oracle:7")
+    return [4e-3 * (i + 1 - 0.5 * rng.random()) / 16 for i in range(16)]
+
+
+def test_step_estimate_meets_tolerance_and_bounds_error(sine):
+    # the estimate comes from the oracle's own passes; the exact solver
+    # then shows it bounds the real error, far below criterion 03's 1e-6
+    k = 5.0
+    ts = _solve_oracle_times()
+    snaps, tail, est = spectral_oracle._single_run(
+        sine, k, ts, 512, spectral_oracle.N_MODES)
+    u_max = k * float(np.max(np.abs(sine.f(exact_solver.grid(1024)))))
+    assert tail <= spectral_oracle.TAIL_THRESHOLD
+    assert 0.0 < est <= spectral_oracle.STEP_RTOL * u_max
+    worst = max(float(np.max(np.abs(exact_solver.snapshot(sine, t, k).u_values
+                                    - s.u_values)))
+                for t, s in zip(ts, snaps))
+    assert worst <= 2.0 * est + 1e-11
+
+
+def test_round_off_floor_warns_and_returns(sine, monkeypatch):
+    # a tolerance below round-off cannot be met: halving stops once the
+    # estimate no longer shrinks, with a warning, and the run still returns
+    monkeypatch.setattr(spectral_oracle, "STEP_RTOL", 1e-16)
+    monkeypatch.setattr(spectral_oracle, "N_MODES", 64)
+    monkeypatch.setattr(spectral_oracle, "MAX_N_MODES", 64)
+    with pytest.warns(RuntimeWarning, match="round-off floor"):
+        snaps = spectral_oracle.integrate(sine, 1.0, [5e-4, 1e-3])
+    assert len(snaps) == 2
+    assert all(np.all(np.isfinite(s.u_values)) for s in snaps)
