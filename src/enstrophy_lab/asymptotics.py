@@ -195,14 +195,9 @@ def _roots(profile, x, a, fold):
         return s
 
     if fold is None:
-        g = lambda s: profile.f(s) + a * (s - x)
-        w = np.full(x.shape, 0.5)
-        for _ in range(60):
-            bracketed = (g(x - w) < 0) & (0 < g(x + w))
-            if bracketed.all():
-                break
-            w = np.where(bracketed, w, 2.0 * w)
-        s_plus = roots(x, x - w, x + w)
+        # f'' >= 0 gives f' >= f'(0) on [0, 1/2], so with f odd, periodic
+        # and f(1/2) = 0, |f| < |f'(0)|/2 <= a/2: g(x - 1/2) < 0 < g(x + 1/2)
+        s_plus = roots(x, x - 0.5, x + 0.5)
         regime = np.full(x.shape, SINGLE)
     else:
         sigma, x0 = fold

@@ -360,12 +360,7 @@ def _run_asym(cfg, profile, written):
 
     summary = {
         "config": cfg.echo(),
-        "predictions": {
-            "T_star": pred.T_star,
-            "E_max_leading": pred.E_max_leading,
-            "K_drop_leading": pred.K_drop_leading,
-            "K_at_max_leading": pred.K_at_max_leading,
-        },
+        "predictions": dataclasses.asdict(pred),
         "bifurcation": {
             "t0": bif.t0,
             "a_pitchfork": bif.a_pitchfork,
@@ -406,19 +401,10 @@ def _run_sweep(cfg, profile, written):
               "n_evaluations")
     _emit(cfg.out_dir, "sweep.csv", csv_text(header, rows), written)
 
-    fits = {}
-    for name in ("T_star", "E_max", "K_drop"):
-        fit = result.fits[name]
-        fits[name] = {
-            "exponent": fit.exponent,
-            "log_prefactor": fit.log_prefactor,
-            "r_squared": fit.r_squared,
-            "k_list": list(fit.k_list),
-            "excluded": list(fit.excluded),
-        }
     summary = {
         "config": cfg.echo(),
-        "fits": fits,
+        "fits": {name: dataclasses.asdict(fit)
+                 for name, fit in result.fits.items()},
         "extrapolated_ratios": dict(sorted(report.extrapolated.items())),
         "provenance": {
             "sweep.csv:k,E0,K0,T_star,E_max,K_at_max,K_drop,n_evaluations":

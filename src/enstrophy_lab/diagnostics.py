@@ -86,8 +86,8 @@ def from_functionals(K, E, R=None) -> Diagnostics:
 
 def integral_bound_rhs(E0: float) -> float:
     """The time-global enstrophy envelope (E0^{1/3} + E0/(16 pi^2))^3."""
-    if E0 < 0:
-        raise ValueError("E0 must be nonnegative")
+    if not E0 >= 0:
+        raise ValueError(f"E0 must be nonnegative; got E0={E0}")
     return (E0 ** (1.0 / 3.0) + E0 / (16.0 * math.pi ** 2)) ** 3
 
 

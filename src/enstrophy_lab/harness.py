@@ -93,7 +93,7 @@ def _x_breakpoints(profile, a, k):
     w = 1.0 / (k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
     pts = [0.0, 0.5]
     s = w
-    while s < 1.0 / 16.0:
+    while 0.0 < s < 1.0 / 16.0:     # s = 0 when a overflows to inf
         pts.append(s)
         s *= 2.0
     pts.extend(np.linspace(0.0, 0.5, 17)[1:-1])
@@ -101,8 +101,16 @@ def _x_breakpoints(profile, a, k):
 
 
 def state_functionals(profile, k, t, with_rate=False):
-    """K, E (and R when with_rate) at time t by adaptive x-integration."""
-    if t <= 0:
+    """K, E (and R when with_rate) at time t by adaptive x-integration.
+
+    A k outside (0, inf) or a t outside [0, inf) raises ValueError naming
+    it, before any integral.
+    """
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"need finite k > 0, got k={k}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"need finite t >= 0, got t={t}")
+    if t == 0:
         K0 = diagnostics.initial_energy(profile, k)
         E0 = diagnostics.initial_enstrophy(profile, k)
         if not with_rate:
@@ -135,14 +143,16 @@ def state_functionals(profile, k, t, with_rate=False):
 
 
 def _enstrophy_of_t(profile, k):
-    """Counted per-t evaluator of the T* search: t -> (K, E, R)."""
-    counter = {"count": 0}
+    """The T* search's evaluator and its record: (R_of, trace), where
+    R_of(t) appends (t, K, E, R) to trace and returns R."""
+    trace = []
 
-    def KER_of(t):
-        counter["count"] += 1
-        return state_functionals(profile, k, t, with_rate=True)
+    def R_of(t):
+        K, E, R = state_functionals(profile, k, t, with_rate=True)
+        trace.append((t, K, E, R))
+        return R
 
-    return KER_of, counter
+    return R_of, trace
 
 
 def find_enstrophy_max(profile, k):
@@ -164,14 +174,7 @@ def find_enstrophy_max(profile, k):
     bd = asymptotics.bifurcation_data(profile, k)   # validates a* < |f'(0)|
     t_pred = asymptotics.predict(profile, k).T_star
     t_min, t_max = bd.t0 / 4.0, 8.0 * t_pred
-    KER_of, counter = _enstrophy_of_t(profile, k)
-    trace = []
-
-    def R_of(t):
-        K, E, R = KER_of(t)
-        trace.append((t, K, E, R))
-        return R
-
+    R_of, trace = _enstrophy_of_t(profile, k)
     t, R = t_pred, R_of(t_pred)
     up = R > 0                  # the maximum lies above t
     rho = R * t / trace[0][2]
@@ -190,15 +193,16 @@ def find_enstrophy_max(profile, k):
             break
         t, R, grow = t_next, R_next, GROW
 
-    t_star = rootfind.pegasus(R_of, t, t_next, R, R_next,
-                              T_REL_TOL * t_pred)
-    K_at, E_at, R_at = {t: ker for t, *ker in trace}[t_star]
+    # pegasus returns the last point it evaluated, so its (K, E, R) are
+    # the last ones traced
+    rootfind.pegasus(R_of, t, t_next, R, R_next, T_REL_TOL * t_pred)
+    t_star, K_at, E_at, R_at = trace[-1]
     K0 = diagnostics.initial_energy(profile, k)
     E0 = diagnostics.initial_enstrophy(profile, k)
     return MaxSearchResult(
         k=float(k), T_star_measured=float(t_star), E_max_measured=E_at,
         K_at_max=K_at, K_drop_measured=K0 - K_at,
-        n_evaluations=counter["count"],
+        n_evaluations=len(trace),
         E0=E0, K0=K0, R_at_max=R_at, search_trace=tuple(trace))
 
 

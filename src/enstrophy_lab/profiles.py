@@ -85,29 +85,21 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
         raise ProfileError("non-finite coefficient(s): " + ", ".join(
             f"a_{n + 1} = {a[n]}" for n in bad))
     wn = _TWO_PI * np.arange(1, len(a) + 1, dtype=float)
-    b_fp, b_fpp, b_F = a * wn, a * wn ** 2, a / wn
+    # the sine-series coefficients of f, f'' and cosine-series ones of f', F
+    b_f, b_fp, b_fpp, b_F = -a, -a * wn, a * wn ** 2, a / wn
     F0 = float(np.sum(b_F))
 
-    # With theta = 2 pi x and c = cos(theta), cos(n theta) = T_n(c) and
-    # sin(n theta) = sin(theta) U_{n-1}(c): one cos (and for f, f'' one
-    # sin) per point, then Clenshaw's recurrence over the coefficients
     def f(x):
-        theta = _TWO_PI * np.asarray(x, dtype=float)
-        return -np.sin(theta) * _clenshaw(np.cos(theta), a)[0]
+        return _sin_sum(x, b_f)
 
     def fp(x):
-        c = np.cos(_TWO_PI * np.asarray(x, dtype=float))
-        y1, y2 = _clenshaw(c, b_fp)
-        return y2 - c * y1
+        return _cos_sum(x, b_fp)
 
     def fpp(x):
-        theta = _TWO_PI * np.asarray(x, dtype=float)
-        return np.sin(theta) * _clenshaw(np.cos(theta), b_fpp)[0]
+        return _sin_sum(x, b_fpp)
 
     def F(x):
-        c = np.cos(_TWO_PI * np.asarray(x, dtype=float))
-        y1, y2 = _clenshaw(c, b_F)
-        return c * y1 - y2 - F0
+        return _cos_sum(x, b_F) - F0
 
     # cached ranges from dense samples; x_star, the interior zero of f' on
     # (0, 1/2), by bisection then one Newton polish (NaN when f' does not
@@ -118,13 +110,29 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
     x_star = (bracketed_root(fp, lo, hi, dg=fpp, iters=48, polish=1)
               if fp(lo) < 0 < fp(hi) else math.nan)
     prof = Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=x_star,
-                   f_prime_at_zero=float(-np.sum(b_fp)),
+                   f_prime_at_zero=float(np.sum(b_fp)),
                    f_prime_max=float(np.max(fp(grid))),
                    F_min=float(np.min(Fg)), F_max=float(np.max(Fg)),
                    label=label or f"sine-series[{len(a)}]")
     if validate:
         _raise_on_violation(prof)
     return prof
+
+
+# With theta = 2 pi x and c = cos(theta), cos(n theta) = T_n(c) and
+# sin(n theta) = sin(theta) U_{n-1}(c): one cos (and for the sine sum one
+# sin) per point, then Clenshaw's recurrence over the coefficients
+def _sin_sum(x, b):
+    """sum_n b_n sin(2 pi n x)."""
+    theta = _TWO_PI * np.asarray(x, dtype=float)
+    return np.sin(theta) * _clenshaw(np.cos(theta), b)[0]
+
+
+def _cos_sum(x, b):
+    """sum_n b_n cos(2 pi n x)."""
+    c = np.cos(_TWO_PI * np.asarray(x, dtype=float))
+    y1, y2 = _clenshaw(c, b)
+    return c * y1 - y2
 
 
 def _clenshaw(c, b):

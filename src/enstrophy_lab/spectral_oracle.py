@@ -49,37 +49,35 @@ class OracleError(RuntimeError):
     """The oracle solution stopped being trustworthy (blow-up, NaN)."""
 
 
+def _phi(z, ez):
+    """(Q, f1, f2, f3) / h of ETDRK4 at z = h L, with ez = e^z: the
+    closed forms of Kassam & Trefethen (2005)."""
+    z3 = z ** 3
+    return ((np.exp(z / 2) - 1.0) / z,
+            (-4.0 - z + ez * (4.0 - 3.0 * z + z ** 2)) / z3,
+            (2.0 + z + ez * (z - 2.0)) / z3,
+            (-4.0 - 3.0 * z - z ** 2 + ez * (4.0 - z)) / z3)
+
+
 def _etdrk4_coeffs(L, h, m=32):
-    """phi-function coefficients: the half-circle contour average for
-    |h L| < CONTOUR_LIMIT, the direct formulas (no cancellation there,
+    """phi-function coefficients: _phi averaged over a half-circle contour
+    for |h L| < CONTOUR_LIMIT, _phi at h L itself (no cancellation there,
     since h L <= -CONTOUR_LIMIT) elsewhere."""
     z = h * L
     E = np.exp(z)
-    E2 = np.exp(0.5 * z)
-    Q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
+    coeffs = np.empty((4,) + z.shape)
     near = np.abs(z) < CONTOUR_LIMIT
     far = ~near
 
     # circles of radius 1 + |z| keep every node at least 1 from the
-    # origin, where the closed forms below would cancel
+    # origin, where the closed forms would cancel
     zn = z[near, None]
     LR = zn + (1.0 - zn) * np.exp(1j * math.pi * (np.arange(m) + 0.5) / m)
-    eLR = np.exp(LR)
-    LR3 = LR ** 3
-    Q[near] = np.real(np.mean((np.exp(LR / 2) - 1.0) / LR, axis=1))
-    f1[near] = np.real(np.mean(
-        (-4.0 - LR + eLR * (4.0 - 3.0 * LR + LR ** 2)) / LR3, axis=1))
-    f2[near] = np.real(np.mean((2.0 + LR + eLR * (LR - 2.0)) / LR3, axis=1))
-    f3[near] = np.real(np.mean(
-        (-4.0 - 3.0 * LR - LR ** 2 + eLR * (4.0 - LR)) / LR3, axis=1))
-
-    zf, ef = z[far], E[far]
-    zf3 = zf ** 3
-    Q[far] = (E2[far] - 1.0) / zf
-    f1[far] = (-4.0 - zf + ef * (4.0 - 3.0 * zf + zf ** 2)) / zf3
-    f2[far] = (2.0 + zf + ef * (zf - 2.0)) / zf3
-    f3[far] = (-4.0 - 3.0 * zf - zf ** 2 + ef * (4.0 - zf)) / zf3
-    return E, E2, h * Q, h * f1, h * f2, h * f3
+    for c, phi in zip(coeffs, _phi(LR, np.exp(LR))):
+        c[near] = np.real(np.mean(phi, axis=1))
+    coeffs[:, far] = _phi(z[far], E[far])
+    Q, f1, f2, f3 = h * coeffs
+    return E, np.exp(0.5 * z), Q, f1, f2, f3
 
 
 class _Spectral:

@@ -43,6 +43,11 @@ def test_integral_bound_rhs_closed_form():
         diagnostics.integral_bound_rhs(-1.0)
 
 
+def test_integral_bound_rhs_rejects_nan():
+    with pytest.raises(ValueError, match="E0=nan"):
+        diagnostics.integral_bound_rhs(math.nan)
+
+
 def test_initial_functionals_sine(sine):
     k = 7.0
     assert abs(diagnostics.initial_energy(sine, k)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +31,31 @@ def test_unconverged_initial_rate_raises(sine):
         harness.state_functionals(bad, 5.0, 0.0, with_rate=True)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-3])
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_state_functionals_reject_k_outside_zero_to_inf(sine, monkeypatch,
+                                                         t, k):
+    # k = 0 divided by zero at t > 0, and k = -1 at t = 0 returned a
+    # positive K0 and E0; neither may reach an integral
+    monkeypatch.setattr(harness.quadrature, "integral", None)
+    monkeypatch.setattr(harness.quadrature, "adaptive_quad", None)
+    with pytest.raises(ValueError, match=f"k={k}"):
+        harness.state_functionals(sine, k, t, with_rate=True)
+
+
+@pytest.mark.parametrize("t", [-1e-3, -math.inf, math.nan, math.inf])
+def test_state_functionals_reject_t_outside_zero_to_inf(sine, t):
+    # t < 0 used to return (K0, E0) as if t were 0
+    with pytest.raises(ValueError, match=f"t={t}"):
+        harness.state_functionals(sine, 5.0, t)
+
+
+def test_state_functionals_overflowing_curvature_raises(sine):
+    # a = 1/(2kt) overflows to inf; the x-panel nest used to loop forever
+    with pytest.raises(ValueError, match="a=inf"):
+        harness.state_functionals(sine, 1e-10, 1e-300)
+
+
 def test_state_functionals_match_grid_diagnostics(sine):
     # dual route: adaptive x-quadrature against the 512-point grid state
     k, t = 5.0, 1e-3
@@ -47,10 +71,8 @@ def test_enstrophy_max_matches_oracle(sine, monkeypatch):
     k = 20.0
     r = harness.find_enstrophy_max(sine, k)
     monkeypatch.setattr(spectral_oracle, "N_MODES", 2048)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*CFL.*")
-        snap = spectral_oracle.integrate(sine, k, [r.T_star_measured],
-                                         snapshot_points=4096)[0]
+    snap = spectral_oracle.integrate(sine, k, [r.T_star_measured],
+                                     snapshot_points=4096)[0]
     d = diagnostics.compute(snap)
     assert abs(d.E - r.E_max_measured) < 1e-8 * r.E_max_measured
     assert abs(d.K - r.K_at_max) < 1e-8 * r.K_at_max
@@ -77,7 +99,7 @@ def test_tstar_search_evaluation_budget(request, spec, k, budget):
     assert len(trace) == r.n_evaluations
     assert trace[0][0] == asymptotics.predict(profile, k).T_star
     assert (r.T_star_measured, r.K_at_max, r.E_max_measured,
-            r.R_at_max) in trace
+            r.R_at_max) == trace[-1]
 
 
 def test_extrapolated_ratios(acceptance_sweep, sine):

@@ -87,13 +87,12 @@ def test_tail_warning_without_headroom(sine, monkeypatch):
 
 def test_auto_doubling_resolves(sine, monkeypatch):
     # same shock as above, but with headroom: doubling must quiet the tail
-    # monitor.  The CFL clamp is allowed to fire at the higher resolutions.
+    # monitor.
     monkeypatch.setattr(spectral_oracle, "N_MODES", 128)
     monkeypatch.setattr(spectral_oracle, "MAX_N_MODES", 4096)
     t = 1.0 / (480.0 * math.pi)
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message=".*tail.*")
-        warnings.filterwarnings("ignore", message=".*CFL.*")
         snaps = spectral_oracle.integrate(sine, 30.0, [t])
     assert len(snaps) == 1
 
