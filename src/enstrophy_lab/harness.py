@@ -195,8 +195,9 @@ def find_enstrophy_max(profile, k):
 
     # pegasus returns the last point it evaluated, so its (K, E, R) are
     # the last ones traced
-    rootfind.pegasus(R_of, t, t_next, R, R_next, T_REL_TOL * t_pred)
-    t_star, K_at, E_at, R_at = trace[-1]
+    t_star = rootfind.pegasus(R_of, t, t_next, R, R_next,
+                              T_REL_TOL * t_pred)
+    _, K_at, E_at, R_at = trace[-1]
     K0 = diagnostics.initial_energy(profile, k)
     E0 = diagnostics.initial_enstrophy(profile, k)
     return MaxSearchResult(

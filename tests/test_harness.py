@@ -98,6 +98,8 @@ def test_tstar_search_evaluation_budget(request, spec, k, budget):
     trace = r.search_trace
     assert len(trace) == r.n_evaluations
     assert trace[0][0] == asymptotics.predict(profile, k).T_star
+    # T* is what pegasus returns, K, E and R the last traced values: they
+    # belong together only while pegasus returns the last point it evaluated
     assert (r.T_star_measured, r.K_at_max, r.E_max_measured,
             r.R_at_max) == trace[-1]
 
