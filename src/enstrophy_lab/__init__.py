@@ -14,7 +14,7 @@ it from a config file or flags.
 
 from .profiles import (Profile, ProfileError, ProfileReport,
                        make_sine_profile, make_sine_series_profile,
-                       make_custom_profile, validate_profile)
+                       validate_profile)
 from .exact_solver import SolverConfig, StateSnapshot, eval_fields, snapshot
 from .asymptotics import (RootSet, BifurcationData, Predictions, BoundCheck,
                           ScaledIntegral,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Profile", "ProfileError", "ProfileReport", "make_sine_profile",
-    "make_sine_series_profile", "make_custom_profile", "validate_profile",
+    "make_sine_series_profile", "validate_profile",
     "SolverConfig", "StateSnapshot", "eval_fields", "snapshot",
     "RootSet", "BifurcationData", "Predictions", "BoundCheck",
     "ScaledIntegral",

@@ -34,10 +34,11 @@ from .rootfind import bisect, newton_polish
 # scan grid holds every multiple of 1/2 (see _stationary_points).
 SCAN_DENSITY = 128
 # Uniform panels across the y window, before the ladders at the minima.
-COARSE_PANELS = 16
+COARSE_PANELS = 4
 # Relative tolerance of each y-moment of a row.
 QUAD_TOL = 1e-10
-# Share of a row's tolerance that the mass outside its y-window may take.
+# Share of a row's tolerance that the mass outside its y-window and the
+# mass of the panels dropped as negligible may take together, half each.
 TAIL_SHARE = 1e-2
 
 
@@ -94,9 +95,10 @@ def _window_halfwidth(profile, a, k, n_moments, depth):
     whose phase minimum m lies D = m - F_min >= 0 above F_min.
 
     Outside |y - x| = L each moment integrand |y - x|^j w, w = exp(-k(phi -
-    m)), j = 0..n_moments, holds at most eps = TAIL_SHARE * QUAD_TOL *
-    FLOOR_FRAC times its integral over the window: less than TAIL_SHARE
-    of the row tolerance the quadrature works to.  With nu = (j + 1)/2 and
+    m)), j = 0..n_moments, holds at most eps = (TAIL_SHARE/2) * QUAD_TOL *
+    FLOOR_FRAC times its integral over the window: less than TAIL_SHARE/2
+    of the row tolerance the quadrature works to (the panels
+    `_phase_moments` drops take the other half).  With nu = (j + 1)/2 and
     beta = k a/2:
 
     * tail: phi >= F_min + (a/2)(y - x)^2, so the mass outside the window
@@ -117,7 +119,7 @@ def _window_halfwidth(profile, a, k, n_moments, depth):
     since c_nu >= log(2 c_nu) (c_nu > 20 here).  M is the largest over j.
     depth may be an array of D values; L has its shape.
     """
-    eps = TAIL_SHARE * QUAD_TOL * quadrature.FLOOR_FRAC
+    eps = 0.5 * TAIL_SHARE * QUAD_TOL * quadrature.FLOOR_FRAC
     log_ca = math.log1p(max(profile.f_prime_max, 0.0) / a)
     M = 0.0
     for j in range(n_moments + 1):
@@ -260,16 +262,71 @@ def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
     return prow[:-1][same], pts[:-1][same], pts[1:][same]
 
 
+def _panels_holding(prow, lo, hi, rows, roots):
+    """Mask of the disjoint panels (prow, lo, hi), in row order, that hold
+    a stationary point (rows, roots) of their own row strictly inside."""
+    n = len(prow)
+    order = np.lexsort((np.concatenate([lo, roots]),
+                        np.concatenate([prow, rows])))
+    is_root = order >= n
+    # the last panel at or below each root in (row, y) order; lexsort is
+    # stable, so a root equal to a panel's lo sorts after that panel
+    p = np.cumsum(~is_root)[is_root] - 1
+    r = order[is_root] - n
+    p, r = p[p >= 0], r[p >= 0]
+    inside = (prow[p] == rows[r]) & (lo[p] < roots[r]) & (roots[r] < hi[p])
+    held = np.zeros(n, dtype=bool)
+    held[p[inside]] = True
+    return held
+
+
 def _phase_moments(profile, x, a, k, n_moments=2):
     """Scaled moments r_0..r_n of exp(-k*phi) for a batch of x values.
 
-    The initial panels of all rows come from `_panel_skeleton`, and one
-    `quadrature.adaptive_batch` call refines them; its per-panel callback
-    writes r_0..r_n into one (n_moments+1, npanels, 15) array.  An empty
-    x batch gives empty results.  Returns (m, r) with m the per-row
-    extracted phase minimum and r of shape (nx, n_moments+1).  Raises
-    QuadratureError when a row has no stationary point (a NaN or infinite
-    x) or fails to converge, naming the offending (x, a, k).
+    The initial panels of all rows come from `_panel_skeleton`: the
+    COARSE_PANELS uniform panels across the scan radius, every stationary
+    point, and a ladder y* +- w 4^j, j = 0..n_lad, about each minimum y*,
+    with w = (kC + 1)^-1/2, C = a + max(f'_max, 0), the width of the
+    narrowest possible spike and w 4^n_lad at least the coarse spacing.
+    These few breakpoints suffice: they only have to put the
+    stationary points and the spike's scale at panel ends, and the accuracy
+    comes from `quadrature.adaptive_batch`, which only bisects, splitting
+    every panel over its share of the row tolerance until each moment
+    converges, so a leaner start costs rounds, not accuracy.  Against 16
+    coarse panels and a ladder of ratio 2, T*, E(T*) and K(T*) moved by at
+    most 6e-11 relative (sine k = 5 to 2560, [1, 0.1] k = 20 and 160),
+    and every pinned test held.  The callback of `adaptive_batch` writes
+    r_0..r_n into one (n_moments+1, npanels, 15) array.
+
+    Panels whose moments are provably negligible are dropped before the
+    first evaluation.  On a panel [lo, hi] of row i with no stationary
+    point of the row inside, phi is monotone, so with d = max(|lo - x_i|,
+    |hi - x_i|), h = hi - lo and Delta = min(phi(lo), phi(hi)) - m_i each
+    moment integrand |y - x_i|^j exp(-k(phi - m_i)) holds at most d^j h
+    e^{-k Delta} there.  The panels tile the row's window, of length
+    2 L_i, so dropping each panel with
+
+        k Delta >= log(2 L_i) + max_j (j log d - log tau_j)
+
+    drops at most tau_j of moment j in all.  With nu = (j + 1)/2, take
+    tau_j = (TAIL_SHARE/2) QUAD_TOL FLOOR_FRAC (1/2) Gamma(nu) (kC/2)^-nu:
+    the window holds at least (1/2) Gamma(nu) (kC/2)^-nu of each moment's
+    integral of |.| (see `_window_halfwidth`), and the kept panels hold
+    all of it but a share below 1e-15, so the dropped mass stays below
+    TAIL_SHARE/2 of the row tolerance QUAD_TOL max(|r_j|, FLOOR_FRAC
+    integral of |.|), and with the window's tail below TAIL_SHARE.  The
+    end phases are those of the skeleton points.  The gap merge of
+    `_panel_skeleton` can drop a stationary point (each point within gap
+    of its sorted predecessor goes, and a chain of such points can leave
+    it more than gap from the kept end), so a panel holding one inside is
+    always kept.  The check for a phase below m runs on the kept panels
+    only; it guards against a minimum the scan missed, which
+    `_stationary_points` rules out.
+
+    An empty x batch gives empty results.  Returns (m, r) with m the
+    per-row extracted phase minimum and r of shape (nx, n_moments+1).
+    Raises QuadratureError when a row has no stationary point (a NaN or
+    infinite x) or fails to converge, naming the offending (x, a, k).
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -302,10 +359,11 @@ def _phase_moments(profile, x, a, k, n_moments=2):
                           np.maximum(m - profile.F_min, 0.0))
 
     # spike width of the narrowest possible minimum; nesting ladder
-    w = 1.0 / math.sqrt(k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
+    C = a + max(profile.f_prime_max, 0.0)
+    w = 1.0 / math.sqrt(k * C + 1.0)
     h_coarse = 2 * R / COARSE_PANELS
-    n_lad = max(1, int(math.ceil(math.log2(max(h_coarse / w, 2.0)))))
-    ladder = w * 2.0 ** np.arange(n_lad + 1)
+    n_lad = max(1, math.ceil(0.5 * math.log2(max(h_coarse / w, 4.0))))
+    ladder = w * 4.0 ** np.arange(n_lad + 1)
     ladder = np.concatenate([-ladder[::-1], ladder])
     coarse = np.linspace(-R, R, COARSE_PANELS + 1)
 
@@ -313,14 +371,35 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, is_min,
                                       ladder, gap)
 
-    def integrand(prow, ys):
-        # per panel: x and m are gathered once and broadcast over the nodes
+    def neg_excess(prow, ys):
+        # (y - x, -k (phi - m)) at the points ys of the panels prow: x and
+        # m are gathered once per panel and broadcast over its points
         d = ys - x[prow][:, None]
         arg = d * (0.5 * a)
         arg *= d
         arg += profile.F(ys)
         arg -= m[prow][:, None]
         arg *= -k
+        return d, arg
+
+    # drop the panels the bound above proves negligible
+    xp = x[prow]
+    log_d = np.log(np.maximum(xp - plo, phi_ - xp))
+    bar = np.full(len(prow), -np.inf)
+    for j in range(n_moments + 1):
+        nu = 0.5 * (j + 1)
+        log_tau = (math.log(0.25 * TAIL_SHARE * QUAD_TOL
+                            * quadrature.FLOOR_FRAC)
+                   + math.lgamma(nu) - nu * math.log(0.5 * k * C))
+        bar = np.maximum(bar, j * log_d - log_tau)
+    _, arg = neg_excess(prow, np.column_stack([plo, phi_]))
+    drop = -np.maximum(arg[:, 0], arg[:, 1]) >= bar + np.log(2.0 * L[prow])
+    drop[drop] = ~_panels_holding(prow[drop], plo[drop], phi_[drop], rows,
+                                  roots)
+    prow, plo, phi_ = prow[~drop], plo[~drop], phi_[~drop]
+
+    def integrand(prow, ys):
+        d, arg = neg_excess(prow, ys)
         if arg.size and arg.max() > 45.0:
             worst = np.argmax(arg)
             bad = prow[worst // 15]

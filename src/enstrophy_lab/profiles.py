@@ -13,10 +13,9 @@ Profiles carry closures for f, f', f'' and the antiderivative
 F(x) = int_0^x f, plus a few cached ranges the solver uses to size its
 integration window.  Every profile is a sine series with exact closures,
 built by make_sine_series_profile: the reference sine is the one-term
-series, and a custom f, callable or sampled, becomes the series fitted
-to its samples (make_custom_profile).  The exact solver evaluates these
-closures only at finite points: a non-finite x, a or k raises there
-(QuadratureError or ValueError) instead of returning NaN.
+series.  The exact solver evaluates these closures only at finite
+points: a non-finite x, a or k raises there (QuadratureError or
+ValueError) instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from .rootfind import bracketed_root
 
 _TWO_PI = 2.0 * math.pi
-# Uniform grid points for fitting a callable f and for validate_profile.
+# Uniform grid points of validate_profile.
 FIT_GRID = 4096
 
 
@@ -125,70 +124,36 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
 def _sin_sum(x, b):
     """sum_n b_n sin(2 pi n x)."""
     theta = _TWO_PI * np.asarray(x, dtype=float)
-    return np.sin(theta) * _clenshaw(np.cos(theta), b)[0]
+    return np.sin(theta) * _clenshaw(lambda: np.cos(theta), b)[0]
 
 
 def _cos_sum(x, b):
     """sum_n b_n cos(2 pi n x)."""
     c = np.cos(_TWO_PI * np.asarray(x, dtype=float))
-    y1, y2 = _clenshaw(c, b)
-    return c * y1 - y2
+    y1, y2 = _clenshaw(lambda: c, b)
+    out = c * y1
+    if len(b) > 1:      # y_2 = 0 for one term
+        out -= y2
+    return out
 
 
-def _clenshaw(c, b):
+def _clenshaw(cos, b):
     """(y_1, y_2) of Clenshaw's recurrence y_n = b_n + 2c y_{n+1} - y_{n+2},
     run from n = N down to 1 with y_{N+1} = y_{N+2} = 0, for the
     coefficients b = (b_1..b_N).  Then sum b_n T_n(c) = c y_1 - y_2 and
     sum b_n U_{n-1}(c) = y_1.  The recurrence starts from the scalars
-    y_N = b_N and y_{N+1} = 0, so for N = 1 both outputs are scalars."""
+    y_N = b_N and y_{N+1} = 0 and takes no step for N = 1, so both outputs
+    are then scalars, and c = cos() is read (and 2c formed) only when
+    N > 1."""
     y1, y2 = b[-1], 0.0
-    two_c = 2.0 * c
-    for bn in b[-2::-1]:
-        y = two_c * y1
-        y -= y2
-        y += bn
-        y1, y2 = y, y1
+    if len(b) > 1:
+        two_c = 2.0 * cos()
+        for bn in b[-2::-1]:
+            y = two_c * y1
+            y -= y2
+            y += bn
+            y1, y2 = y, y1
     return y1, y2
-
-
-def make_custom_profile(source, validate=True, label="custom") -> Profile:
-    """Build a profile from a callable f or from samples of f.
-
-    A callable `source` is sampled on the FIT_GRID-point grid x_j = j/n -
-    1/2; any other `source` is an array of samples of f on that grid for
-    its own n (even, at least 16).  Either way f, f', f'' and F are those
-    of the sine series fitted to the samples, and the admissibility
-    invariants are enforced unless validate=False.  For sine coefficients
-    use make_sine_series_profile.
-    """
-    if callable(source):
-        source = source(np.arange(FIT_GRID) / FIT_GRID - 0.5)
-    s = np.asarray(source, dtype=float)
-    if s.ndim != 1 or len(s) < 16 or len(s) % 2:
-        raise ProfileError("samples must be a 1-d array of even length >= 16")
-    return make_sine_series_profile(_series_from_samples(s),
-                                    validate=validate, label=label)
-
-
-def _series_from_samples(s):
-    """Sine coefficients of odd periodic samples on x_j = j/n - 1/2.
-
-    The half-period shift flips the sign of the odd harmonics, hence the
-    (-1)^m factor.  The cosine/mean content must vanish for odd data; it is
-    checked rather than silently discarded.
-    """
-    n = len(s)
-    spec = np.fft.rfft(s)
-    scale = np.max(np.abs(s)) + 1e-300
-    even_part = np.max(np.abs(spec.real)) / (n * scale)
-    if even_part > 1e-8:
-        raise ProfileError(f"samples are not odd (even residual {even_part:.2e})")
-    m = np.arange(len(spec))
-    b = -2.0 * spec.imag / n * (-1.0) ** m   # f = sum b_m sin(2 pi m x)
-    a = -b[1:]                               # our convention: f = -sum a_m sin
-    keep = np.max(np.abs(a)) * 1e-13
-    last = int(np.max(np.nonzero(np.abs(a) > keep)[0])) + 1 if np.any(np.abs(a) > keep) else 1
-    return a[:last]
 
 
 # ----------------------------------------------------------------------

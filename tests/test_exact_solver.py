@@ -11,8 +11,8 @@ from enstrophy_lab.quadrature import QuadratureError
 
 
 def _flat_profile():
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return profiles.make_custom_profile(zero, validate=False, label="flat")
+    return profiles.make_sine_series_profile([0.0], validate=False,
+                                             label="flat")
 
 
 def _log_I(profile, x, a, k):
@@ -509,3 +509,118 @@ def test_rows_whole_periods_apart_share_one_scan(sine):
 def test_snapshot_rejects_k_outside_zero_to_inf(sine, t, k):
     with pytest.raises(ValueError, match=f"k={k}"):
         exact_solver.snapshot(sine, t, k)
+
+
+def test_panels_holding_finds_roots_the_gap_merge_dropped():
+    """The gap merge compares each point with its sorted predecessor,
+    kept or not, so a chain of close points can drop a stationary point
+    more than gap from the kept panel end: here the minimum at 0.2 + 1.8
+    gap.  `_panels_holding` marks each panel holding a root strictly
+    inside, and no panel whose end is the root."""
+    L, gap = 0.5, 2.0 ** -10
+    coarse = np.linspace(-L, L, 5)
+    ladder = np.array([-0.05, -0.01, 0.01, 0.05])
+    x = np.array([0.0, 0.3])
+    rows = np.array([0, 0, 0, 1, 1], dtype=np.intp)
+    roots = np.array([0.2, 0.2 + 0.9 * gap, 0.2 + 1.8 * gap,
+                      0.3 + 0.125,   # on row 1's coarse node
+                      0.95])         # beyond row 1's window: clipped
+    is_min = np.array([True, False, True, True, False])
+    prow, lo, hi = _assert_same_skeleton(x, L, coarse, rows, roots, is_min,
+                                         ladder, gap)
+    kept = np.concatenate([lo, hi])
+    assert np.min(np.abs(kept - roots[2])) > gap
+    held = exact_solver._panels_holding(prow, lo, hi, rows, roots)
+    want = (prow == 0) & (lo == 0.2)
+    assert want.sum() == 1 and np.array_equal(held, want)
+    assert not exact_solver._panels_holding(
+        np.empty(0, np.intp), np.empty(0), np.empty(0), rows, roots).size
+
+
+def test_panel_holding_a_dropped_minimum_is_kept(sine, monkeypatch):
+    """With every skeleton point within 10 w of each minimum merged away,
+    the panel holding the minimum has ends at least 16 w from it, where
+    k (phi - m) >= 128: its end phases alone would prove it negligible.
+    It is kept because it holds a stationary point, and the fields come
+    out as without the merge."""
+    x, a, k = np.array([-0.3, 0.05, 0.2, 0.4]), 10.0, 160.0
+    want = exact_solver.eval_fields(sine, x, a, k)
+    w = 1.0 / math.sqrt(k * (a + sine.f_prime_max) + 1.0)
+    skeleton = exact_solver._panel_skeleton
+
+    def merge_minima_away(x, L, coarse, rows, roots, is_min, ladder, gap):
+        prow, lo, hi = skeleton(x, L, coarse, rows, roots, is_min, ladder,
+                                gap)
+        out = [], [], []
+        for i in range(len(x)):
+            pts = np.union1d(lo[prow == i], hi[prow == i])
+            mins = roots[(rows == i) & is_min]
+            far = np.abs(pts[:, None] - mins[None, :]).min(axis=1) >= 10 * w
+            pts = pts[far]
+            for part, v in zip(out, (np.full(len(pts) - 1, i), pts[:-1],
+                                     pts[1:])):
+                part.append(v)
+        return tuple(np.concatenate(p) for p in out)
+
+    monkeypatch.setattr(exact_solver, "_panel_skeleton", merge_minima_away)
+    got = exact_solver.eval_fields(sine, x, a, k)
+    for g, v in zip(got, want):
+        assert np.allclose(g, v, rtol=1e-8, atol=1e-8 * np.max(np.abs(v)))
+
+
+def _mp_moments(coeffs, x, a, k, m, pts):
+    """(r, A): r_j = integral of (y - x)^j exp(-k(phi - m)) and A_j of its
+    |.|, j = 0..3, by mpmath.quad at 30 digits on phi written from the
+    series coefficients, over [pts[0], pts[-1]] split at every point."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        terms = [(mp.mpf(c), 2 * n * mp.pi) for n, c in enumerate(coeffs, 1)]
+        xm, am, km, mm = (mp.mpf(v) for v in (x, a, k, m))
+
+        weights = {}    # the four moments' quads share their nodes
+
+        def weight(y):
+            if y not in weights:
+                F = sum(c / wn * (mp.cos(wn * y) - 1) for c, wn in terms)
+                weights[y] = mp.exp(-km * (F + am / 2 * (y - xm) ** 2 - mm))
+            return weights[y]
+
+        pts = [mp.mpf(p) for p in pts]
+        r, A = [mp.mpf(0)] * 4, [mp.mpf(0)] * 4
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            for j in range(4):
+                v = mp.quad(lambda y: (y - xm) ** j * weight(y), [lo, hi])
+                r[j] += v
+                A[j] += abs(v)
+        return np.array([float(v) for v in r]), np.array([float(v)
+                                                           for v in A])
+
+
+@pytest.mark.parametrize("which, k, xs", [
+    ("sine", 2560.0, (0.0005, 0.01, 0.45)),
+    ("two_term", 160.0, (0.003, 0.4))])
+def test_moments_match_mpmath_on_the_lean_skeleton(which, k, xs, request):
+    """r_0..r_3 from `_phase_moments` near T* against mpmath.quad at 30
+    digits, split at x, at the stationary points of a dense brentq scan
+    and 2 and 8 spike widths w either side of each: 1e-9 relative on r_0 and r_2, and 1e-9 of max(|r_j|, FLOOR_FRAC
+    A_j), the floor the quadrature's tolerance uses, on r_1 and r_3."""
+    pytest.importorskip("mpmath")
+    profile = request.getfixturevalue(which)
+    t = asymptotics.predict(profile, k).T_star
+    a, x = 1.0 / (2.0 * k * t), np.array(xs)
+    m, r = exact_solver._phase_moments(profile, x, a, k, n_moments=3)
+    w = 1.0 / math.sqrt(k * (a + profile.f_prime_max))
+    for i, xi in enumerate(x):
+        # beyond W, k (phi - m) >= k (a/2 W^2 - (m - F_min)) = 80
+        W = math.sqrt(2.0 * (80.0 / k + m[i] - profile.F_min) / a)
+        pts = {xi - W, xi, xi + W}
+        for s in _dense_brentq_roots(profile, xi, a, W, per_unit=2 ** 14):
+            pts.update(s + d * w for d in (-8, -2, 0, 2, 8))
+        ref, A = _mp_moments(SERIES[which], xi, a, k, m[i],
+                             sorted(p for p in pts if abs(p - xi) <= W))
+        for j in (0, 2):
+            assert abs(r[i, j] / ref[j] - 1.0) <= 1e-9, (xi, j)
+        for j in (1, 3):
+            bar = max(abs(ref[j]), quadrature.FLOOR_FRAC * A[j])
+            assert abs(r[i, j] - ref[j]) <= 1e-9 * bar, (xi, j)

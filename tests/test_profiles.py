@@ -81,54 +81,6 @@ def test_convexity_violation_is_caught():
         profiles.make_sine_series_profile([1.0, 0.25])
 
 
-def test_samples_round_trip():
-    coeffs = [1.0, 0.1, 0.02]
-    ref = profiles.make_sine_series_profile(coeffs)
-    n = 64
-    xs = np.arange(n) / n - 0.5
-    p = profiles.make_custom_profile(ref.f(xs))
-    xq = np.linspace(-0.5, 0.5, 257)
-    assert np.max(np.abs(p.f(xq) - ref.f(xq))) < 1e-12
-    assert np.max(np.abs(p.f_prime(xq) - ref.f_prime(xq))) < 1e-10
-
-
-def test_even_samples_rejected():
-    n = 64
-    xs = np.arange(n) / n - 0.5
-    with pytest.raises(profiles.ProfileError):
-        profiles.make_custom_profile(np.cos(2.0 * np.pi * xs))
-
-
-def test_callable_source_with_closures():
-    f = lambda x: -2.0 * np.pi * np.sin(2.0 * np.pi * np.asarray(x))
-    p = profiles.make_custom_profile(f, label="callable-sine")
-    ref = profiles.make_sine_profile()
-    xq = np.linspace(-0.5, 0.5, 129)
-    assert np.max(np.abs(p.f(xq) - ref.f(xq))) < 1e-12
-    assert abs(p.x_star - 0.25) < 1e-10
-    assert p.label == "callable-sine"
-
-
-def test_empty_input_rejected():
-    with pytest.raises(profiles.ProfileError):
-        profiles.make_custom_profile([])
-
-
-def test_callable_is_fitted_like_its_samples():
-    # a callable f is sampled on the FIT_GRID grid and fitted like samples:
-    # the stored closures are the fit's, not f
-    f = lambda x: -(np.sin(2.0 * np.pi * np.asarray(x))
-                    + 0.1 * np.sin(4.0 * np.pi * np.asarray(x)))
-    xs = np.arange(profiles.FIT_GRID) / profiles.FIT_GRID - 0.5
-    p = profiles.make_custom_profile(f)
-    q = profiles.make_custom_profile(f(xs))
-    xq = np.linspace(-0.5, 0.5, 257)
-    for name in ("f", "f_prime", "f_double_prime", "F"):
-        assert np.array_equal(getattr(p, name)(xq), getattr(q, name)(xq)), \
-            name
-    assert p.x_star == q.x_star and p.F_min == q.F_min
-
-
 def test_sine_is_the_one_term_series_bit_for_bit():
     # make_sine_profile builds the one-term series [2 pi]; its closures
     # and cached constants equal the closed forms exactly
