@@ -179,7 +179,9 @@ def _stationary_points(profile, x, a, L):
     j1 = math.ceil((xr.max() + L) * SCAN_DENSITY)
     ys = np.arange(j0, j1 + 1) / SCAN_DENSITY
     gp = dG(ys)
-    turn = np.nonzero(gp[:-1] * gp[1:] < 0)[0]
+    # signs, not values: at a near the float limit the product overflows
+    sg = np.sign(gp)
+    turn = np.nonzero(sg[:-1] * sg[1:] < 0)[0]
     is_turn = np.zeros(len(ys) + turn.size, dtype=bool)
     if turn.size:
         lo, hi = ys[turn], ys[turn + 1]
@@ -223,7 +225,7 @@ def _stationary_points(profile, x, a, L):
     if deep.any():
         roots[deep] = polish(xr[pos[deep]], lo[deep], hi[deep], 24)[1]
     glo, ghi = g(lo), g(hi)
-    at_end = glo * ghi >= 0
+    at_end = np.sign(glo) * np.sign(ghi) >= 0
     roots = np.where(at_end, np.where(np.abs(glo) <= np.abs(ghi), lo, hi),
                      roots)
     keep = np.abs(roots - xr[pos]) <= L
@@ -326,7 +328,9 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     An empty x batch gives empty results.  Returns (m, r) with m the
     per-row extracted phase minimum and r of shape (nx, n_moments+1).
     Raises QuadratureError when a row has no stationary point (a NaN or
-    infinite x) or fails to converge, naming the offending (x, a, k).
+    infinite x), fails to converge, or ends with r_0 <= 0 (at a so large
+    that the y-window is narrower than the float spacing at x), naming the
+    offending (x, a, k).
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -414,13 +418,21 @@ def _phase_moments(profile, x, a, k, n_moments=2):
 
     res = quadrature.adaptive_batch(integrand, prow, plo, phi_, n_rows=nx,
                                     epsrel=QUAD_TOL)
-    if not res.converged.all():
-        bad = np.nonzero(~res.converged)[0][:8]
+
+    def fail(what, rows):
+        bad = np.nonzero(rows)[0]
         triples = ", ".join(f"(x={x[i]:.6g}, a={a:.6g}, k={k:.6g})"
-                            for i in bad)
-        raise QuadratureError(
-            f"phase integral did not converge at {triples}"
-            + (" ..." if (~res.converged).sum() > 8 else ""))
+                            for i in bad[:8])
+        raise QuadratureError(f"{what} at {triples}"
+                              + (" ..." if len(bad) > 8 else ""))
+
+    if not res.converged.all():
+        fail("phase integral did not converge", ~res.converged)
+    if not np.all(res.value[:, 0] > 0):
+        # every panel of the row has zero width once its window is
+        # narrower than the float spacing at x
+        fail("phase integral r0 is not positive (y-window below the float "
+             "spacing)", ~(res.value[:, 0] > 0))
     return m, res.value
 
 

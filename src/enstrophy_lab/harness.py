@@ -11,7 +11,8 @@ from + to -: the search opens at the Laplace prediction T*_pred, sizes its
 first step from rho = R t / E = d ln E / d ln t there (about -c ln(t/T*)
 near the maximum, so a step of |rho| / C in ln t with C below every c
 steps past T*), steps on by GROW until R changes sign, and polishes the
-root by Pegasus regula falsi; every (t, K, E, R) it evaluates is kept on
+root by safeguarded Hermite steps (`rootfind.hermite`), which fit R and
+its antiderivative E together; every (t, K, E, R) it evaluates is kept on
 the result.  The k-sweep runs each k in a thread pool (size from
 ENSTROPHY_LAB_THREADS, results merged in k order so the output is
 scheduling-independent) and fits log-log scaling exponents of T*, E_max
@@ -143,16 +144,16 @@ def state_functionals(profile, k, t, with_rate=False):
 
 
 def _enstrophy_of_t(profile, k):
-    """The T* search's evaluator and its record: (R_of, trace), where
-    R_of(t) appends (t, K, E, R) to trace and returns R."""
+    """The T* search's evaluator and its record: (RE_of, trace), where
+    RE_of(t) appends (t, K, E, R) to trace and returns (R, E)."""
     trace = []
 
-    def R_of(t):
+    def RE_of(t):
         K, E, R = state_functionals(profile, k, t, with_rate=True)
         trace.append((t, K, E, R))
-        return R
+        return R, E
 
-    return R_of, trace
+    return RE_of, trace
 
 
 def find_enstrophy_max(profile, k):
@@ -164,20 +165,23 @@ def find_enstrophy_max(profile, k):
     is |ln(t1 / T*_pred)| = min(ln GROW, max(|rho| / C, 100 T_REL_TOL))
     with rho = R t / E at T*_pred, which overshoots T* when the curvature
     of ln E against ln t exceeds C, and every later step is GROW.
-    Pegasus regula falsi then polishes the root between the last two points.
-    K, E and R are those of the final iterate, and `search_trace` holds every
-    (t, K, E, R) in evaluation order.  No sign change in that range raises
-    with the (t, R) table, and a k outside (0, inf) raises ValueError.
+    `rootfind.hermite` then polishes the root between the last two points,
+    each step going to the root of the quadratic that matches R at two
+    evaluated points and whose integral between them is the rise of E.
+    K, E and R are those of the final iterate, `search_trace` holds every
+    (t, K, E, R) in evaluation order and `n_evaluations` is its length.
+    No sign change in that range raises with the (t, R) table, and a k
+    outside (0, inf) raises ValueError.
     """
     if not 0.0 < k < np.inf:
         raise ValueError(f"k must be positive and finite; got k={k}")
     bd = asymptotics.bifurcation_data(profile, k)   # validates a* < |f'(0)|
     t_pred = asymptotics.predict(profile, k).T_star
     t_min, t_max = bd.t0 / 4.0, 8.0 * t_pred
-    R_of, trace = _enstrophy_of_t(profile, k)
-    t, R = t_pred, R_of(t_pred)
+    RE_of, trace = _enstrophy_of_t(profile, k)
+    t, (R, E) = t_pred, RE_of(t_pred)
     up = R > 0                  # the maximum lies above t
-    rho = R * t / trace[0][2]
+    rho = R * t / E
     grow = min(GROW, math.exp(max(abs(rho) / C, 100.0 * T_REL_TOL)))
     while True:
         t_next = min(t * grow, t_max) if up else max(t / grow, t_min)
@@ -188,14 +192,14 @@ def find_enstrophy_max(profile, k):
                 f"R = dE/dt has no sign change from + to - in "
                 f"[{t_min:.6e}, {t_max:.6e}] for k={k}; (t, R) table:\n"
                 f"{table}")
-        R_next = R_of(t_next)
+        R_next, E_next = RE_of(t_next)
         if (R_next < 0) if up else (R_next > 0):
             break
-        t, R, grow = t_next, R_next, GROW
+        t, R, E, grow = t_next, R_next, E_next, GROW
 
-    # pegasus returns the last point it evaluated, so its (K, E, R) are
+    # hermite returns the last point it evaluated, so its (K, E, R) are
     # the last ones traced
-    t_star = rootfind.pegasus(R_of, t, t_next, R, R_next,
+    t_star = rootfind.hermite(RE_of, t, t_next, (R, E), (R_next, E_next),
                               T_REL_TOL * t_pred)
     _, K_at, E_at, R_at = trace[-1]
     K0 = diagnostics.initial_energy(profile, k)

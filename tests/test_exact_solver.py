@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_non_finite_input_raises_naming_the_value(sine, x, a, k, named):
     with np.errstate(invalid="ignore"), \
             pytest.raises((QuadratureError, ValueError), match=named):
         exact_solver.eval_fields(sine, [0.1, x], a, k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [1e36, 1e300])
+def test_window_below_float_spacing_raises_naming_the_row(sine, a):
+    # once the y-window is narrower than the float spacing at x = 0.2,
+    # every panel of that row has zero width and r0 = 0: the fields came
+    # back NaN (or -0) with only a RuntimeWarning, and at a = 1e300 the
+    # scan's products overflowed and u_x raised a bare OverflowError
+    named = re.escape(f"(x=0.2, a={a:.6g}, k=1)")
+    with pytest.raises(QuadratureError, match=r"r0 is not positive.*"
+                       + named):
+        exact_solver.eval_fields(sine, [0.1, 0.2], a, 1.0)
 
 
 def test_pitchfork_row_whose_minima_the_scan_misses(sine):

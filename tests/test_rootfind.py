@@ -3,9 +3,10 @@
 import math
 
 import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
-from enstrophy_lab.rootfind import (bisect, bracketed_root, newton_polish,
-                                   pegasus)
+from enstrophy_lab.rootfind import (_quadratic_root, bisect, bracketed_root,
+                                   hermite, newton_polish)
 
 
 def test_bracketed_root_cosine():
@@ -20,6 +21,13 @@ def test_bisect_vectorized_shifted_roots():
     assert np.max(np.abs(r - shifts)) < 1e-12
 
 
+def test_bisect_survives_values_whose_product_overflows():
+    # g = 1e200 (y - 0.3): g(lo) g(mid) overflows, which used to raise
+    # under -W error::RuntimeWarning
+    r = bisect(lambda y: 1e200 * (y - 0.3), np.zeros(1), np.ones(1))
+    assert abs(r[0] - 0.3) < 1e-15
+
+
 def test_newton_polish_stays_in_bracket():
     # start far off; polish must clamp to [lo, hi] and still improve
     g = lambda y: y ** 3 - 2.0
@@ -29,106 +37,164 @@ def test_newton_polish_stays_in_bracket():
     assert 1.0 <= x[0] <= 2.0
 
 
-def test_illinois_superlinear_on_skewed_root():
+def _solve(g, G, x0, x1, xtol, solve=hermite):
+    """solve's root of g from x0 and x1, with every point evaluated."""
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return g(y), G(y)
+
+    return solve(f, x0, x1, f(x0), f(x1), xtol), calls
+
+
+def _skewed(y):
+    return y ** 5 - 0.5
+
+
+def _skewed_G(y):
+    return y ** 6 / 6.0 - 0.5 * y
+
+
+def _noisy(y):
+    return math.expm1(5.0 * (y - 0.3)) + 1e-12 * math.sin(1e9 * y * y + 3.0)
+
+
+def _noisy_G(y):
+    # the smooth part's antiderivative: the noise term's is below 1e-20
+    return math.expm1(5.0 * (y - 0.3)) / 5.0 - (y - 0.3)
+
+
+def test_hermite_superlinear_on_skewed_root():
     # plain regula falsi keeps one end fixed on a convex g like this one and
-    # never closes the bracket; Pegasus must move both ends
-    calls = []
-
-    def g(y):
-        calls.append(y)
-        return y ** 5 - 0.5
-
-    root = 0.5 ** 0.2
-    r = pegasus(g, 1.5, 0.0, g(1.5), g(0.0), 1e-14)
-    assert abs(r - root) < 1e-13
-    assert len(calls) <= 2 + 20
+    # never closes the bracket; Pegasus needed 22 calls here
+    r, calls = _solve(_skewed, _skewed_G, 1.5, 0.0, 1e-14)
+    assert abs(r - 0.5 ** 0.2) < 1e-13
+    assert len(calls) <= 2 + 6
 
 
-def test_illinois_stops_on_a_step_below_xtol():
-    # g carries a deterministic noise floor of 1e-12; once a secant step
-    # moves by at most xtol the search returns that point.  (From this end
-    # Pegasus needs 9 calls with or without the step test; the reversed
-    # bracket below is the case the step test shortens.)
-    calls = []
+def test_hermite_exact_in_one_step_on_a_quadratic_g():
+    # from the bracket ends the fitted quadratic is g itself, so the first
+    # step lands on the root and the one after it is below xtol
+    r, calls = _solve(lambda y: (y - 0.3) * (y + 0.7),
+                      lambda y: y ** 3 / 3.0 + 0.2 * y * y - 0.21 * y,
+                      0.0, 1.0, 1e-12)
+    assert abs(r - 0.3) < 1e-15
+    assert len(calls) == 2 + 1
 
-    def g(y):
-        calls.append(y)
-        return math.expm1(5.0 * (y - 0.3)) + 1e-12 * math.sin(1e9 * y * y
-                                                              + 3.0)
 
+def test_hermite_stops_on_a_step_below_xtol():
+    # g carries a deterministic noise floor of 1e-12; once a step moves by
+    # at most xtol the search returns the last point evaluated
     xtol = 1e-9
-    r = pegasus(g, 0.25, 0.45, g(0.25), g(0.45), xtol)
-    assert abs(r - 0.3) <= xtol
-    assert r == calls[-1]               # the last point evaluated
-    assert len(calls) <= 10
-
-
-def test_pegasus_stops_on_a_step_below_xtol_from_the_far_end():
-    # the noise floor of the test above, bracketed from 0.45: without the
-    # step test the last four calls re-evaluate points within 1e-13 of the
-    # root while the far end stays put, 12 calls in all
-    calls = []
-
-    def g(y):
-        calls.append(y)
-        return math.expm1(5.0 * (y - 0.3)) + 1e-12 * math.sin(1e9 * y * y
-                                                              + 3.0)
-
-    xtol = 1e-9
-    r = pegasus(g, 0.45, 0.25, g(0.45), g(0.25), xtol)
+    r, calls = _solve(_noisy, _noisy_G, 0.25, 0.45, xtol)
     assert abs(r - 0.3) <= xtol
     assert r == calls[-1]
     assert len(calls) <= 10
 
 
-def test_pegasus_beats_illinois_on_a_steep_exponential():
-    # exp(-30 y) - 0.05 is flat over most of [0, 1]; Illinois' halving of
-    # the stored g needs 17 calls here, Pegasus' g1 / (g1 + gx) factor 15
-    calls = []
+def test_hermite_stops_on_a_step_below_xtol_from_the_far_end():
+    # the noise floor of the test above, bracketed from 0.45
+    xtol = 1e-9
+    r, calls = _solve(_noisy, _noisy_G, 0.45, 0.25, xtol)
+    assert abs(r - 0.3) <= xtol
+    assert r == calls[-1]
+    assert len(calls) <= 10
 
-    def g(y):
-        calls.append(y)
-        return math.exp(-30.0 * y) - 0.05
 
+def test_hermite_at_a_noise_floor_in_both_g_and_G():
+    # G carries its own noise of 1e-12, ten times its round-off bar
+    # G_REL_NOISE |G| near the root, so the fitted curvature is noise
+    # once the points close in; the bracket still closes on the root
+    xtol = 1e-9
+
+    def G(y):
+        return _noisy_G(y) + 1e-12 * math.cos(7e8 * y + 1.0)
+
+    for x0, x1 in ((0.25, 0.45), (0.45, 0.25), (0.0, 1.0)):
+        r, calls = _solve(_noisy, G, x0, x1, xtol)
+        assert abs(r - 0.3) <= xtol, (x0, x1)
+        assert r == calls[-1]
+        assert len(calls) <= 10, (x0, x1)
+
+
+def test_hermite_on_a_steep_exponential():
+    # exp(-30 y) - 0.05 is flat over most of [0, 1]; Illinois needed 17
+    # calls here and Pegasus 15
     xtol = 1e-12
-    r = pegasus(g, 0.0, 1.0, g(0.0), g(1.0), xtol)
+    r, calls = _solve(lambda y: math.exp(-30.0 * y) - 0.05,
+                      lambda y: -math.exp(-30.0 * y) / 30.0 - 0.05 * y,
+                      0.0, 1.0, xtol)
     assert abs(r - math.log(20.0) / 30.0) <= xtol
-    assert len(calls) <= 15
+    assert len(calls) <= 10
 
 
-def _pegasus_step_rule(g, x0, x1, g0, g1, xtol):
-    """Reference: `pegasus` without the stop on the predicted step, so it
-    evaluates the secant point before testing the step it took."""
-    while g1 != 0 and abs(x1 - x0) > xtol:
-        x = x1 - g1 * (x1 - x0) / (g1 - g0)
-        gx = g(x)
+def _hermite_step_rule(f, x0, x1, y0, y1, xtol):
+    """Reference: `hermite` without the stop on the predicted step, so it
+    evaluates each point before testing the step it took."""
+    (g0, G0), (g1, G1) = y0, y1
+    a, ga, Ga = x0, g0, G0
+    p, gp, Gp = x0, g0, G0
+    while g1 != 0 and abs(x1 - a) > xtol:
+        lo, hi = min(a, x1), max(a, x1)
+        x = _quadratic_root(p, x1, gp, g1, Gp, G1, lo, hi)
+        if x is None:
+            x = _quadratic_root(a, x1, ga, g1, Ga, G1, lo, hi)
+        if x is None:
+            x = x1 - g1 * (x1 - a) / (g1 - ga)
+        gx, Gx = f(x)
         if (gx > 0) != (g1 > 0):
-            x0, g0 = x1, g1
-        else:
-            g0 *= g1 / (g1 + gx)
+            a, ga, Ga = x1, g1, G1
         step = abs(x - x1)
-        x1, g1 = x, gx
+        p, gp, Gp = x1, g1, G1
+        x1, g1, G1 = x, gx, Gx
         if step <= xtol:
             break
     return x1
 
 
-def test_pegasus_stops_when_the_next_step_is_below_xtol():
-    # on a smooth g the secant step shrinks superlinearly, so once the step
-    # Pegasus would take is at most xtol the last point evaluated is within
+def test_hermite_stops_when_the_next_step_is_below_xtol():
+    # on a smooth g the step shrinks superlinearly, so once the step the
+    # search would take is at most xtol the last point evaluated is within
     # xtol of the root, and evaluating that step costs one call for nothing
     root = 0.5 ** 0.2
     xtol = 1e-9
     counts = []
-    for solve in (pegasus, _pegasus_step_rule):
-        calls = []
-
-        def g(y):
-            calls.append(y)
-            return y ** 5 - 0.5
-
-        r = solve(g, 0.5, 1.2, g(0.5), g(1.2), xtol)
+    for solve in (hermite, _hermite_step_rule):
+        r, calls = _solve(_skewed, _skewed_G, 0.5, 1.2, xtol, solve)
         assert abs(r - root) <= xtol
         assert r == calls[-1]
         counts.append(len(calls))
     assert counts[0] == counts[1] - 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(root=st.floats(0.05, 0.95), lo=st.floats(0.0, 1.0),
+       hi=st.floats(0.0, 1.0), c1=st.floats(-20.0, 20.0),
+       c2=st.floats(0.0, 200.0), noise=st.sampled_from([0.0, 1e-12]),
+       flip=st.booleans())
+def test_hermite_iterates_stay_strictly_inside_the_bracket(
+        root, lo, hi, c1, c2, noise, flip):
+    # g = d (1 + c1 d + c2 d^2) with d = y - root may have three roots, and
+    # g and G may carry noise; each point evaluated after the first two
+    # lies strictly inside the bracket of the points evaluated before it
+    def g(y):
+        d = y - root
+        return d * (1.0 + c1 * d + c2 * d * d) + noise * math.sin(1e9 * y)
+
+    def G(y):
+        d = y - root
+        return (d * d * (0.5 + c1 * d / 3.0 + c2 * d * d / 4.0)
+                + noise * math.cos(7e8 * y))
+
+    assume(g(lo) * g(hi) < 0)
+    x0, x1 = (hi, lo) if flip else (lo, hi)
+    r, calls = _solve(g, G, x0, x1, 1e-12)
+    a, b = x0, x1
+    for x in calls[2:]:
+        assert min(a, b) < x < max(a, b)
+        if (g(x) > 0) == (g(a) > 0):
+            a = x
+        else:
+            b = x
+    assert r == calls[-1]
