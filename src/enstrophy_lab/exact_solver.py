@@ -328,9 +328,9 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     An empty x batch gives empty results.  Returns (m, r) with m the
     per-row extracted phase minimum and r of shape (nx, n_moments+1).
     Raises QuadratureError when a row has no stationary point (a NaN or
-    infinite x), fails to converge, or ends with r_0 <= 0 (at a so large
-    that the y-window is narrower than the float spacing at x), naming the
-    offending (x, a, k).
+    infinite x, or a scan radius below the float spacing at x), fails to
+    converge, or ends with r_0 <= 0 (at a so large that the y-window is
+    narrower than the float spacing at x), naming the offending (x, a, k).
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -353,12 +353,17 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     mr, rr = rows[sel], roots[sel]
     m = np.full(nx, np.inf)
     np.minimum.at(m, mr, profile.F(rr) + 0.5 * a * (x[mr] - rr) ** 2)
-    if not np.all(np.isfinite(m)):
-        # only a NaN or infinite x has no stationary point within R
-        bad = np.nonzero(~np.isfinite(m))[0][0]
-        raise QuadratureError(
-            f"phase has no finite minimum at x={x[bad]:.6g}, a={a:.6g}, "
-            f"k={k:.6g}")
+    lost = ~np.isfinite(m)
+    if lost.any():
+        # a NaN or infinite x has no stationary point within R; a finite x
+        # loses its minimum only once R is below the float spacing at x,
+        # where x - R and x + R round onto x and the scan holds no cell
+        # about it
+        narrow = lost & (R < np.spacing(np.abs(x)))
+        if narrow.any():
+            _fail(f"no stationary point within the scan radius R={R:.3g} "
+                  "(y-window below the float spacing)", x, a, k, narrow)
+        _fail("phase has no finite minimum", x, a, k, lost)
     L = _window_halfwidth(profile, a, k, n_moments,
                           np.maximum(m - profile.F_min, 0.0))
 
@@ -419,21 +424,24 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     res = quadrature.adaptive_batch(integrand, prow, plo, phi_, n_rows=nx,
                                     epsrel=QUAD_TOL)
 
-    def fail(what, rows):
-        bad = np.nonzero(rows)[0]
-        triples = ", ".join(f"(x={x[i]:.6g}, a={a:.6g}, k={k:.6g})"
-                            for i in bad[:8])
-        raise QuadratureError(f"{what} at {triples}"
-                              + (" ..." if len(bad) > 8 else ""))
-
     if not res.converged.all():
-        fail("phase integral did not converge", ~res.converged)
+        _fail("phase integral did not converge", x, a, k, ~res.converged)
     if not np.all(res.value[:, 0] > 0):
         # every panel of the row has zero width once its window is
         # narrower than the float spacing at x
-        fail("phase integral r0 is not positive (y-window below the float "
-             "spacing)", ~(res.value[:, 0] > 0))
+        _fail("phase integral r0 is not positive (y-window below the float "
+              "spacing)", x, a, k, ~(res.value[:, 0] > 0))
     return m, res.value
+
+
+def _fail(what, x, a, k, rows):
+    """Raise QuadratureError for what, naming (x, a, k) of the first eight
+    of the flagged rows."""
+    bad = np.nonzero(rows)[0]
+    triples = ", ".join(f"(x={x[i]:.6g}, a={a:.6g}, k={k:.6g})"
+                        for i in bad[:8])
+    raise QuadratureError(f"{what} at {triples}"
+                          + (" ..." if len(bad) > 8 else ""))
 
 
 def _require_positive(a, k):
@@ -446,13 +454,21 @@ def eval_fields(profile, x, a, k, want_uxx=False):
 
     This is the batch workhorse: one adaptive pass shares panels across all
     requested points and all moments.  A NaN or infinite x raises
-    QuadratureError, a non-finite a or k ValueError.
+    QuadratureError, a non-finite a or k ValueError.  An a so large that
+    (k a)^2, or (k a)^3 with want_uxx, overflows raises QuadratureError
+    too: the moment formulas need that power.
     """
     _require_positive(a, k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_mom = 3 if want_uxx else 2
     _, r = _phase_moments(profile, x, a, k, n_moments=n_mom)
     ka = k * a
+    try:                # (k a)^n_mom is the largest power used below
+        fits = math.isfinite(ka ** n_mom)
+    except OverflowError:
+        fits = False
+    if not fits:
+        _fail(f"(k a)^{n_mom} overflows", x, a, k, np.ones(len(x), bool))
     q1 = r[:, 1] / r[:, 0]
     q2 = r[:, 2] / r[:, 0]
     u = -ka * q1

@@ -4,7 +4,11 @@ E(t), K(t), R(t) at large k cannot be read off a fixed grid (the u_x spike
 at the shock has width ~ 1/(k a (s_plus - s_minus))), so the circle
 integrals are themselves adaptive quadratures in x, with the exact-solver
 batch evaluator as the integrand and panels nested geometrically toward
-x = 0.  Oddness of u halves every integral to [0, 1/2].
+x = 0, by the ratio X_NEST_RATIO from the spike width out to 1/2.  Every
+x-round is one `eval_fields` batch, so the ratio is chosen for the nest
+to pass its first convergence check: one E(t) is then one batch (the
+threshold table is in `_x_breakpoints`).  Oddness of u halves every
+integral to [0, 1/2].
 
 T* is the zero of R = dE/dt (computed from the u_xx moment) where R turns
 from + to -: the search opens at the Laplace prediction T*_pred, sizes its
@@ -42,6 +46,8 @@ C = 2.0
 T_REL_TOL = 1e-9
 # Relative tolerance of the x-integrals of K, E and R.
 X_REL_TOL = 1e-8
+# Ratio of the geometric x-nest toward the shock (see _x_breakpoints).
+X_NEST_RATIO = 1.6
 
 
 @dataclass(frozen=True)
@@ -90,15 +96,38 @@ class ComparisonReport:
 
 
 def _x_breakpoints(profile, a, k):
-    """Panel skeleton on [0, 1/2]: geometric nest against the shock at 0."""
+    """Panel skeleton on [0, 1/2]: {0, 1/2} and the geometric nest w r^j
+    < 1/2 against the shock at 0, with w = 1/(k (a + f'_max) + 1) and r =
+    X_NEST_RATIO.
+
+    The ratio is chosen so that the first x-round already converges: each
+    round of `quadrature.adaptive_quad` is a whole `eval_fields` call, with
+    its own stationary-point scan, skeleton and y-rounds, so a nest that
+    fails its first check pays for a second batch however few x-panels it
+    adds.  Worst first-round err/tol over 51 evaluations (sine at k = 5 ...
+    2560 doubling, [1, 0.1] at k = 20, 80, 320, heat-smoothed triangle
+    waves with sigma = 0.08 and 0.02 at k = 20 and 160, each at 0.8, 1 and
+    1.2 T*_pred), against the old skeleton (a ratio-2 nest up to 1/16 and
+    16 uniform panels), which needed a second round on 31 of them:
+
+        r      worst err/tol   evaluations over 1   y-panels
+        1.4    0.06            0 of 51              -6%
+        1.5    0.76            0 of 51              -21%
+        1.6    4.96            1 of 51              -31%
+        1.7    11              15 of 51             -29%
+
+    Past r = 1.6 the second rounds come back and cost more than the
+    coarser nest saves.  Over 132 evaluations (k up to 5000, sigma = 0.04
+    added) r = 1.6 took 134 `eval_fields` calls against 220 for the old
+    skeleton, and 30% fewer y-panels.
+    """
     w = 1.0 / (k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
     pts = [0.0, 0.5]
     s = w
-    while 0.0 < s < 1.0 / 16.0:     # s = 0 when a overflows to inf
+    while 0.0 < s < 0.5:        # s = 0 when a overflows to inf
         pts.append(s)
-        s *= 2.0
-    pts.extend(np.linspace(0.0, 0.5, 17)[1:-1])
-    return np.unique(np.clip(pts, 0.0, 0.5))
+        s *= X_NEST_RATIO
+    return np.unique(pts)
 
 
 def state_functionals(profile, k, t, with_rate=False):

@@ -137,3 +137,35 @@ def test_bench_record_reports_layer(tmp_path, monkeypatch, layer):
         "workloads"][workload]["layers"]
     assert layers["parent"][layer] == before
     assert layers["change"][layer] == after
+
+
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"),
+                     key=lambda p: int(p.stem.split("_")[1]))
+
+
+def test_bench_files_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_committed_bench_file_is_well_formed(path):
+    # a performance claim counts only with a well-formed BENCH_<n>.json:
+    # its number, and for every workload paired runs of the same seeds on
+    # both sides, each end-to-end metric on both, and the pair counts
+    record = json.loads(path.read_text())
+    assert record["number"] == int(path.stem.split("_")[1])
+    metrics = [m["name"] for m in BENCH["end_to_end"]]
+    for wl in (w["name"] for w in BENCH["workloads"]):
+        entry = record["workloads"][wl]
+        parent, change = entry["parent"], entry["change"]
+        assert parent["seeds"] and parent["seeds"] == change["seeds"], wl
+        n = len(parent["seeds"])
+        for side in (parent, change):
+            for m in metrics:
+                assert len(side[m]["values"]) == n, (wl, m)
+                assert side[m]["q1"] <= side[m]["median"] <= side[m]["q3"]
+        for m in metrics:
+            pairs = entry["pairs"][m]
+            assert pairs["n"] == n, (wl, m)
+            assert 0 <= pairs["change_won"] <= n, (wl, m)

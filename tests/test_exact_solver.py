@@ -175,6 +175,29 @@ def test_window_below_float_spacing_raises_naming_the_row(sine, a):
         exact_solver.eval_fields(sine, [0.1, 0.2], a, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("want_uxx", [False, True])
+def test_overflowing_power_of_ka_raises_naming_the_row(sine, want_uxx):
+    # the float spacing at x = 0 is fine enough for the row's moments to
+    # converge at a = 1e300, and (k a)^2 then overflowed a Python float
+    # with a bare OverflowError
+    named = re.escape("(x=0, a=1e+300, k=1)")
+    with pytest.raises(QuadratureError, match=r"overflows at " + named):
+        exact_solver.eval_fields(sine, [0.0], 1e300, 1.0, want_uxx=want_uxx)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scan_radius_below_float_spacing_raises_naming_the_row(sine):
+    # at a = 1e36 the scan radius 1e-17 about x = 0.25 is below the float
+    # spacing there, so the scan has no cell about the zero at 0.25 and
+    # the row raised "phase has no finite minimum", which names a cause (a
+    # NaN or infinite x) that does not apply
+    named = re.escape("(x=0.25, a=1e+36, k=1)")
+    with pytest.raises(QuadratureError,
+                       match=r"below the float spacing\) at " + named):
+        exact_solver.eval_fields(sine, [0.25], 1e36, 1.0)
+
+
 def test_pitchfork_row_whose_minima_the_scan_misses(sine):
     # just below a = |f'(0)| the two minima at x = 0 sit within one scan
     # cell of the maximum between them; the row still evaluates, and u_x(0)

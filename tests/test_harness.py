@@ -109,6 +109,74 @@ def test_tstar_search_evaluation_budget(request, spec, k, budget):
             r.R_at_max) == trace[-1]
 
 
+# K, E and R at 0.8, 1 and 1.2 T*_pred from the x-skeleton of a ratio-2
+# nest up to 1/16 and 16 uniform panels, which took a second x-round at
+# 10 of these 18 points
+NEST_PINS = [
+    ("sine", 5.0, 0.8,
+     173.83805750645942, 14762.106788094428, 1391579.4164681258),
+    ("sine", 5.0, 1.0,
+     149.953247347615, 14944.761209768678, -892225.6472142681),
+    ("sine", 5.0, 1.2,
+     127.09179067085917, 13599.899945538773, -2279283.8311765636),
+    ("sine", 20.0, 0.8,
+     3477.2602544261285, 833830.5994490177, 2876272248.720096),
+    ("sine", 20.0, 1.0,
+     3059.210464541025, 1179511.3992580276, 415346742.43131626),
+    ("sine", 20.0, 1.2,
+     2595.348449284398, 1113327.4236114963, -783938016.159299),
+    ("sine", 160.0, 0.8,
+     239469.14312170277, 496263533.61508936, 17246673213250.963),
+    ("sine", 160.0, 1.0,
+     208749.71747181896, 669437911.9385985, 151926671343.44427),
+    ("sine", 160.0, 1.2,
+     176552.65163513532, 609123026.6025974, -3889850096831.532),
+    ("sine", 2560.0, 0.8,
+     61862897.04747291, 2088766730739.712, 1.0969920576085658e+18),
+    ("sine", 2560.0, 1.0,
+     53872419.004826024, 2772396110783.406, 597523921946921.9),
+    ("sine", 2560.0, 1.2,
+     45553537.17805663, 2514924373838.0786, -2.5971276766806474e+17),
+    ("two_term", 20.0, 0.8,
+     63.34406922125833, 4431.700862598654, -255323.80034736503),
+    ("two_term", 20.0, 1.0,
+     54.15450802282932, 4039.4574456914906, -448016.6675704778),
+    ("two_term", 20.0, 1.2,
+     45.9844576607312, 3511.907985611566, -509524.89476882655),
+    ("two_term", 160.0, 0.8,
+     5797.8142517387505, 1938976.6622976267, 9726806877.470987),
+    ("two_term", 160.0, 1.0,
+     5148.800261732434, 2658993.3786657597, 1040536638.4071146),
+    ("two_term", 160.0, 1.2,
+     4440.236354101229, 2513704.372485436, -2351233060.4078665),
+]
+
+
+@pytest.mark.parametrize("spec, k, factor, K0, E0, R0", NEST_PINS,
+                         ids=[f"{s}-{k:g}-{f}" for s, k, f, *_ in NEST_PINS])
+def test_x_nest_converges_in_one_round(request, monkeypatch, spec, k, factor,
+                                       K0, E0, R0):
+    # every x-round of state_functionals is one eval_fields batch; the
+    # geometric nest of ratio X_NEST_RATIO passes its first check here, so
+    # each evaluation is one batch, and the numbers stay those of the
+    # finer old skeleton
+    profile = request.getfixturevalue(spec)
+    calls = []
+    eval_fields = exact_solver.eval_fields
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return eval_fields(*args, **kwargs)
+
+    monkeypatch.setattr(exact_solver, "eval_fields", counted)
+    t = factor * asymptotics.predict(profile, k).T_star
+    K, E, R = harness.state_functionals(profile, k, t, with_rate=True)
+    assert len(calls) == 1
+    assert abs(K / K0 - 1.0) <= 1e-12
+    assert abs(E / E0 - 1.0) <= 1e-12
+    assert abs(R - R0) * t <= 1e-9 * E0
+
+
 def test_extrapolated_ratios(acceptance_sweep, sine):
     # positive control for the leading-constant question: the measured
     # E_max ratio extrapolates to 4/3 (not 1), while T_star and K_drop
