@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 import argparse
 import configparser
 import dataclasses
+import operator
 import os
 import sys
 
@@ -103,10 +104,42 @@ def json_text(obj):
     return "".join(out)
 
 
+def _row_format(types):
+    """fmt's rules as one %-format for a row of values of these types, with
+    the zeros to add to the values first: adding 0.0 turns -0.0 into 0.0
+    and leaves every other float, nan and inf included, as it is.  None
+    when some type has no such format (a bool among them)."""
+    codes, zeros = [], []
+    for tp in types:
+        if issubclass(tp, (float, np.floating)):
+            codes.append("%.17g")
+            zeros.append(0.0)
+        elif issubclass(tp, (int, np.integer)) and not issubclass(tp, bool):
+            codes.append("%d")
+            zeros.append(0)
+        elif issubclass(tp, str):
+            codes.append("%s")
+            zeros.append("")
+        else:
+            return None
+    return ",".join(codes), tuple(zeros)
+
+
 def csv_text(header, rows):
+    """CSV text with fmt's rules, each row written by one %-format (built
+    once per sequence of value types); a row holding a type that has no
+    format goes through fmt value by value."""
     lines = [",".join(header)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = _row_format(types)
+        spec = formats[types]
+        if spec is None:
+            lines.append(",".join(fmt(v) for v in row))
+        else:
+            lines.append(spec[0] % tuple(map(operator.add, row, spec[1])))
     return "\n".join(lines) + "\n"
 
 

@@ -298,7 +298,8 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     coarse panels and a ladder of ratio 2, T*, E(T*) and K(T*) moved by at
     most 6e-11 relative (sine k = 5 to 2560, [1, 0.1] k = 20 and 160),
     and every pinned test held.  The callback of `adaptive_batch` writes
-    r_0..r_n into one (n_moments+1, npanels, 15) array.
+    r_0..r_n into one (n_moments+1, npanels, 21) array, in whose slots it
+    also forms y - x and the exponent.
 
     Panels whose moments are provably negligible are dropped before the
     first evaluation.  On a panel [lo, hi] of row i with no stationary
@@ -327,10 +328,14 @@ def _phase_moments(profile, x, a, k, n_moments=2):
 
     An empty x batch gives empty results.  Returns (m, r) with m the
     per-row extracted phase minimum and r of shape (nx, n_moments+1).
-    Raises QuadratureError when a row has no stationary point (a NaN or
-    infinite x, or a scan radius below the float spacing at x), fails to
-    converge, or ends with r_0 <= 0 (at a so large that the y-window is
-    narrower than the float spacing at x), naming the offending (x, a, k).
+    Raises QuadratureError, naming the offending (x, a, k), when a row has
+    no stationary point (a NaN or infinite x, or a scan radius below the
+    float spacing at x); when the skeleton left after the drop holds more
+    than quadrature.MAX_PANELS panels, which `adaptive_batch` would return
+    unrefined (at late times, a << 1, where the window spans many
+    periods), before any panel is evaluated; when a row fails to converge;
+    or when it ends with r_0 <= 0 (at a so large that the y-window is
+    narrower than the float spacing at x).
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -380,11 +385,12 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, is_min,
                                       ladder, gap)
 
-    def neg_excess(prow, ys):
-        # (y - x, -k (phi - m)) at the points ys of the panels prow: x and
-        # m are gathered once per panel and broadcast over its points
-        d = ys - x[prow][:, None]
-        arg = d * (0.5 * a)
+    def neg_excess(prow, ys, d=None, arg=None):
+        # y - x into d and -k (phi - m) into arg (new arrays when None) at
+        # the points ys of the panels prow: x and m are gathered once per
+        # panel and broadcast over its points
+        d = np.subtract(ys, x[prow][:, None], out=d)
+        arg = np.multiply(d, 0.5 * a, out=arg)
         arg *= d
         arg += profile.F(ys)
         arg -= m[prow][:, None]
@@ -406,17 +412,26 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     drop[drop] = ~_panels_holding(prow[drop], plo[drop], phi_[drop], rows,
                                   roots)
     prow, plo, phi_ = prow[~drop], plo[~drop], phi_[~drop]
+    if len(prow) > quadrature.MAX_PANELS:
+        # adaptive_batch would stop before its first split and return the
+        # skeleton's rows unrefined
+        _fail(f"y-skeleton of {len(prow)} panels exceeds quadrature."
+              f"MAX_PANELS = {quadrature.MAX_PANELS}", x, a, k,
+              np.ones(nx, dtype=bool))
 
     def integrand(prow, ys):
-        d, arg = neg_excess(prow, ys)
+        # y - x sits in the last moment's slot until that moment replaces
+        # it, and the exponent in r_0's slot, so no array of the batch's
+        # size is made here besides those of F(ys)
+        out = np.empty((n_moments + 1,) + ys.shape)
+        d, arg = neg_excess(prow, ys, out[-1] if n_moments else None, out[0])
         if arg.size and arg.max() > 45.0:
             worst = np.argmax(arg)
-            bad = prow[worst // 15]
+            bad = prow[worst // ys.shape[1]]
             raise QuadratureError(
                 f"phase fell {arg.flat[worst]/k:.3g} below its located "
                 f"minimum at x={x[bad]:.6g}, a={a:.6g}, k={k:.6g}")
-        out = np.empty((n_moments + 1,) + ys.shape)
-        np.exp(arg, out=out[0])
+        np.exp(arg, out=arg)
         for j in range(n_moments):
             np.multiply(out[j], d, out=out[j + 1])
         return out

@@ -47,7 +47,7 @@ T_REL_TOL = 1e-9
 # Relative tolerance of the x-integrals of K, E and R.
 X_REL_TOL = 1e-8
 # Ratio of the geometric x-nest toward the shock (see _x_breakpoints).
-X_NEST_RATIO = 1.6
+X_NEST_RATIO = 2.4
 
 
 @dataclass(frozen=True)
@@ -106,20 +106,27 @@ def _x_breakpoints(profile, a, k):
     fails its first check pays for a second batch however few x-panels it
     adds.  Worst first-round err/tol over 51 evaluations (sine at k = 5 ...
     2560 doubling, [1, 0.1] at k = 20, 80, 320, heat-smoothed triangle
-    waves with sigma = 0.08 and 0.02 at k = 20 and 160, each at 0.8, 1 and
-    1.2 T*_pred), against the old skeleton (a ratio-2 nest up to 1/16 and
-    16 uniform panels), which needed a second round on 31 of them:
+    waves with a_1 = 2 pi and sigma = 0.08 and 0.02 at k = 20 and 160,
+    each at 0.8, 1 and 1.2 T*_pred), with the 10-21 Gauss-Kronrod rule of
+    `quadrature`, y-panels evaluated against r = 1.6:
 
         r      worst err/tol   evaluations over 1   y-panels
-        1.4    0.06            0 of 51              -6%
-        1.5    0.76            0 of 51              -21%
-        1.6    4.96            1 of 51              -31%
-        1.7    11              15 of 51             -29%
+        1.6    0.011           0 of 51              0
+        2.0    2.04            1 of 51              -28%
+        2.2    12.2            1 of 51              -36%
+        2.4    21.9            1 of 51              -42%
+        2.6    104             15 of 51             -39%
+        2.8    164             21 of 51             -39%
 
-    Past r = 1.6 the second rounds come back and cost more than the
-    coarser nest saves.  Over 132 evaluations (k up to 5000, sigma = 0.04
-    added) r = 1.6 took 134 `eval_fields` calls against 220 for the old
-    skeleton, and 30% fewer y-panels.
+    The one evaluation over 1 up to r = 2.4 is sigma = 0.02 at k = 160
+    and 0.8 T*_pred; past r = 2.4 the second rounds come back and cost
+    more than the coarser nest saves.  Over 96 evaluations (sine up to
+    k = 5000, [1, 0.1] up to 640, sigma = 0.04 added, the triangles up to
+    k = 320) r = 2.4 took 98 x-rounds, two more than one per evaluation
+    (sigma = 0.02, 0.8 T*_pred, k = 160 and 320), and 41% fewer y-panels
+    than r = 1.6; r = 2.6 took 124.  (With the 7-15 rule the same 51
+    evaluations read 0.76 at r = 1.5 and 4.96 at r = 1.6, 1 of 51 over 1,
+    and 11 at r = 1.7, 15 of 51.)
     """
     w = 1.0 / (k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
     pts = [0.0, 0.5]

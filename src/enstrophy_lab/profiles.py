@@ -98,7 +98,9 @@ def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
         return _sin_sum(x, b_fpp)
 
     def F(x):
-        return _cos_sum(x, b_F) - F0
+        out = _cos_sum(x, b_F)
+        out -= F0
+        return out
 
     # cached ranges from dense samples; x_star, the interior zero of f' on
     # (0, 1/2), by bisection then one Newton polish (NaN when f' does not
@@ -128,13 +130,15 @@ def _sin_sum(x, b):
 
 
 def _cos_sum(x, b):
-    """sum_n b_n cos(2 pi n x)."""
-    c = np.cos(_TWO_PI * np.asarray(x, dtype=float))
+    """sum_n b_n cos(2 pi n x), formed in a new array that holds
+    cos(2 pi x) first (a scalar for a scalar x)."""
+    c = _TWO_PI * np.asarray(x, dtype=float)
+    c = np.cos(c, out=c if c.ndim else None)
     y1, y2 = _clenshaw(lambda: c, b)
-    out = c * y1
+    c *= y1
     if len(b) > 1:      # y_2 = 0 for one term
-        out -= y2
-    return out
+        c -= y2
+    return c
 
 
 def _clenshaw(cos, b):

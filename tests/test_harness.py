@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from enstrophy_lab import (asymptotics, diagnostics, exact_solver, harness,
-                           spectral_oracle)
+                           quadrature, spectral_oracle)
 from enstrophy_lab.quadrature import QuadratureError
 
 
@@ -111,7 +111,10 @@ def test_tstar_search_evaluation_budget(request, spec, k, budget):
 
 # K, E and R at 0.8, 1 and 1.2 T*_pred from the x-skeleton of a ratio-2
 # nest up to 1/16 and 16 uniform panels, which took a second x-round at
-# 10 of these 18 points
+# 10 of these 18 points.  Both the 7-15 rule with the ratio-1.6 nest and
+# the 10-21 rule with the ratio-2.4 nest reproduce them within the bars
+# below (K within 7e-16, E within 7e-14 and |dR| t/E within 4e-10 of
+# each other)
 NEST_PINS = [
     ("sine", 5.0, 0.8,
      173.83805750645942, 14762.106788094428, 1391579.4164681258),
@@ -175,6 +178,29 @@ def test_x_nest_converges_in_one_round(request, monkeypatch, spec, k, factor,
     assert abs(K / K0 - 1.0) <= 1e-12
     assert abs(E / E0 - 1.0) <= 1e-12
     assert abs(R - R0) * t <= 1e-9 * E0
+
+
+def test_oversized_y_skeleton_fails_before_evaluation(monkeypatch, sine):
+    # at t = 10 (k = 5, a = 0.01) the y-window spans dozens of periods, and
+    # the second x-round's y-skeleton holds more panels than MAX_PANELS,
+    # which adaptive_batch would return unrefined; the y-quadrature names
+    # that cause before any panel of it is evaluated
+    sizes = []
+    panel_eval = quadrature._panel_eval
+
+    def recorded(f, rows, lo, hi):
+        sizes.append(len(rows))
+        return panel_eval(f, rows, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel_eval", recorded)
+    with pytest.raises(QuadratureError,
+                       match=r"y-skeleton of \d+ panels exceeds quadrature"
+                             r"\.MAX_PANELS = 200000 at \(x=.*, a=0\.01, "
+                             r"k=5\)") as err:
+        harness.state_functionals(sine, 5.0, 10.0, with_rate=True)
+    n = int(str(err.value).split()[2])
+    assert n > quadrature.MAX_PANELS
+    assert sizes and max(sizes) <= quadrature.MAX_PANELS
 
 
 def test_extrapolated_ratios(acceptance_sweep, sine):

@@ -113,9 +113,10 @@ def test_row_totals_match_add_at_bit_for_bit():
 
 
 def test_infinite_node_value_reads_unconverged():
-    # an infinite value at any one of the 15 nodes makes value, error and
+    # an infinite value at any one of the 21 nodes makes value, error and
     # tolerance infinite together; the row must still read unconverged
-    for j in range(15):
+    n_nodes = len(quadrature.NODES)
+    for j in range(n_nodes):
         def f(rows, ys):
             v = np.ones_like(ys)
             v[:, j] = np.inf
@@ -127,7 +128,7 @@ def test_infinite_node_value_reads_unconverged():
 
         def fvec(ys):
             v = np.ones_like(ys)
-            v[j::15] = np.inf           # node j of every panel
+            v[j::n_nodes] = np.inf      # node j of every panel
             return v
 
         with pytest.raises(quadrature.QuadratureError):
@@ -135,7 +136,7 @@ def test_infinite_node_value_reads_unconverged():
 
 
 def test_panel_eval_matches_per_panel_reference():
-    # K15, the K15 - G7 error and the |f| sum against separate per-panel
+    # K21, the K21 - G10 error and the |f| sum against separate per-panel
     # Kronrod and Gauss sums; the callback sees one row entry per panel
     rng = np.random.default_rng(5)
     n = 40
@@ -143,7 +144,7 @@ def test_panel_eval_matches_per_panel_reference():
     hi = lo + rng.uniform(1e-3, 1.5, n)
     rows = rng.integers(0, 6, n).astype(np.intp)
     shift = rng.uniform(-3.0, 3.0, (4, 6))
-    w_gauss = quadrature.W_GAUSS[1::2]      # the 7 Gauss nodes
+    w_gauss = quadrature.W_GAUSS[1::2]      # the 10 Gauss nodes
     assert np.all(w_gauss > 0) and not quadrature.W_GAUSS[::2].any()
 
     def comps(ncomp, r, ys):
@@ -157,9 +158,9 @@ def test_panel_eval_matches_per_panel_reference():
             out = comps(ncomp, r, ys)
             return out[0] if ncomp == 1 else out
 
-        k15, err, absv = quadrature._panel_eval(f, rows, lo, hi)
-        assert shapes == [((n,), (n, 15))]
-        assert k15.shape == err.shape == absv.shape == (n, ncomp)
+        kron, err, absv = quadrature._panel_eval(f, rows, lo, hi)
+        assert shapes == [((n,), (n, 21))]
+        assert kron.shape == err.shape == absv.shape == (n, ncomp)
         for p in range(n):
             half = 0.5 * (hi[p] - lo[p])
             ys = 0.5 * (lo[p] + hi[p]) + half * quadrature.NODES
@@ -169,6 +170,30 @@ def test_panel_eval_matches_per_panel_reference():
             ref_abs = half * np.sum(np.abs(fv) * quadrature.W_KRONROD,
                                     axis=1)
             bar = 1e-14 * ref_abs
-            assert np.all(np.abs(k15[p] - ref_k) <= bar)
+            assert np.all(np.abs(kron[p] - ref_k) <= bar)
             assert np.all(np.abs(err[p] - np.abs(ref_k - ref_g)) <= bar)
             assert np.all(np.abs(absv[p] - ref_abs) <= bar)
+
+
+def test_rule_exactness():
+    # QUADPACK's dqk21 pair: the 21-point Kronrod rule is exact to degree
+    # 31, its embedded 10-point Gauss rule to degree 19 and not 20, and the
+    # Gauss half is numpy's 10-point Gauss-Legendre rule
+    x = quadrature.NODES
+    assert len(x) == 21 and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+
+    def moment(w, d):
+        return np.sum(w * x ** d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0)
+
+    for d in range(32):
+        assert abs(moment(quadrature.W_KRONROD, d)) <= 1e-15, d
+    for d in range(20):
+        assert abs(moment(quadrature.W_GAUSS, d)) <= 1e-15, d
+    assert abs(moment(quadrature.W_GAUSS, 20)) > 1e-6
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(x[1::2], gx, rtol=0, atol=2e-16)
+    assert np.allclose(quadrature.W_GAUSS[1::2], gw, rtol=0, atol=2e-16)
+    assert not quadrature.W_GAUSS[::2].any()
+    assert np.array_equal(quadrature.W_ERROR,
+                          quadrature.W_KRONROD - quadrature.W_GAUSS)
