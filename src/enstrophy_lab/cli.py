@@ -107,8 +107,8 @@ def json_text(obj):
 def _row_format(types):
     """fmt's rules as one %-format for a row of values of these types, with
     the zeros to add to the values first: adding 0.0 turns -0.0 into 0.0
-    and leaves every other float, nan and inf included, as it is.  None
-    when some type has no such format (a bool among them)."""
+    and leaves every other float, nan and inf included, as it is.  Raises
+    TypeError for a type that has no such format (a bool among them)."""
     codes, zeros = [], []
     for tp in types:
         if issubclass(tp, (float, np.floating)):
@@ -121,25 +121,22 @@ def _row_format(types):
             codes.append("%s")
             zeros.append("")
         else:
-            return None
+            raise TypeError(f"no CSV format for a value of type "
+                            f"{tp.__name__}")
     return ",".join(codes), tuple(zeros)
 
 
 def csv_text(header, rows):
     """CSV text with fmt's rules, each row written by one %-format (built
-    once per sequence of value types); a row holding a type that has no
-    format goes through fmt value by value."""
+    once per sequence of value types)."""
     lines = [",".join(header)]
     formats = {}
     for row in rows:
         types = tuple(map(type, row))
         if types not in formats:
             formats[types] = _row_format(types)
-        spec = formats[types]
-        if spec is None:
-            lines.append(",".join(fmt(v) for v in row))
-        else:
-            lines.append(spec[0] % tuple(map(operator.add, row, spec[1])))
+        form, zeros = formats[types]
+        lines.append(form % tuple(map(operator.add, row, zeros)))
     return "\n".join(lines) + "\n"
 
 

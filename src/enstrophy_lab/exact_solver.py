@@ -40,6 +40,11 @@ QUAD_TOL = 1e-10
 # Share of a row's tolerance that the mass outside its y-window and the
 # mass of the panels dropped as negligible may take together, half each.
 TAIL_SHARE = 1e-2
+# Grid points per `eval_fields` batch of a snapshot: the rows are
+# independent, and a batch's y-skeleton grows with its row count (about
+# 10 panels a row at k = 5, t <= 4e-3), so a large grid goes in slices
+# whose skeletons do not grow with the grid past quadrature.MAX_PANELS.
+SNAPSHOT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -499,8 +504,9 @@ def snapshot(profile, t, k, config=None):
     """State at time t >= 0 on the standard grid.
 
     The time enters only through a = 1/(2*k*t); t = 0 gives the initial
-    data k*f with no integrals involved.  A t outside [0, inf) or a k
-    outside (0, inf) raises ValueError at every t.
+    data k*f with no integrals involved; otherwise the grid goes to
+    `eval_fields` in slices of SNAPSHOT_ROWS points.  A t outside [0, inf)
+    or a k outside (0, inf) raises ValueError at every t.
     """
     cfg = config or DEFAULT_CONFIG
     if not 0 <= t < math.inf:
@@ -512,5 +518,9 @@ def snapshot(profile, t, k, config=None):
         u = k * profile.f(xg)
         ux = k * profile.f_prime(xg)
     else:
-        u, ux = eval_fields(profile, xg, 1.0 / (2.0 * k * t), k)
+        a = 1.0 / (2.0 * k * t)
+        parts = [eval_fields(profile, xg[i:i + SNAPSHOT_ROWS], a, k)
+                 for i in range(0, len(xg), SNAPSHOT_ROWS)]
+        u = np.concatenate([p[0] for p in parts])
+        ux = np.concatenate([p[1] for p in parts])
     return StateSnapshot(k=k, t=t, u_values=u, ux_values=ux)

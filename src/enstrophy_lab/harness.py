@@ -124,9 +124,7 @@ def _x_breakpoints(profile, a, k):
     k = 5000, [1, 0.1] up to 640, sigma = 0.04 added, the triangles up to
     k = 320) r = 2.4 took 98 x-rounds, two more than one per evaluation
     (sigma = 0.02, 0.8 T*_pred, k = 160 and 320), and 41% fewer y-panels
-    than r = 1.6; r = 2.6 took 124.  (With the 7-15 rule the same 51
-    evaluations read 0.76 at r = 1.5 and 4.96 at r = 1.6, 1 of 51 over 1,
-    and 11 at r = 1.7, 15 of 51.)
+    than r = 1.6; r = 2.6 took 124.
     """
     w = 1.0 / (k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
     pts = [0.0, 0.5]

@@ -37,12 +37,10 @@ def test_csv_text():
     text = cli.csv_text(("a", "b"), [(1.0, 1.0 / 3.0)])
     assert text == "a,b\n1,0.33333333333333331\n"
     # one %-format per row writes what fmt writes value by value: -0 as 0,
-    # nan and inf as fmt does, ints as ints, and rows holding a type with
-    # no format (bool, None) through fmt itself
+    # nan and inf as fmt does, and ints as ints
     values = [0.0, -0.0, np.float64(-0.0), np.float32(-0.0), math.nan,
               -math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0,
-              np.float32(0.1), 3, -7, np.int64(-4), 10 ** 30, True,
-              np.bool_(False), "sine", None]
+              np.float32(0.1), 3, -7, np.int64(-4), 10 ** 30, "sine"]
     rng = np.random.default_rng(3)
     rows = [tuple(values[i] for i in rng.integers(0, len(values), 3))
             for _ in range(400)]
@@ -51,6 +49,10 @@ def test_csv_text():
     want = "".join(",".join(cli.fmt(v) for v in row) + "\n"
                    for row in rows)
     assert cli.csv_text(("a", "b", "c"), rows) == "a,b,c\n" + want
+    # a type with no format fails rather than printing as something else
+    for bad in (True, np.bool_(False), None):
+        with pytest.raises(TypeError):
+            cli.csv_text(("a", "b"), [(1.0, bad)])
 
 
 def test_help_exits_zero():

@@ -76,6 +76,38 @@ def test_time_zero_snapshot_echoes_data(sine):
     assert np.array_equal(snap.u_values, 7.0 * sine.f(snap.x_grid))
 
 
+def test_snapshot_evaluates_a_large_grid_in_slices(sine, monkeypatch):
+    # a grid of more than SNAPSHOT_ROWS points goes to eval_fields in
+    # slices, each with a y-skeleton of its own; they agree with one batch
+    # within the y-tolerance
+    whole = exact_solver.snapshot(sine, 4e-3, 5.0)
+    sizes = []
+    eval_fields = exact_solver.eval_fields
+
+    def counted(profile, x, a, k):
+        sizes.append(len(x))
+        return eval_fields(profile, x, a, k)
+
+    monkeypatch.setattr(exact_solver, "eval_fields", counted)
+    monkeypatch.setattr(exact_solver, "SNAPSHOT_ROWS", 96)
+    sliced = exact_solver.snapshot(sine, 4e-3, 5.0)
+    assert sizes == [96] * 5 + [32]
+    for got, want in ((sliced.u_values, whole.u_values),
+                      (sliced.ux_values, whole.ux_values)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_snapshot_on_a_grid_past_max_panels_in_one_batch(sine):
+    # the 32768-point grid at k = 5 holds about 341000 y-skeleton panels,
+    # more than quadrature.MAX_PANELS would let one batch refine
+    fine = exact_solver.snapshot(sine, 4e-3, 5.0,
+                                 exact_solver.SolverConfig(grid_size=16384))
+    coarse = exact_solver.snapshot(sine, 4e-3, 5.0)
+    for got, want in ((fine.u_values[::64], coarse.u_values),
+                      (fine.ux_values[::64], coarse.ux_values)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_large_a_limit_recovers_initial_data(sine):
     # a = 1/(2 k t) = 1e8
     snap = exact_solver.snapshot(sine, 1.0 / (2.0 * 5.0 * 1e8), 5.0)

@@ -109,12 +109,9 @@ def test_tstar_search_evaluation_budget(request, spec, k, budget):
             r.R_at_max) == trace[-1]
 
 
-# K, E and R at 0.8, 1 and 1.2 T*_pred from the x-skeleton of a ratio-2
-# nest up to 1/16 and 16 uniform panels, which took a second x-round at
-# 10 of these 18 points.  Both the 7-15 rule with the ratio-1.6 nest and
-# the 10-21 rule with the ratio-2.4 nest reproduce them within the bars
-# below (K within 7e-16, E within 7e-14 and |dR| t/E within 4e-10 of
-# each other)
+# K, E and R at 0.8, 1 and 1.2 T*_pred from a reference x-skeleton, a
+# ratio-2 nest up to 1/16 and 16 uniform panels; the ratio-X_NEST_RATIO
+# nest reproduces them within the bars below
 NEST_PINS = [
     ("sine", 5.0, 0.8,
      173.83805750645942, 14762.106788094428, 1391579.4164681258),
