@@ -28,11 +28,15 @@ import numpy as np
 
 from . import quadrature
 from .quadrature import QuadratureError
-from .rootfind import bisect, newton_polish
+from .rootfind import bisect, multisect, newton_polish
 
 # Samples per unit length of the shared stationary-point scan; even, so the
 # scan grid holds every multiple of 1/2 (see _stationary_points).
 SCAN_DENSITY = 128
+# Share of its cell the last Newton step of a scan bracket may move it and
+# still count as settled (see _stationary_points); smaller steps leave
+# the root within round-off once the steps converge quadratically.
+SETTLE = 2.0 ** -40
 # Uniform panels across the y window, before the ladders at the minima.
 COARSE_PANELS = 4
 # Relative tolerance of each y-moment of a row.
@@ -146,25 +150,32 @@ def _stationary_points(profile, x, a, L):
     odd); so G' = f' + a has at most one zero per cell, where it changes
     sign.  Those zeros, the turning points of G, are polished and added to
     the grid.  Just below the pitchfork a = |f'(0)| the two about 0 sit
-    where G'' = f'' is near 0 and Newton steps on it gain little, so 24
-    bisections (to 2^-24 of a cell) come first; 8 leave row 0 at a = (1 -
-    1e-12)|f'(0)| without its two minima.  After that G is monotone on
-    every cell and row i has a zero in a cell exactly when a*x_i lies
-    between G at its ends (the left end counted, the right one not).
-    np.searchsorted on the sorted a*x_i finds every (row, cell) pair at
-    once, with no row-by-sample work, and no pair of zeros is missed
-    however close they sit.
+    where G'' = f'' is near 0 and Newton steps on it gain little, so 4
+    rounds of 64-section (to 2^-24 of a cell, as 24 bisections, in 4
+    calls of f' rather than 24) come first; 8 bisections leave row 0 at
+    a = (1 - 1e-12)|f'(0)| without its two minima.  After that G is
+    monotone on every cell and row i has a zero in a cell exactly when
+    a*x_i lies between G at its ends (the left end counted, the right one
+    not).  np.searchsorted on the sorted a*x_i finds every (row, cell)
+    pair at once, with no row-by-sample work, and no pair of zeros is
+    missed however close they sit.
 
-    Each bracket is polished on g itself: 10 bisections, then Newton steps
-    clamped to the narrowed bracket.  A bracket in a cell that ends at a
-    turning point of G is polished again with 24 bisections: there g' =
-    f' + a can be near 0 at the root, where Newton steps gain little (10
-    bisections leave row 0's minima at a = (1 - 1e-12)|f'(0)| three times
-    too far from 0), and few brackets fall in those cells.  Where g does
-    not change sign across a bracket, because it is 0 at an end or because
-    at large a the sum a*y rounds f away and G misplaces a zero by a
-    rounding step, the end with the smaller |g| is the zero.  Non-finite
-    rows have no zeros.
+    Each bracket is polished once, on g itself.  G is on the grid at both
+    ends of the cell, so the secant of G there starts it at no cost, and
+    4 Newton steps clamped to the cell follow; g is monotone and, f'
+    being monotone there, convex or concave on the cell, so they converge
+    and the clamp at most stops a first overshoot.  A bracket whose last
+    step moved it by more than SETTLE of its cell has not settled and is
+    bisected instead: 24 bisections, then Newton steps clamped to the
+    narrowed bracket.  So is every bracket in a cell that ends at a
+    turning point of G: there g' = f' + a can be near 0 at the root,
+    where Newton steps gain little (from the secant they lose row 0's
+    minima at a = (1 - 1e-12)|f'(0)|, and 10 bisections leave them three
+    times too far from 0), and few brackets fall in those cells.  Where g
+    does not change sign across a bracket, because it is 0 at an end or
+    because at large a the sum a*y rounds f away and G misplaces a zero
+    by a rounding step, the end with the smaller |g| is the zero.
+    Non-finite rows have no zeros.
 
     Returns flat arrays (row, root, curvature) in row order, roots
     ascending within a row, with curvature = f'(root)+a; positive
@@ -190,7 +201,7 @@ def _stationary_points(profile, x, a, L):
     is_turn = np.zeros(len(ys) + turn.size, dtype=bool)
     if turn.size:
         lo, hi = ys[turn], ys[turn + 1]
-        t = bisect(dG, lo, hi, iters=24)
+        t = multisect(dG, lo, hi, sections=64, rounds=4)
         t = newton_polish(dG, profile.f_double_prime, t, lo, hi, steps=4)
         ys = np.insert(ys, turn + 1, t)
         is_turn[turn + 1 + np.arange(turn.size)] = True
@@ -217,18 +228,29 @@ def _stationary_points(profile, x, a, L):
     pos, cell, lo, hi = pos[near], cell[near], lo[near], hi[near]
     deep = is_turn[cell] | is_turn[cell + 1]
 
-    def polish(xs, lo, hi, iters):
+    def g_of(xs):
         def g(y):
             return profile.f(y) + a * (y - xs)
+        return g
 
-        roots = bisect(g, lo, hi, iters=iters)
-        half = (hi - lo) * 2.0 ** -(iters + 1)
-        return g, newton_polish(g, dG, roots, np.maximum(lo, roots - half),
-                                np.minimum(hi, roots + half), steps=3)
-
-    g, roots = polish(xr[pos], lo, hi, 10)
-    if deep.any():
-        roots[deep] = polish(xr[pos[deep]], lo[deep], hi[deep], 24)[1]
+    # Newton steps from the secant of G across the cell; turning-cell
+    # brackets, and those whose last step did not settle, are bisected
+    s = (axr[pos] - G[cell]) / (G[cell + 1] - G[cell])
+    roots = lo + np.clip(s, 0.0, 1.0) * (hi - lo)
+    newt = ~deep
+    g, ln, hn = g_of(xr[pos[newt]]), lo[newt], hi[newt]
+    prev = newton_polish(g, dG, roots[newt], ln, hn, steps=3)
+    last = newton_polish(g, dG, prev, ln, hn, steps=1)
+    roots[newt] = last
+    redo = deep.copy()
+    redo[newt] = np.abs(last - prev) > SETTLE * (hn - ln)
+    if redo.any():
+        g, lr, hr = g_of(xr[pos[redo]]), lo[redo], hi[redo]
+        r = bisect(g, lr, hr, iters=24)
+        half = (hr - lr) * 2.0 ** -25
+        roots[redo] = newton_polish(g, dG, r, np.maximum(lr, r - half),
+                                    np.minimum(hr, r + half), steps=3)
+    g = g_of(xr[pos])
     glo, ghi = g(lo), g(hi)
     at_end = np.sign(glo) * np.sign(ghi) >= 0
     roots = np.where(at_end, np.where(np.abs(glo) <= np.abs(ghi), lo, hi),

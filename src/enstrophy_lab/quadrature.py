@@ -142,10 +142,12 @@ def _per_panel(fvec):
 def _row_totals(rows, val, err, absv, n_rows, epsrel):
     """Per-row value, error, |f| integral, panel count, tolerance, flag.
 
-    Each component is totalled by one np.bincount, which adds a row's
-    panels one at a time in index order.  A row converges only when its
-    totals are finite: an infinite integrand value makes the error and
-    the tolerance infinite together.
+    The sums are (npanels, ncomp) arrays; each component is totalled by
+    one np.bincount, which adds a row's panels one at a time in index
+    order (over a contiguous column when the array is the transpose of a
+    component-major one, as `adaptive_batch` passes).  A row converges
+    only when its totals are finite: an infinite integrand value makes
+    the error and the tolerance infinite together.
     """
     def total(a):
         return np.stack([np.bincount(rows, weights=c, minlength=n_rows)
@@ -178,8 +180,18 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10):
     by cancellation (odd moments at symmetric points) from demanding
     impossible relative accuracy.
     Refinement stops after MAX_ROUNDS rounds or once the batch holds more
-    than MAX_PANELS panels; rows still over tolerance then read unconverged.
-    Zero-width panels are dropped, so a row with none integrates to zero.
+    than MAX_PANELS panels, frozen rows' panels included; rows still over
+    tolerance then read unconverged.  Zero-width panels are dropped, so a
+    row with none integrates to zero.
+
+    The panel sums are held component-major, (ncomp, npanels): the
+    transposes of `_panel_eval`'s results, which are views of its
+    contiguous sums.  Once a row converges its totals, tolerance, flag and
+    panel count are frozen and its panels leave the batch, so each round
+    totals and concatenates only the panels of rows still refining.  A
+    converged row's panels are never split, and np.bincount adds a row's
+    panels in index order, which dropping other rows' panels keeps: the
+    frozen totals are those a re-total of every panel would give.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
@@ -188,31 +200,42 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10):
         n_rows = int(rows.max()) + 1 if rows.size else 0
     keep = hi > lo
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
-    val, err, absv = _panel_eval(f, rows, lo, hi)
+    val, err, absv = (s.T for s in _panel_eval(f, rows, lo, hi))
+    live = np.ones(n_rows, dtype=bool)      # rows whose panels are carried
+    frozen_panels = 0
 
     for rnd in range(MAX_ROUNDS + 1):
-        tot, toterr, totabs, npan, tol, conv = _row_totals(
-            rows, val, err, absv, n_rows, epsrel)
-        if conv.all() or len(rows) > MAX_PANELS or rnd == MAX_ROUNDS:
+        totals = _row_totals(rows, val.T, err.T, absv.T, n_rows, epsrel)
+        if rnd == 0:
+            tot, toterr, totabs, npan, tol, conv = totals
+        else:
+            for out, new in zip((tot, toterr, totabs, npan, tol, conv),
+                                totals):
+                out[live] = new[live]
+        if (conv.all() or frozen_panels + len(rows) > MAX_PANELS
+                or rnd == MAX_ROUNDS):
             break
-        share = tol / np.maximum(npan, 1)[:, None]
+        share = (tol / np.maximum(npan, 1)[:, None]).T
+        carry = ~conv[rows]
         splittable = (hi - lo) > np.abs(lo) * 4e-16 + 1e-300
-        split = (~conv[rows]) & (err > share[rows]).any(axis=1) & splittable
+        split = carry & (err > share[:, rows]).any(axis=0) & splittable
         if not split.any():
             break
+        live &= ~conv
+        frozen_panels += len(rows) - np.count_nonzero(carry)
         l, h = lo[split], hi[split]
         m = 0.5 * (l + h)
         nrows = np.concatenate([rows[split], rows[split]])
         nlo = np.concatenate([l, m])
         nhi = np.concatenate([m, h])
-        nval, nerr, nabs = _panel_eval(f, nrows, nlo, nhi)
-        keep = ~split
+        nval, nerr, nabs = (s.T for s in _panel_eval(f, nrows, nlo, nhi))
+        keep = carry & ~split
         rows = np.concatenate([rows[keep], nrows])
         lo = np.concatenate([lo[keep], nlo])
         hi = np.concatenate([hi[keep], nhi])
-        val = np.concatenate([val[keep], nval])
-        err = np.concatenate([err[keep], nerr])
-        absv = np.concatenate([absv[keep], nabs])
+        val = np.concatenate([val[:, keep], nval], axis=1)
+        err = np.concatenate([err[:, keep], nerr], axis=1)
+        absv = np.concatenate([absv[:, keep], nabs], axis=1)
     return BatchQuadResult(tot, toterr, totabs, conv, npan)
 
 

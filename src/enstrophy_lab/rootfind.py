@@ -1,7 +1,8 @@
 """Bracketed root finding: vectorized bisection with a Newton polish.
 
 Bisection does the heavy lifting (it cannot leave the bracket), Newton
-squeezes out the last few digits.  Works elementwise on arrays so the phase
+squeezes out the last few digits; `multisect` narrows brackets like
+bisection in fewer, wider calls.  Works elementwise on arrays so the phase
 stationary-point scan can polish the brackets of a whole batch of rows at
 once.
 `hermite` serves one scalar root of an expensive g whose antiderivative G
@@ -29,6 +30,32 @@ def bisect(g, lo, hi, iters=52):
         lo = np.where(move_lo, mid, lo)
         slo = np.where(move_lo, sm, slo)
         hi = np.where(move_lo, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def multisect(g, lo, hi, sections, rounds):
+    """Bracket narrowing on arrays by n-section: each round evaluates g at
+    the sections - 1 interior points of every bracket in one call and
+    keeps the first subinterval from lo whose far end does not share
+    g(lo)'s sign, so `rounds` calls of g narrow each bracket by
+    sections**rounds, where bisection takes log2 of that many calls.
+    g acts elementwise on y alone (it gets arrays of shape (n,) and (n,
+    sections - 1)); g(lo) and g(hi) must differ in sign (either
+    orientation, zeros allowed).  Returns the midpoints of the narrowed
+    brackets."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    slo = np.sign(g(lo))
+    frac = np.arange(1, sections) / sections
+    each = np.arange(len(lo))
+    at_hi = np.ones((len(lo), 1), dtype=bool)
+    for _ in range(rounds):
+        inner = lo[:, None] + (hi - lo)[:, None] * frac
+        pts = np.column_stack([lo, inner, hi])
+        # the first point past lo off lo's sign; hi when no inner one is
+        off = np.sign(g(inner)) * slo[:, None] <= 0
+        j = 1 + np.argmax(np.hstack([off, at_hi]), axis=1)
+        lo, hi = pts[each, j - 1], pts[each, j]
     return 0.5 * (lo + hi)
 
 

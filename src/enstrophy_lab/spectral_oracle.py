@@ -39,8 +39,9 @@ CFL_CONSTANT = 0.5
 STEP_RTOL = 1e-10
 # Share of the resolved band kept by the dealiasing mask (the 2/3 rule).
 DEALIAS_FRACTION = 2.0 / 3.0
-# Spectral tail fraction above which the run is repeated at double modes.
-TAIL_THRESHOLD = 1e-8
+# Spectral tail fraction above which the run is repeated at double modes:
+# the share of the band's energy whose amplitude is STEP_RTOL.
+TAIL_THRESHOLD = STEP_RTOL ** 2
 # |h L| below which the phi-coefficients take the contour average.
 CONTOUR_LIMIT = 4.0
 
@@ -132,11 +133,15 @@ def _advance(sp, v, t_span, h_target, coeff_cache):
 
 
 def _resample(v, n_src, n_dst):
-    """Spectral interpolation of rfft coefficients to n_dst points."""
-    out = np.zeros(n_dst // 2 + 1, dtype=complex)
-    take = min(len(v), len(out))
-    out[:take] = v[:take]
-    return np.fft.irfft(out * (n_dst / n_src), n=n_dst)
+    """The n_dst grid values of the field whose rfft on n_src points is v.
+
+    One irfft on n = max(n_src, n_dst) points, zero-padded when the grid
+    is the larger, gives the field at every point of grid(n); every
+    (n / n_dst)-th of them is a point of grid(n_dst).  So a grid coarser
+    than the run samples every mode of v, those above its own Nyquist
+    included."""
+    n = max(n_src, n_dst)
+    return np.fft.irfft(v, n=n)[::n // n_dst] * (n / n_src)
 
 
 def _make_snapshot(sp, v, t, k, gp):

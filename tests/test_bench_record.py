@@ -169,3 +169,101 @@ def test_committed_bench_file_is_well_formed(path):
             pairs = entry["pairs"][m]
             assert pairs["n"] == n, (wl, m)
             assert 0 <= pairs["change_won"] <= n, (wl, m)
+
+
+PAIRS_TOOL = ROOT / "tools" / "bench_pairs.py"
+# a stand-in for perfbench/run.py: logs its side and arguments to ../log
+# and writes the result file run.py would, with a run_s set by the side
+STUB_RUN = '''
+import argparse, json, os, pathlib
+ap = argparse.ArgumentParser()
+for name in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(name)
+args = ap.parse_args()
+side = pathlib.Path.cwd().name
+with open(pathlib.Path.cwd().parent / "log", "a") as fh:
+    fh.write(f"{side} {args.seed} {args.seconds} {args.trace}\\n")
+names = %r if args.trace == "1" else ("run_s", "setup_s", "peak_rss_mb",
+                                      "ok_frac")
+value = 1.0 if side == "parent" else 0.5
+metrics = {n: {"value": value, "unit": "x"} for n in names}
+os.makedirs(".perfbench-out", exist_ok=True)
+out = f".perfbench-out/result-{args.workload}-seed{args.seed}-trace{args.trace}.json"
+with open(out, "w") as fh:
+    json.dump({"machine": {"nproc": 2, "cpu": "stub"}, "run_s": [value],
+               "setup_s": [0.1],
+               "result": {"correct": True, "attempted": 1, "failed": 0,
+                          "metrics": metrics}}, fh)
+''' % (LAYERS,)
+
+
+def _load_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS_TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _stub_checkouts(tmp_path):
+    for side in ("parent", "change"):
+        bench = tmp_path / side / "perfbench"
+        bench.mkdir(parents=True)
+        (bench / "run.py").write_text(STUB_RUN)
+    return tmp_path / "parent", tmp_path / "change"
+
+
+def test_bench_pairs_alternates_and_records_a_manifest(tmp_path,
+                                                       monkeypatch):
+    pairs, record = _load_pairs(), _load()
+    parent, change = _stub_checkouts(tmp_path)
+    out = tmp_path / "pairs"
+    assert pairs.main([str(parent), str(change), "--workload",
+                       "tstar-single", "--seeds", "5-7", "--seconds", "2",
+                       "--trace-seed", "9", "--out", str(out)]) == 0
+    log = (tmp_path / "log").read_text().split("\n")[:-1]
+    assert log == ["parent 5 2.0 0", "change 5 2.0 0",
+                   "change 6 2.0 0", "parent 6 2.0 0",
+                   "parent 7 2.0 0", "change 7 2.0 0",
+                   "parent 9 2.0 1", "change 9 2.0 1"]
+    manifest = json.loads(
+        (out / "change" / "pairs-tstar-single.json").read_text())
+    assert manifest == {"workload": "tstar-single", "seconds": 2.0,
+                        "seeds": [5, 6, 7],
+                        "order": [{"seed": 5, "first": "parent"},
+                                  {"seed": 6, "first": "change"},
+                                  {"seed": 7, "first": "parent"}],
+                        "trace_seed": 9}
+    assert len(list((out / "parent").glob("result-*.json"))) == 4
+
+    monkeypatch.chdir(tmp_path)
+    assert record.main(["--number", "9", "--parent", str(out / "parent"),
+                        "--change", str(out / "change")]) == 0
+    wl = json.loads((tmp_path / "BENCH_9.json").read_text())[
+        "workloads"]["tstar-single"]
+    assert wl["runs"] == {"parent": manifest, "change": manifest}
+    assert wl["pairs"]["run_s"] == {"n": 3, "change_won": 3,
+                                    "better": "lower"}
+    assert wl["layers"]["change"]["seed"] == 9
+
+
+def test_bench_record_refuses_sides_run_for_other_seconds(tmp_path, capsys,
+                                                          monkeypatch):
+    pairs, record = _load_pairs(), _load()
+    parent, change = _stub_checkouts(tmp_path)
+    for seconds, out in (("2", "a"), ("3", "b")):
+        assert pairs.main([str(parent), str(change), "--workload",
+                           "solve-oracle", "--seeds", "1-2", "--seconds",
+                           seconds, "--out", str(tmp_path / out)]) == 0
+    monkeypatch.chdir(tmp_path)
+    args = ["--number", "9", "--parent", str(tmp_path / "a" / "parent")]
+    assert record.main(args + ["--change",
+                               str(tmp_path / "b" / "change")]) == 2
+    err = capsys.readouterr().err
+    assert "solve-oracle" in err and "seconds differ" in err
+    (tmp_path / "b" / "change" / "pairs-solve-oracle.json").unlink()
+    assert record.main(args + ["--change",
+                               str(tmp_path / "b" / "change")]) == 2
+    assert "only one side" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_9.json").exists()
+    assert record.main(args + ["--change",
+                               str(tmp_path / "a" / "change")]) == 0

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from enstrophy_lab import asymptotics, exact_solver, profiles, quadrature
+from enstrophy_lab import (asymptotics, exact_solver, harness, profiles,
+                          quadrature, rootfind)
 from enstrophy_lab.quadrature import QuadratureError
 
 
@@ -554,6 +555,82 @@ def test_scan_work_has_no_rows_times_samples_term(sine):
                - math.floor((x.min() - L) * exact_solver.SCAN_DENSITY) + 1)
     assert len(roots) >= len(x)
     assert counted[0] <= 24 * (samples + len(roots)), counted[0]
+
+
+def _x_nodes(profile, a, k):
+    """The x-rows of a first x-round: the Kronrod nodes of every panel of
+    the harness's x-skeleton."""
+    bps = harness._x_breakpoints(profile, a, k)
+    lo, hi = bps[:-1], bps[1:]
+    return (0.5 * (lo + hi)[:, None]
+            + 0.5 * (hi - lo)[:, None] * quadrature.NODES).ravel()
+
+
+def _mp_root_ulps(which, x, a, roots):
+    """|root - r| in units of np.spacing(|r|) for each root, with r the
+    mpmath.findroot zero of g(y) = f(y) + a (y - x) at 40 digits, on f
+    written with the profile's float constants, started at the root."""
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(40):
+        two_pi = mp.mpf(2.0 * math.pi)
+        terms = [(mp.mpf(c), n * two_pi)
+                 for n, c in enumerate(SERIES[which], start=1)]
+        for xi, root in zip(x, roots):
+            xm, am = mp.mpf(xi), mp.mpf(a)
+            ref = mp.findroot(lambda y: am * (y - xm) - sum(
+                c * mp.sin(w * y) for c, w in terms), mp.mpf(root))
+            out.append(float(abs(mp.mpf(root) - ref))
+                       / np.spacing(abs(float(ref))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("which", ["sine", "two_term"])
+def test_scan_roots_within_16_ulps_of_mpmath(which, request):
+    """Roots of the rows of a first x-round at k = 5 ... 2560 and 0.3, 1
+    and 3 T*_pred, eight spread over each scan, lie within 16 ulps of
+    mpmath's.  (Beside a turning point of G, where g' = f' + a is small,
+    one rounding of g moves a root by more: the pitchfork tests bound
+    those.)"""
+    pytest.importorskip("mpmath")
+    profile = request.getfixturevalue(which)
+    for k in 5.0 * 2.0 ** np.arange(10):
+        t_pred = asymptotics.predict(profile, k).T_star
+        for share in (0.3, 1.0, 3.0):
+            a = 1.0 / (2.0 * k * share * t_pred)
+            x = _x_nodes(profile, a, k)
+            rows, roots, _ = exact_solver._stationary_points(
+                profile, x, a, _scan_radius(profile, x, a, k, 3))
+            pick = np.linspace(0, len(roots) - 1, 8).astype(int)
+            ulps = _mp_root_ulps(which, x[rows[pick]], a, roots[pick])
+            assert ulps.max() <= 16.0, (k, share, ulps)
+
+
+def test_scan_roots_from_the_bisection_fallback(sine, monkeypatch):
+    """With SETTLE = -1 no Newton-polished bracket counts as settled, so
+    every root comes from the bisection fallback; those roots also lie
+    within 16 ulps of mpmath's, and of the Newton ones."""
+    pytest.importorskip("mpmath")
+    k = 160.0
+    a = 1.0 / (2.0 * k * asymptotics.predict(sine, k).T_star)
+    x = _x_nodes(sine, a, k)
+    L = _scan_radius(sine, x, a, k, 3)
+    rows, fast, _ = exact_solver._stationary_points(sine, x, a, L)
+    bisected = []
+
+    def counting(g, lo, hi, iters=52):
+        bisected.append(np.size(lo))
+        return rootfind.bisect(g, lo, hi, iters=iters)
+
+    monkeypatch.setattr(exact_solver, "SETTLE", -1.0)
+    monkeypatch.setattr(exact_solver, "bisect", counting)
+    rows_b, roots, _ = exact_solver._stationary_points(sine, x, a, L)
+    assert np.array_equal(rows_b, rows)
+    assert sum(bisected) >= len(roots)
+    assert np.all(np.abs(roots - fast) <= 16 * np.spacing(np.abs(roots)))
+    pick = np.linspace(0, len(roots) - 1, 12).astype(int)
+    assert _mp_root_ulps("sine", x[rows[pick]], a, roots[pick]).max() <= 16
 
 
 def test_rows_whole_periods_apart_share_one_scan(sine):

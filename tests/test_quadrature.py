@@ -197,3 +197,70 @@ def test_rule_exactness():
     assert not quadrature.W_GAUSS[::2].any()
     assert np.array_equal(quadrature.W_ERROR,
                           quadrature.W_KRONROD - quadrature.W_GAUSS)
+
+
+def _retotal_reference(f, rows, lo, hi, n_rows, epsrel):
+    """`adaptive_batch` re-totalling every panel of the batch each round,
+    converged rows' panels included, and counting them all against
+    MAX_PANELS; also returns the round in which each row first
+    converged (-1 for never)."""
+    keep = hi > lo
+    rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    val, err, absv = quadrature._panel_eval(f, rows, lo, hi)
+    first = np.full(n_rows, -1)
+    for rnd in range(quadrature.MAX_ROUNDS + 1):
+        tot, toterr, totabs, npan, tol, conv = quadrature._row_totals(
+            rows, val, err, absv, n_rows, epsrel)
+        first[(first < 0) & conv] = rnd
+        if (conv.all() or len(rows) > quadrature.MAX_PANELS
+                or rnd == quadrature.MAX_ROUNDS):
+            break
+        share = tol / np.maximum(npan, 1)[:, None]
+        splittable = (hi - lo) > np.abs(lo) * 4e-16 + 1e-300
+        split = (~conv[rows]) & (err > share[rows]).any(axis=1) & splittable
+        if not split.any():
+            break
+        l, h = lo[split], hi[split]
+        m = 0.5 * (l + h)
+        nrows = np.concatenate([rows[split], rows[split]])
+        nlo, nhi = np.concatenate([l, m]), np.concatenate([m, h])
+        nval, nerr, nabs = quadrature._panel_eval(f, nrows, nlo, nhi)
+        keep = ~split
+        rows = np.concatenate([rows[keep], nrows])
+        lo = np.concatenate([lo[keep], nlo])
+        hi = np.concatenate([hi[keep], nhi])
+        val = np.concatenate([val[keep], nval])
+        err = np.concatenate([err[keep], nerr])
+        absv = np.concatenate([absv[keep], nabs])
+    return quadrature.BatchQuadResult(tot, toterr, totabs, conv, npan), first
+
+
+@pytest.mark.parametrize("max_panels", [None, 40])
+def test_frozen_rows_match_a_retotal_of_every_panel(max_panels,
+                                                    monkeypatch):
+    # rows of spikes of falling width converge in rounds 0 to 7; the last
+    # row has only a zero-width panel.  Freezing converged rows gives
+    # bit for bit what re-totalling the whole batch gives, and with a
+    # low MAX_PANELS the frozen rows' panels still count towards it
+    if max_panels is not None:
+        monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
+    width = np.array([1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.2, 0.05])
+
+    def f(rows, ys):
+        d = (ys - 0.3) / width[rows][:, None]
+        w = np.exp(-d * d)
+        return np.stack([w, d * w, np.cos(7.0 * ys) * w])
+
+    n = len(width) + 1
+    rows = np.repeat(np.arange(n), 2)
+    lo, hi = np.tile([0.0, 0.5], n), np.tile([0.5, 1.0], n)
+    lo[-2:] = hi[-2:] = 0.7
+    ref, first = _retotal_reference(f, rows, lo, hi, n, 1e-10)
+    got = quadrature.adaptive_batch(f, rows, lo, hi, n_rows=n,
+                                    epsrel=1e-10)
+    if max_panels is None:
+        assert {1, 2, 3} <= set(first) and ref.converged.all()
+    else:
+        assert not ref.converged.all() and (first > 0).any()
+    for name in ("value", "error", "abs_value", "converged", "panels"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name

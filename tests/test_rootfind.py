@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from enstrophy_lab.rootfind import (_quadratic_root, bisect, bracketed_root,
-                                   hermite, newton_polish)
+                                   hermite, multisect, newton_polish)
 
 
 def test_bracketed_root_cosine():
@@ -19,6 +19,22 @@ def test_bisect_vectorized_shifted_roots():
     g = lambda y: y - shifts
     r = bisect(g, np.zeros(7), np.ones(7), iters=52)
     assert np.max(np.abs(r - shifts)) < 1e-12
+
+
+def test_multisect_narrows_like_24_bisections():
+    # 4 rounds of 64-section narrow each bracket by 2^24, as 24 bisections
+    # do: in either orientation, with the root at an end or on a section
+    # point, and, where g changes sign more than once, onto one root
+    for root in (0.1, 0.37, 0.5, 0.0, 1.0, 0.875):
+        for sign in (1.0, -1.0):
+            r = multisect(lambda y: sign * (y - root), np.zeros(1),
+                          np.ones(1), sections=64, rounds=4)
+            assert abs(r[0] - root) <= 2.0 ** -25, (root, sign)
+    lo, hi = np.array([0.0, 0.2, 0.0]), np.array([0.2, 0.6, 3.0])
+    r = multisect(lambda y: np.cos(9.0 * y), lo, hi, sections=64, rounds=4)
+    assert np.allclose(r[:2], [math.pi / 18.0, math.pi / 6.0], rtol=0.0,
+                       atol=2.0 ** -25)
+    assert abs(math.cos(9.0 * r[2])) <= 9.0 * 3.0 * 2.0 ** -25
 
 
 def test_bisect_survives_values_whose_product_overflows():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from enstrophy_lab import exact_solver, spectral_oracle
+from enstrophy_lab import asymptotics, exact_solver, spectral_oracle
 
 # exp(-4 pi^2 * 0.01), frozen
 HEAT_FACTOR = 0.67382545123143356
@@ -195,3 +195,31 @@ def test_round_off_floor_warns_and_returns(sine, monkeypatch):
         snaps = spectral_oracle.integrate(sine, 1.0, [5e-4, 1e-3])
     assert len(snaps) == 2
     assert all(np.all(np.isfinite(s.u_values)) for s in snaps)
+
+
+def test_resample_keeps_modes_above_the_grid_nyquist():
+    # a field with modes up to 300 on 1024 points, sampled on 64 and on
+    # 2048 points: every mode counts at each grid point, so the samples
+    # are the field's values there
+    def field(x):
+        return np.sin(2 * np.pi * 3 * x) + 0.5 * np.cos(2 * np.pi * 300 * x)
+
+    v = np.fft.rfft(field(exact_solver.grid(1024)))
+    for n in (64, 2048):
+        got = spectral_oracle._resample(v, 1024, n)
+        assert np.max(np.abs(got - field(exact_solver.grid(n)))) < 1e-12
+
+
+def test_oracle_matches_exact_snapshot_past_the_grid_nyquist(sine):
+    """At k = 40 the oracle resolves u with more modes than the 512-point
+    grid holds; sampled with every mode, it matches the exact snapshot to
+    1e-9 of max|k f| at T*_pred / 2 and T*_pred."""
+    k = 40.0
+    t_pred = asymptotics.predict(sine, k).T_star
+    ts = [0.5 * t_pred, t_pred]
+    u_max = k * float(np.max(np.abs(sine.f(exact_solver.grid(1024)))))
+    for t, snap in zip(ts, spectral_oracle.integrate(sine, k, ts, 512)):
+        exact = exact_solver.snapshot(sine, t, k)
+        assert len(snap.u_values) == len(exact.u_values) == 512
+        assert np.max(np.abs(snap.u_values - exact.u_values)) \
+            <= 1e-9 * u_max, t

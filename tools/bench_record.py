@@ -22,11 +22,15 @@ For every workload the output gives, per side:
     them the change won (ties count for neither side);
   - every per-layer counter and time BENCHMARK.json names, from the
     traced run (its seed is recorded with them);
-and the machine block of each side's runs.
+and the machine block of each side's runs.  When the directories come
+from `tools/bench_pairs.py`, each side's pairs-<workload>.json manifest
+(seconds per run, seeds, which side ran first for each seed, traced seed)
+is copied into the workload's entry as "runs".
 
 It exits 2, naming the workload, when the two sides ran different
-untraced seeds of it or ran it on machines that differ in cpu, nproc,
-python or numpy: such runs are not pairs.
+untraced seeds of it, ran it on machines that differ in cpu, nproc,
+python or numpy, or ran it for different seconds by their manifests (or
+only one side has a manifest): such runs are not pairs.
 """
 
 from __future__ import annotations
@@ -60,6 +64,17 @@ def load_side(directory):
         runs.setdefault(workload, {"untraced": {}, "traced": {}})
         runs[workload][kind][seed] = data
     return runs
+
+
+def load_manifests(directory):
+    """{workload: manifest} from the pairs-<workload>.json files of
+    `tools/bench_pairs.py` in directory."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(directory, "pairs-*.json"))):
+        with open(path) as fh:
+            manifest = json.load(fh)
+        found[manifest["workload"]] = manifest
+    return found
 
 
 def summary(values):
@@ -106,9 +121,15 @@ def layers(traced, names):
                                    for name in names})
 
 
-def unpaired(p, c):
-    """Why the parent's and the change's runs of one workload are not
-    pairs, or None when they are."""
+def unpaired(p, c, p_runs, c_runs):
+    """Why the parent's and the change's runs of one workload, with their
+    bench_pairs manifests (None for none), are not pairs, or None when
+    they are."""
+    if (p_runs is None) != (c_runs is None):
+        return "only one side has a bench_pairs manifest"
+    if p_runs is not None and p_runs["seconds"] != c_runs["seconds"]:
+        return (f"seconds differ: parent {p_runs['seconds']}, change "
+                f"{c_runs['seconds']}")
     if set(p["untraced"]) != set(c["untraced"]):
         return (f"untraced seeds differ: parent {sorted(p['untraced'])}, "
                 f"change {sorted(c['untraced'])}")
@@ -147,6 +168,7 @@ def main(argv=None):
     metrics = bench["end_to_end"]
     layer_names = [m["name"] for m in bench["per_layer"]]
     parent, change = load_side(args.parent), load_side(args.change)
+    manifests = load_manifests(args.parent), load_manifests(args.change)
     if not parent or not change:
         print("bench_record: no result files in "
               f"{args.parent if not parent else args.change}",
@@ -157,11 +179,14 @@ def main(argv=None):
     for wl in (w["name"] for w in bench["workloads"]):
         p = parent.get(wl, {"untraced": {}, "traced": {}})
         c = change.get(wl, {"untraced": {}, "traced": {}})
-        why = unpaired(p, c)
+        runs = [side.get(wl) for side in manifests]
+        why = unpaired(p, c, *runs)
         if why:
             print(f"bench_record: {wl}: {why}", file=sys.stderr)
             return 2
         entry = {}
+        if runs[0] is not None:
+            entry["runs"] = dict(zip(("parent", "change"), runs))
         if p["untraced"] and c["untraced"]:
             entry["parent"] = end_to_end(p["untraced"], metrics)
             entry["change"] = end_to_end(c["untraced"], metrics)
