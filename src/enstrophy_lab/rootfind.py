@@ -5,15 +5,18 @@ squeezes out the last few digits; `multisect` narrows brackets like
 bisection in fewer, wider calls.  Works elementwise on arrays so the phase
 stationary-point scan can polish the brackets of a whole batch of rows at
 once.
-`hermite` serves one scalar root of an expensive g whose antiderivative G
-comes with each evaluation.
+`hermite` serves one scalar root of an expensive g whose first and second
+antiderivatives G and H come with each evaluation: each step goes to the
+root of one Hermite-Birkhoff polynomial that matches g at up to three
+points and the rises of G and H between them, less the rises round-off
+could explain.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .quadrature import NODES, W_KRONROD
 
 
 def bisect(g, lo, hi, iters=52):
@@ -77,71 +80,176 @@ def bracketed_root(g, lo, hi, dg=None, iters=52, polish=3):
     return float(r[0])
 
 
-# Relative round-off of G.  A mean excess c whose share c h of the rise
-# of G lies below it is noise, and p falls back to the secant line.
-# Measured on E(t), the T* search's G: at 1e-15 the noise in c pulled the
-# last step of 4 of 61 searches (sine, k = 60 to 120) off the root, to
-# |R| T*/E up to 7e-8; at 1e-10 the opening steps lost their curvature
-# and 7 of 44 searches over the sweep-cli k range took one more step.
+# Relative round-off of G.  An interval whose rise of G departs from the
+# secant line's, h (g_i + g_j) / 2, by no more than this share of |G| at
+# its ends carries no curvature, and its G row is dropped from the fit.
+# Measured on E(t), the T* search's G, with fits of g and G alone: at
+# 1e-15 the noise in the fitted curvature pulled the last step of 4 of 61
+# searches (sine, k = 60 to 120) off the root, to |R| T*/E up to 7e-8; at
+# 1e-10 the opening steps lost their curvature and 7 of 44 searches over
+# the sweep-cli k range took one more step.
 G_REL_NOISE = 1e-13
+# Relative round-off of H, of the same kind: an interval whose rise of H
+# the fit without H rows already predicts to within this share of |H| at
+# its ends carries no signal, and its H row is dropped.  Measured on -K/2,
+# the T* search's H, whose rise between nearby t matches the integral of E
+# to 1e-16 to 1e-15 of K: over 173 searches (sine at k = 5 to 10240,
+# [1, 0.1] at k = 20 to 2560, the sweep-cli and tstar-single k lists),
+# with no bar 34 took one to three more evaluations than quadratic steps
+# on (g, G) alone, by fitting points 1e-8 T* apart or a rise of K below
+# its round-off; at 1e-15 one did; from 1e-14 to 1e-10 none did, and the
+# evaluations of the sine and [1, 0.1] scans rose from 377 to 399.
+H_REL_NOISE = 1e-13
+
+# Most rows of a fit: g at three points, G and H over two intervals.  The
+# integrands of the mean and moment rows are then of degree at most 7,
+# which quadrature's 21-point Kronrod rule (degree 31) integrates exactly.
+_MAX_ROWS = 7
 
 
-def _quadratic_root(xa, xb, ga, gb, Ga, Gb, lo, hi):
-    """Root strictly inside (lo, hi), nearest xb, of the quadratic p with
-    p(xa) = ga, p(xb) = gb and the integral of p from xa to xb equal to
-    Gb - Ga; None when it has none."""
-    h = xb - xa
-    # p(xb - s h) = gb (1 - s) + ga s + 6 c s (1 - s): c is the mean of p
-    # over the panel less the mean of its ends
-    c = (Gb - Ga) / h - 0.5 * (ga + gb)
-    if abs(c * h) <= G_REL_NOISE * max(abs(Ga), abs(Gb)):
-        c = 0.0
-    A, B, C = -6.0 * c, ga - gb + 6.0 * c, gb
-    disc = B * B - 4.0 * A * C
-    if not disc >= 0.0:
+def _powers(s):
+    """s**0 ... s**(_MAX_ROWS - 1) along the last axis."""
+    return np.asarray(s, dtype=float)[..., None] ** np.arange(_MAX_ROWS)
+
+
+def _fit_root(pts, x1, lo, hi):
+    """Root strictly inside (lo, hi), reached by Newton steps from x1, of
+    the polynomial P that matches g at every point of pts, the rise of G
+    over each interval between neighbouring points and the rise of H over
+    each interval where it carries signal; None when it has none.
+
+    pts holds (x, g, G, H) of distinct points sorted by x, one of them x1.
+    The fit works in s = (x - x1) / w with w the widest distance from x1.
+    On an interval [x_i, x_j] of length h with midpoint m, the G row is
+    the mean of P, (G_j - G_i) / h, and the H row its moment against
+    (m - x) / (h / 2): integrating by parts, that is 2 (H_j - H_i - h
+    (G_i + G_j) / 2) / h^2, so it needs no G row beside it.  A G row within
+    G_REL_NOISE of the secant and an H row the fit without H rows predicts
+    within H_REL_NOISE are dropped, and P takes one degree per row kept.
+    The H rows are kept only if they move the root of the fit without them
+    by at most half that fit's step from x1.
+    """
+    w = max(abs(x - x1) for x, *_ in pts)
+    rows = [_powers((x - x1) / w) for x, *_ in pts]
+    rhs = [g for _, g, _, _ in pts]
+    moments = []
+    for (xi, gi, Gi, Hi), (xj, gj, Gj, Hj) in zip(pts, pts[1:]):
+        h = xj - xi
+        nodes = _powers(((xi + xj) / 2.0 - x1 + h / 2.0 * NODES) / w)
+        if abs(Gj - Gi - h * (gi + gj) / 2.0) > G_REL_NOISE * max(abs(Gi),
+                                                                  abs(Gj)):
+            rows.append(W_KRONROD / 2.0 @ nodes)
+            rhs.append((Gj - Gi) / h)
+        moments.append((-NODES * W_KRONROD / 2.0 @ nodes,
+                        Hj - Hi - h * (Gi + Gj) / 2.0, h * h / 2.0,
+                        H_REL_NOISE * max(abs(Hi), abs(Hj))))
+    c = _solve(rows, rhs)
+    if c is None:
         return None
-    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
-    if q == 0.0:
+    x = _root(c, x1, w, lo, hi)
+    n = len(rows)
+    for row, excess, scale, bar in moments:
+        if abs(excess - scale * (row[:n] @ c)) > bar:
+            rows.append(row)
+            rhs.append(excess / scale)
+    if len(rows) == n:
+        return x
+    # H rows refine the step of the fit without them: in the 159 steps
+    # with H rows of the sine and [1, 0.1] scans above they moved its root
+    # by at most 5% of the step.  Rows that move it by more than half the
+    # step fit noise above H_REL_NOISE.
+    cH = _solve(rows, rhs)
+    xH = None if cH is None else _root(cH, x1, w, lo, hi)
+    if xH is not None and (x is None or abs(xH - x) <= 0.5 * abs(x - x1)):
+        return xH
+    return x
+
+
+def _solve(rows, rhs):
+    """Coefficients of the polynomial with one degree per row; None when
+    the rows do not fix one."""
+    n = len(rows)
+    try:
+        c = np.linalg.solve(np.array(rows)[:, :n], np.array(rhs))
+    except np.linalg.LinAlgError:
         return None
-    roots = [xb - C / q * h]
-    if A != 0.0:
-        roots.append(xb - q / A * h)
-    inside = [x for x in roots if lo < x < hi]
-    return min(inside, key=lambda x: abs(x - xb)) if inside else None
+    return c if np.all(np.isfinite(c)) else None
+
+
+def _root(c, x1, w, lo, hi):
+    """Root strictly inside (lo, hi) of the polynomial with coefficients c
+    in s = (x - x1) / w, by Newton steps from x1 that bisect the bracket
+    of its sign change whenever they would leave it; None when its values
+    at the ends do not differ in sign.  Plain floats: a step costs a few
+    microseconds, where np.roots' eigenvalue solve costs 35 and its first
+    call 1.1 MB of resident memory."""
+    cs = c.tolist()[::-1]
+
+    def p_dp(s):
+        p = dp = 0.0
+        for ck in cs:
+            dp = dp * s + p
+            p = p * s + ck
+        return p, dp
+
+    a, b = 0.0, (lo + hi - 2.0 * x1) / w     # x1 and the other end, in s
+    pa, dpa = p_dp(a)
+    pb = p_dp(b)[0]
+    if not (pa < 0.0 < pb or pb < 0.0 < pa):
+        return None
+    s, p, dp = a, pa, dpa
+    for _ in range(200):
+        t = s - p / dp if dp != 0.0 else s
+        if not min(a, b) < t < max(a, b):
+            t = 0.5 * (a + b)
+        if t == s:
+            break
+        s = t
+        p, dp = p_dp(s)
+        if p == 0.0:
+            break
+        if (p > 0.0) == (pa > 0.0):
+            a = s
+        else:
+            b = s
+    x = x1 + w * s
+    return x if lo < x < hi else None
 
 
 def hermite(f, x0, x1, y0, y1, xtol):
-    """Root of scalar g between x0 and x1, where f(x) returns (g(x), G(x))
-    with G' = g, given y0 = f(x0) and y1 = f(x1) with g of opposite sign.
+    """Root of scalar g between x0 and x1, where f(x) returns (g(x), G(x),
+    H(x)) with G' = g and H' = G, given y0 = f(x0) and y1 = f(x1) with g
+    of opposite sign.
 
-    Each step goes to the root of the quadratic p that matches g at two
-    evaluated points and whose integral between them is the rise of G.
-    From the last two points evaluated when that root lies strictly inside
-    the bracket; otherwise from the bracket ends, where g changes sign, so
-    p has exactly one root inside; otherwise (round-off) by regula falsi.
-    A curvature of p that G's round-off could explain (see G_REL_NOISE) is
-    dropped, which makes p the secant line.
+    Each step goes to the root, strictly inside the bracket and reached by
+    Newton steps from the last point x1, of one Hermite-Birkhoff polynomial
+    for g (`_fit_root`): it matches g at the bracket's other end a, at the point
+    p evaluated before x1 and at x1, and on each interval between them the
+    rise of G and, where it carries signal, the rise of H.  With every row kept that
+    is a degree-6 fit (degree 3 while p is a); rows that round-off could
+    explain (G_REL_NOISE, H_REL_NOISE) are dropped, down to the secant
+    line, and so are H rows that move the step of the fit without them by
+    more than half of it.  When the fit has no root inside the bracket
+    (round-off), the step is regula falsi.
     Returns the last point evaluated once the ends are within xtol, the
     step it would take next is at most xtol, or g is exactly 0.  The step
     test ends the search once g sits at its noise floor, where further
     steps land on one side without closing the ends, and it does so before
     evaluating a point within xtol of the last one.
     """
-    (g0, G0), (g1, G1) = y0, y1
-    a, ga, Ga = x0, g0, G0          # the bracket's other end
-    p, gp, Gp = x0, g0, G0          # the point evaluated before x1
-    while g1 != 0 and abs(x1 - a) > xtol:
+    a, ya = x0, y0                  # the bracket's other end
+    p, yp = x0, y0                  # the point evaluated before x1
+    while y1[0] != 0 and abs(x1 - a) > xtol:
         lo, hi = min(a, x1), max(a, x1)
-        x = _quadratic_root(p, x1, gp, g1, Gp, G1, lo, hi)
+        pts = sorted((t, *y) for t, y in {a: ya, p: yp, x1: y1}.items())
+        x = _fit_root(pts, x1, lo, hi)
         if x is None:
-            x = _quadratic_root(a, x1, ga, g1, Ga, G1, lo, hi)
-        if x is None:
-            x = x1 - g1 * (x1 - a) / (g1 - ga)
+            x = x1 - y1[0] * (x1 - a) / (y1[0] - ya[0])
         if abs(x - x1) <= xtol:
             break
-        gx, Gx = f(x)
-        if (gx > 0) != (g1 > 0):
-            a, ga, Ga = x1, g1, G1
-        p, gp, Gp = x1, g1, G1
-        x1, g1, G1 = x, gx, Gx
+        y = f(x)
+        if (y[0] > 0) != (y1[0] > 0):
+            a, ya = x1, y1
+        p, yp = x1, y1
+        x1, y1 = x, y
     return x1

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -79,3 +80,23 @@ def test_unparsable_file_exits_two(tmp_path, capsys):
     assert tool.main([str(parent), str(change)]) == 2
     err = capsys.readouterr().err
     assert "sweep/fits.json: does not parse" in err
+
+
+def test_round_off_level_values_read_against_the_floor(tmp_path, capsys):
+    # tail_fraction near 2e-32 moved by 5e-33 read 0.22 without a floor;
+    # against FLOOR = 1e-12 it reads 5e-21, while a move of a value above
+    # the floor still reads relative to the value
+    tool = _load()
+    text = "t,tail_fraction,oracle_sup_diff\n0,{},{}\n"
+    parent = _tree(tmp_path / "p", "x",
+                   csv_text=text.format("2.2e-32", "2.0e-10"))
+    change = _tree(tmp_path / "c", "x",
+                   csv_text=text.format("1.7e-32", "1.0e-10"))
+    assert tool.FLOOR == 1e-12
+    assert math.isclose(tool.rel_change(2.2e-32, 1.7e-32), 5e-21)
+    assert math.isclose(tool.rel_change(1e-13, -1e-13), 0.2)
+    assert tool.rel_change(2e-10, 1e-10) == 0.5
+    assert tool.main([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "tail_fraction: 5e-21" in out
+    assert "oracle_sup_diff: 0.5" in out

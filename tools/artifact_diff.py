@@ -8,7 +8,11 @@ Each DIR holds what `python -m enstrophy_lab --out-dir DIR ...` wrote, or
 a tree of such directories.  The two trees must hold the same files.  For
 each file the tool prints "identical", or every CSV column and JSON leaf
 that differs: for numbers the largest relative change
-|c - p| / max(|p|, |c|), for text, row counts and missing keys a note.
+|c - p| / max(|p|, |c|, FLOOR), for text, row counts and missing keys a
+note.  The absolute floor FLOOR = 1e-12 keeps values at round-off level,
+such as the solve mode's tail_fraction near 2e-32 or a residual near
+1e-14, from reading as large moves: a move between two values below the
+floor reads as its size over the floor.
 The `config.out_dir` echo of a JSON file is ignored, since it names the
 directory the run wrote to.  Files that are neither .csv nor .json are
 compared byte for byte.
@@ -28,6 +32,8 @@ import sys
 
 # JSON leaves that name the run's own output directory
 IGNORED = ("config.out_dir",)
+# Magnitude below which a value counts as round-off (see the module text)
+FLOOR = 1e-12
 
 
 def list_files(root):
@@ -40,13 +46,13 @@ def list_files(root):
 
 
 def rel_change(p, c):
-    """|c - p| / max(|p|, |c|): 0 when equal (NaN equals NaN), inf when
-    only one side is finite or the two infinities differ."""
+    """|c - p| / max(|p|, |c|, FLOOR): 0 when equal (NaN equals NaN), inf
+    when only one side is finite or the two infinities differ."""
     if p == c or (math.isnan(p) and math.isnan(c)):
         return 0.0
     if not (math.isfinite(p) and math.isfinite(c)):
         return math.inf
-    return abs(c - p) / max(abs(p), abs(c))
+    return abs(c - p) / max(abs(p), abs(c), FLOOR)
 
 
 def _number(value):
