@@ -20,17 +20,29 @@ antiderivative E and E's antiderivative -K/2 together (dK/dt = -2E
 exactly: u(0) = u(1/2) = 0 and the integral of u^2 u_x vanishes), so K,
 which every evaluation computes anyway, gives each interval between two
 evaluations a third exact condition; every (t, K, E, R) it evaluates is
-kept on the result.  The k-sweep runs each k in a thread pool (size from
-ENSTROPHY_LAB_THREADS, results merged in k order so the output is
-scheduling-independent) and fits log-log scaling exponents of T*, E_max
-and K_drop against the initial enstrophy E0.
+kept on the result.  The k-sweep fits log-log scaling exponents of T*,
+E_max and K_drop against the initial enstrophy E0.
+
+The sweep's searches run in worker processes, because each is Python
+driving numpy on small arrays and threads would take turns on the GIL.
+ENSTROPHY_LAB_THREADS counts the workers (by default the CPUs this process
+may run on, at most one per k).  The caller is worker 0; on Linux the
+others are forked children that pickle their results back through pipes,
+merged in k order, so the output does not depend on the worker count.
+Elsewhere every search runs in the caller: Windows has no fork, and fork
+is unsafe on macOS.  From Python 3.12, os.fork warns (DeprecationWarning)
+whenever the process has another thread, and importing numpy starts one
+(OpenBLAS's); the warning is not silenced.  A tracer in the caller sees
+only worker 0's searches.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,17 +277,101 @@ def _loglog_fit(x, y):
 
 
 def _worker_count(n_tasks):
+    """Worker processes for a sweep of n_tasks k values: ENSTROPHY_LAB_THREADS
+    if set, else the CPUs this process may run on (its affinity mask can be
+    smaller than os.cpu_count()), at most n_tasks either way.  A value that
+    is not a positive integer raises ValueError."""
     env = os.environ.get("ENSTROPHY_LAB_THREADS", "")
-    if not env.strip():
-        return max(1, min(n_tasks, os.cpu_count() or 1))
+    if env.strip():
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ValueError("ENSTROPHY_LAB_THREADS must be a positive "
+                             f"integer, got {env!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
+    return max(1, min(n_tasks, n))
+
+
+# Placeholder for an outcome a forked worker never reported.
+_MISSING = object()
+
+
+def _outcome(fn, k):
+    """fn(k), or the exception it raised."""
     try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError("ENSTROPHY_LAB_THREADS must be a positive integer, "
-                         f"got {env!r}")
-    return n
+        return fn(k)
+    except Exception as err:
+        return err
+
+
+def _forked_worker(fn, ks, fd):
+    """Body of a forked child: pickle the outcome of fn at each k into the
+    pipe fd, then leave by os._exit, so nothing of the parent's (finally
+    clauses, atexit handlers, buffered output) runs twice."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for k in ks:
+                pickle.dump(_outcome(fn, k), out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_in_workers(fn, ks, n):
+    """[fn(k) for k in ks] on n workers, worker w running ks[w::n].
+
+    Worker 0 is this process; workers 1..n-1 are forked children, each
+    sending one pickled outcome per k (its result, or the exception it
+    raised) through its own pipe.  Every child is reaped before this
+    returns or raises, and killed first if this process fails.  The first
+    failing k's exception is raised, in k order, and a child that exits
+    without reporting gives a RuntimeError naming its k values.
+    """
+    outcomes = [_MISSING] * len(ks)
+    readers, pids = [], []
+    finished = False
+    try:
+        for w in range(1, n):
+            r, fd = os.pipe()
+            readers.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_worker(fn, ks[w::n], fd)    # does not return
+            finally:
+                os.close(fd)
+            pids.append(pid)
+        for i in range(0, len(ks), n):
+            outcomes[i] = _outcome(fn, ks[i])
+        for w, reader in enumerate(readers, 1):
+            for i in range(w, len(ks), n):
+                try:
+                    outcomes[i] = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    break       # the child died; its k are reported below
+        finished = True
+    finally:
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+    for i, outcome in enumerate(outcomes):
+        if outcome is _MISSING:
+            raise RuntimeError(
+                f"sweep worker {i % n} exited without reporting its "
+                f"searches at k = {ks[i % n::n]}")
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def _check_k_list(k_list):
@@ -310,9 +406,9 @@ def sweep(profile, k_list):
     that starts at large k.
     """
     ks = _check_k_list(k_list)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(ks))) as ex:
-        results = tuple(ex.map(lambda k: find_enstrophy_max(profile, k),
-                               ks))
+    n = _worker_count(len(ks)) if sys.platform.startswith("linux") else 1
+    results = tuple(_map_in_workers(
+        lambda k: find_enstrophy_max(profile, k), ks, n))
 
     excluded = ()
     r0 = results[0]

@@ -21,7 +21,8 @@ The Kronrod value, the Kronrod-minus-Gauss error and the integral of |f|
 are then three weighted sums over the node axis, taken with np.einsum in
 numpy's own single-threaded loop, whose CPU time equals its wall time.  A
 BLAS product (@, np.dot) gives the same sums but runs a large batch on
-BLAS's own threads, which compete with the harness's thread pool.
+BLAS's own threads, which would compete with the sweep's worker processes
+for the same cores.
 
 `adaptive_quad` and `integral` take a plain fvec(ys) of a 1-d array and
 adapt it with `_per_panel`; `integral` is the one checked routine for a
@@ -116,8 +117,9 @@ def _panel_eval(f, rows, lo, hi):
     kernel takes |f| in place once the Kronrod and error sums are formed.
     The error is |sum (w_K - w_G) f|, the Kronrod-minus-Gauss difference in
     one sum.  The three sums are einsum contractions, not BLAS products (@,
-    np.dot): BLAS starts its own threads, which compete with the harness's
-    thread pool.  Returns (kron, err, absv), each of shape (npanels, ncomp).
+    np.dot): BLAS starts its own threads, which would compete with the
+    sweep's worker processes for the same cores.  Returns (kron, err,
+    absv), each of shape (npanels, ncomp).
     """
     half = 0.5 * (hi - lo)
     ys = (0.5 * (lo + hi))[:, None] + half[:, None] * NODES
@@ -172,7 +174,7 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10):
     may use its rows entry to select its own parameters (e.g. its own x),
     once per panel.  The node sums are einsum contractions in numpy's own
     single-threaded loop, not BLAS products, whose threads would compete
-    with the harness's thread pool.
+    with the sweep's worker processes for the same cores.
 
     A row converges when its totals are finite and, for every component,
     the summed panel error is below epsrel * max(|integral|, FLOOR_FRAC *

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -289,12 +292,124 @@ def test_no_sign_change_table_lists_every_evaluation(sine, monkeypatch):
 def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("ENSTROPHY_LAB_THREADS", "2")
     assert harness._worker_count(8) == 2
+    assert harness._worker_count(1) == 1
     for bad in ("two", "0"):
         monkeypatch.setenv("ENSTROPHY_LAB_THREADS", bad)
         with pytest.raises(ValueError, match=f"ENSTROPHY_LAB_THREADS.*{bad}"):
             harness._worker_count(8)
     monkeypatch.delenv("ENSTROPHY_LAB_THREADS")
     assert 1 <= harness._worker_count(8) <= 8
+    # by default one worker per CPU of the affinity mask, which can be
+    # smaller than os.cpu_count(), and at most one per k
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert harness._worker_count(8) == 3
+    assert harness._worker_count(2) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._worker_count(8) == 8
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails the test if a forked worker outlives it."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _stub_max(k):
+    return harness.MaxSearchResult(
+        k=k, T_star_measured=1.0 / k, E_max_measured=k ** 3,
+        K_at_max=k, K_drop_measured=k, n_evaluations=0, E0=k * k,
+        K0=2.0 * k, R_at_max=0.0)
+
+
+def test_sweep_results_do_not_depend_on_the_worker_count(
+        sine, monkeypatch, no_child_left):
+    # the dataclasses compare every field, search_trace included, exactly
+    runs = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("ENSTROPHY_LAB_THREADS", workers)
+        runs.append(harness.sweep(sine, (20.0, 40.0, 80.0, 160.0)))
+    for run in runs[1:]:
+        assert run.results == runs[0].results
+        assert run.fits == runs[0].fits
+    assert all(r.search_trace for r in runs[0].results)
+
+
+@pytest.mark.parametrize("first, later", [(20.0, 40.0), (40.0, 80.0)])
+def test_sweep_raises_the_first_failing_k_across_workers(
+        sine, monkeypatch, no_child_left, first, later):
+    # on 2 workers the caller runs k = 20 and 80 and the child 40 and 160,
+    # so the earlier failure is the caller's in one case, the child's in
+    # the other
+    def failing(profile, k):
+        if k == first:
+            raise ZeroDivisionError(f"at k={k}")
+        if k == later:
+            raise KeyError(f"at k={k}")
+        return _stub_max(k)
+
+    monkeypatch.setenv("ENSTROPHY_LAB_THREADS", "2")
+    monkeypatch.setattr(harness, "find_enstrophy_max", failing)
+    with pytest.raises(ZeroDivisionError, match=rf"^at k={first}$"):
+        harness.sweep(sine, (20.0, 40.0, 80.0, 160.0))
+
+
+def test_sweep_names_the_k_of_a_worker_that_died(sine, monkeypatch,
+                                                 no_child_left):
+    caller = os.getpid()
+
+    def dying(profile, k):
+        if k == 160.0 and os.getpid() != caller:
+            os._exit(3)
+        return _stub_max(k)
+
+    monkeypatch.setenv("ENSTROPHY_LAB_THREADS", "2")
+    monkeypatch.setattr(harness, "find_enstrophy_max", dying)
+    with pytest.raises(RuntimeError,
+                       match=r"worker 1 .* k = \[40\.0, 160\.0\]"):
+        harness.sweep(sine, (20.0, 40.0, 80.0, 160.0))
+
+
+def test_sweep_kills_its_workers_when_the_caller_fails(sine, monkeypatch,
+                                                      no_child_left):
+    # a BaseException (such as KeyboardInterrupt) in the caller's share
+    # ends the sweep at once: the child, still searching, is killed and
+    # reaped, not waited for
+    class Abort(BaseException):
+        pass
+
+    caller = os.getpid()
+
+    def stuck(profile, k):
+        if os.getpid() != caller:
+            time.sleep(60.0)
+        raise Abort
+
+    monkeypatch.setenv("ENSTROPHY_LAB_THREADS", "2")
+    monkeypatch.setattr(harness, "find_enstrophy_max", stuck)
+    start = time.monotonic()
+    with pytest.raises(Abort):
+        harness.sweep(sine, (20.0, 40.0, 80.0, 160.0))
+    assert time.monotonic() - start < 30.0
+
+
+@pytest.mark.parametrize("workers, platform",
+                         [("1", "linux"), ("2", "darwin"), ("2", "win32")])
+def test_sweep_forks_nothing_on_one_worker_or_off_linux(
+        sine, monkeypatch, no_child_left, workers, platform):
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setenv("ENSTROPHY_LAB_THREADS", workers)
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(harness, "find_enstrophy_max",
+                        lambda profile, k: _stub_max(k))
+    ks = (20.0, 40.0, 80.0, 160.0)
+    assert harness.sweep(sine, ks).results == tuple(map(_stub_max, ks))
 
 
 def test_diagnostics_at_max_bound(acceptance_sweep):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from enstrophy_lab.rootfind import (H_REL_NOISE, _fit_root, bisect,
-                                   bracketed_root, hermite, multisect,
-                                   newton_polish)
+from enstrophy_lab.rootfind import (G_REL_NOISE, H_REL_NOISE, _fit_root,
+                                   bisect, bracketed_root, hermite,
+                                   multisect, newton_polish)
 
 
 def test_bracketed_root_cosine():
@@ -146,9 +146,10 @@ def test_hermite_stops_on_a_step_below_xtol_from_the_far_end():
 
 
 def test_hermite_at_a_noise_floor_in_both_g_and_G():
-    # G carries its own noise of 1e-12, ten times its round-off bar
-    # G_REL_NOISE |G| near the root, so the fitted curvature is noise
-    # once the points close in; the bracket still closes on the root
+    # G carries its own noise of 1e-12 and passes through 0 at the root,
+    # so its round-off bar G_REL_NOISE |G| vanishes there and the G rows
+    # fitted once the points close in are noise; the bracket still closes
+    # on the root
     xtol = 1e-9
 
     def G(y):
@@ -156,6 +157,26 @@ def test_hermite_at_a_noise_floor_in_both_g_and_G():
 
     for x0, x1 in ((0.25, 0.45), (0.45, 0.25), (0.0, 1.0)):
         r, calls = _solve(_noisy, G, _noisy_H, x0, x1, xtol)
+        assert abs(r - 0.3) <= xtol, (x0, x1)
+        assert r == calls[-1]
+        assert len(calls) <= 10, (x0, x1)
+
+
+def test_hermite_at_a_noise_floor_in_g_and_G_shifted_to_one():
+    # G, shifted to about 1 near the root, carries noise of 1e-12, ten
+    # times its round-off bar G_REL_NOISE |G|; H = G's antiderivative
+    # takes the shift as y; the bracket still closes on the root
+    xtol = 1e-9
+    assert 10.0 * G_REL_NOISE == 1e-12
+
+    def G(y):
+        return 1.0 + _noisy_G(y) + 1e-12 * math.cos(7e8 * y + 1.0)
+
+    def H(y):
+        return y + _noisy_H(y)
+
+    for x0, x1 in ((0.25, 0.45), (0.45, 0.25), (0.0, 1.0)):
+        r, calls = _solve(_noisy, G, H, x0, x1, xtol)
         assert abs(r - 0.3) <= xtol, (x0, x1)
         assert r == calls[-1]
         assert len(calls) <= 10, (x0, x1)
