@@ -314,19 +314,26 @@ def _phase_moments(profile, x, a, k, n_moments=2):
 
     The initial panels of all rows come from `_panel_skeleton`: the
     COARSE_PANELS uniform panels across the scan radius, every stationary
-    point, and a ladder y* +- w 4^j, j = 0..n_lad, about each minimum y*,
+    point, and a ladder y* +- w 4^j, j = 1..n_lad, about each minimum y*,
     with w = (kC + 1)^-1/2, C = a + max(f'_max, 0), the width of the
     narrowest possible spike and w 4^n_lad at least the coarse spacing.
-    These few breakpoints suffice: they only have to put the
-    stationary points and the spike's scale at panel ends, and the accuracy
-    comes from `quadrature.adaptive_batch`, which only bisects, splitting
-    every panel over its share of the row tolerance until each moment
-    converges, so a leaner start costs rounds, not accuracy.  Against 16
-    coarse panels and a ladder of ratio 2, T*, E(T*) and K(T*) moved by at
-    most 6e-11 relative (sine k = 5 to 2560, [1, 0.1] k = 20 and 160),
-    and every pinned test held.  The callback of `adaptive_batch` writes
-    r_0..r_n into one (n_moments+1, npanels, 21) array, in whose slots it
-    also forms y - x and the exponent.
+    The ladder starts at 4w, not w: every minimum has curvature f'(y*) + a
+    <= C, so no spike is narrower than w, and one K21 panel integrates
+    s^j e^{-s^2/2}, j = 0..3, over [0, 4], 4 widths of the narrowest
+    spike, to 2.2e-16 relative (its K21 - G10 estimate reads 1.4e-10 to
+    3.6e-9, so such a panel may cost a split, never accuracy).  Against a
+    ladder from w, the T* searches at sine k = 5 and 2560 and [1, 0.1] k =
+    160 evaluate 9% fewer y-panels.  These few breakpoints suffice: they
+    only have to put the stationary points and the spike's scale at panel
+    ends, and the accuracy comes from `quadrature.adaptive_batch`, which
+    only bisects, splitting every panel over its share of the row
+    tolerance until each moment converges, so a leaner start costs
+    rounds, not accuracy.  Against 16 coarse panels and a ladder of ratio
+    2, T*, E(T*) and K(T*) moved by at most 6e-11 relative (sine k = 5 to
+    2560, [1, 0.1] k = 20 and 160), and every pinned test held.  The
+    callback of `adaptive_batch` writes r_0..r_n into one (n_moments+1,
+    npanels, 21) array, in whose slots it also forms y - x and the
+    exponent.
 
     Panels whose moments are provably negligible are dropped before the
     first evaluation.  On a panel [lo, hi] of row i with no stationary
@@ -404,7 +411,7 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     w = 1.0 / math.sqrt(k * C + 1.0)
     h_coarse = 2 * R / COARSE_PANELS
     n_lad = max(1, math.ceil(0.5 * math.log2(max(h_coarse / w, 4.0))))
-    ladder = w * 4.0 ** np.arange(n_lad + 1)
+    ladder = w * 4.0 ** np.arange(1, n_lad + 1)
     ladder = np.concatenate([-ladder[::-1], ladder])
     coarse = np.linspace(-R, R, COARSE_PANELS + 1)
 

@@ -4,11 +4,11 @@ E(t), K(t), R(t) at large k cannot be read off a fixed grid (the u_x spike
 at the shock has width ~ 1/(k a (s_plus - s_minus))), so the circle
 integrals are themselves adaptive quadratures in x, with the exact-solver
 batch evaluator as the integrand and panels nested geometrically toward
-x = 0, by the ratio X_NEST_RATIO from the spike width out to 1/2.  Every
-x-round is one `eval_fields` batch, so the ratio is chosen for the nest
-to pass its first convergence check: one E(t) is then one batch (the
-threshold table is in `_x_breakpoints`).  Oddness of u halves every
-integral to [0, 1/2].
+x = 0, by the ratio X_NEST_RATIO from one ratio step outside the narrowest
+possible spike width out to 1/2.  Every x-round is one `eval_fields`
+batch, so the ratio is chosen for the nest to pass its first convergence
+check: one E(t) is then one batch (the threshold table is in
+`_x_breakpoints`).  Oddness of u halves every integral to [0, 1/2].
 
 T* is the zero of R = dE/dt (computed from the u_xx moment) where R turns
 from + to -: the search opens at the Laplace prediction T*_pred, sizes its
@@ -112,8 +112,16 @@ class ComparisonReport:
 
 def _x_breakpoints(profile, a, k):
     """Panel skeleton on [0, 1/2]: {0, 1/2} and the geometric nest w r^j
-    < 1/2 against the shock at 0, with w = 1/(k (a + f'_max) + 1) and r =
-    X_NEST_RATIO.
+    < 1/2, j >= 1, against the shock at 0, with w = 1/(k (a + f'_max) + 1)
+    and r = X_NEST_RATIO.
+
+    w is the width of the narrowest possible spike, but the u_x spike at 0
+    is wider: u there is about -k a s_plus tanh(k a s_plus x), with s_plus
+    the phase's positive minimum at x = 0, and its width 1/(k a s_plus) is
+    9.0 to 12.4 times w for the sine at k = 5, 80 and 2560 and [1, 0.1] at
+    k = 20 and 160, at 0.8, 1, 1.2 and 2 T*_pred.  [0, w] lies inside the
+    shock's flat core, so the nest starts at w r and [0, w r] is its first
+    panel.
 
     The ratio is chosen so that the first x-round already converges: each
     round of `quadrature.adaptive_quad` is a whole `eval_fields` call, with
@@ -127,23 +135,25 @@ def _x_breakpoints(profile, a, k):
 
         r      worst err/tol   evaluations over 1   y-panels
         1.6    0.011           0 of 51              0
-        2.0    2.04            1 of 51              -28%
-        2.2    12.2            1 of 51              -36%
-        2.4    21.9            1 of 51              -42%
-        2.6    104             15 of 51             -39%
-        2.8    164             21 of 51             -39%
+        2.0    2.04            1 of 51              -30%
+        2.2    12.2            1 of 51              -39%
+        2.4    21.9            1 of 51              -45%
+        2.6    104             15 of 51             -42%
+        2.8    164             21 of 51             -43%
 
     The one evaluation over 1 up to r = 2.4 is sigma = 0.02 at k = 160
     and 0.8 T*_pred; past r = 2.4 the second rounds come back and cost
     more than the coarser nest saves.  Over 96 evaluations (sine up to
     k = 5000, [1, 0.1] up to 640, sigma = 0.04 added, the triangles up to
     k = 320) r = 2.4 took 98 x-rounds, two more than one per evaluation
-    (sigma = 0.02, 0.8 T*_pred, k = 160 and 320), and 41% fewer y-panels
-    than r = 1.6; r = 2.6 took 124.
+    (sigma = 0.02, 0.8 T*_pred, k = 160 and 320), and 45% fewer y-panels
+    than r = 1.6; r = 2.6 took 124.  Starting the nest at w instead gives
+    the same err/tol and x-rounds to three digits, with 13% more y-panels
+    at r = 2.4 on both sets.
     """
     w = 1.0 / (k * (a + max(profile.f_prime_max, 0.0)) + 1.0)
     pts = [0.0, 0.5]
-    s = w
+    s = w * X_NEST_RATIO
     while 0.0 < s < 0.5:        # s = 0 when a overflows to inf
         pts.append(s)
         s *= X_NEST_RATIO

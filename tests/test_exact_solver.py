@@ -744,13 +744,16 @@ def _mp_moments(coeffs, x, a, k, m, pts):
 
 
 @pytest.mark.parametrize("which, k, xs", [
-    ("sine", 2560.0, (0.0005, 0.01, 0.45)),
-    ("two_term", 160.0, (0.003, 0.4))])
+    ("sine", 2560.0, (0.0005, 0.01, 0.45, 0.5)),
+    ("two_term", 160.0, (0.003, 0.4, 0.5))])
 def test_moments_match_mpmath_on_the_lean_skeleton(which, k, xs, request):
     """r_0..r_3 from `_phase_moments` near T* against mpmath.quad at 30
     digits, split at x, at the stationary points of a dense brentq scan
     and 2 and 8 spike widths w either side of each: 1e-9 relative on r_0 and r_2, and 1e-9 of max(|r_j|, FLOOR_FRAC
-    A_j), the floor the quadrature's tolerance uses, on r_1 and r_3."""
+    A_j), the floor the quadrature's tolerance uses, on r_1 and r_3.  At
+    x = 1/2 the minimum sits at y = 1/2, where f' is largest: its
+    curvature is C, the spike is the narrowest possible, and the ladder's
+    first rung is 4 of its widths out."""
     pytest.importorskip("mpmath")
     profile = request.getfixturevalue(which)
     t = asymptotics.predict(profile, k).T_star

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -178,6 +179,89 @@ def test_x_nest_converges_in_one_round(request, monkeypatch, spec, k, factor,
     assert abs(K / K0 - 1.0) <= 1e-12
     assert abs(E / E0 - 1.0) <= 1e-12
     assert abs(R - R0) * t <= 1e-9 * E0
+
+
+@pytest.mark.parametrize("spec, k, t", [
+    ("sine", 5.0, 3.7e-3), ("sine", 2560.0, 7.8e-6),
+    ("two_term", 160.0, 7e-4), ("sine", 0.13, 1.0), ("sine", 0.04, 1.0)])
+def test_x_breakpoints_start_one_ratio_outside_the_spike(request, spec, k,
+                                                          t):
+    # w = 1/(k C + 1) is the narrowest possible spike; the nest's first
+    # interior point is w r, so [0, w r] is one panel, and the others
+    # follow by the ratio r up to 1/2 (at k = 0.13 and 0.04, t = 1, w r^2
+    # and w r pass 1/2: one interior point and none)
+    profile = request.getfixturevalue(spec)
+    a = 1.0 / (2.0 * k * t)
+    w = 1.0 / (k * (a + profile.f_prime_max) + 1.0)
+    r = harness.X_NEST_RATIO
+    pts = harness._x_breakpoints(profile, a, k)
+    assert pts[0] == 0.0 and pts[-1] == 0.5
+    inner = pts[1:-1]
+    assert np.all(inner < 0.5)
+    assert np.all(inner >= w * r)
+    assert inner.size == 0 or inner[0] == w * r
+    np.testing.assert_allclose(inner[1:] / inner[:-1], r, rtol=1e-15)
+    assert (inner[-1] if inner.size else w) * r >= 0.5
+
+
+@pytest.mark.parametrize("a", [1e300, math.inf])
+def test_x_breakpoints_at_an_overflowing_curvature(sine, a):
+    # k a overflows, w is 0, and the nest has no interior point
+    assert list(harness._x_breakpoints(sine, a, 1e10)) == [0.0, 0.5]
+
+
+@pytest.fixture
+def work_counter(monkeypatch):
+    """Counts the eval_fields batches of a run, the x-rows handed to them
+    and the y-panels _phase_moments evaluates; the x-quadrature's own
+    panels, and the t = 0 integrals, are not counted."""
+    work = {"calls": 0, "rows": 0, "y_panels": 0}
+    eval_fields = exact_solver.eval_fields
+    adaptive_batch = quadrature.adaptive_batch
+
+    def counted_fields(profile, x, *args, **kwargs):
+        work["calls"] += 1
+        work["rows"] += len(x)
+        return eval_fields(profile, x, *args, **kwargs)
+
+    def counted_batch(f, *args, **kwargs):
+        def counted_f(rows, ys):
+            work["y_panels"] += len(rows)
+            return f(rows, ys)
+        return adaptive_batch(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(exact_solver, "eval_fields", counted_fields)
+    # only exact_solver's view of quadrature: adaptive_quad, which runs the
+    # x-nest, reaches adaptive_batch through quadrature's own globals
+    monkeypatch.setattr(exact_solver, "quadrature", types.SimpleNamespace(
+        **{**vars(quadrature), "adaptive_batch": counted_batch}))
+    return work
+
+
+@pytest.mark.parametrize("spec, k, rows, y_panels", [
+    ("sine", 5.0, 504, 7050),
+    ("sine", 2560.0, 819, 11220),
+    ("two_term", 160.0, 672, 10978),
+])
+def test_tstar_search_work_budget(request, work_counter, spec, k, rows,
+                                  y_panels):
+    # the x-nest and each y-ladder start one step outside the narrowest
+    # possible spike; started at it they took 588, 882 and 756 x-rows and
+    # 8724, 15090 and 13226 y-panels here
+    profile = request.getfixturevalue(spec)
+    r = harness.find_enstrophy_max(profile, k)
+    assert work_counter["calls"] == r.n_evaluations
+    assert work_counter["rows"] <= rows
+    assert work_counter["y_panels"] <= y_panels
+
+
+@pytest.mark.parametrize("s", [0.9, 1.0, 1.1])
+def test_sweep_searches_take_one_batch_per_evaluation(sine, work_counter, s):
+    # the sweep-cli workload's k lists: every E(t) is one x-round
+    n = 0
+    for k in (20.0, 40.0, 80.0, 160.0):
+        n += harness.find_enstrophy_max(sine, s * k).n_evaluations
+    assert work_counter["calls"] == n
 
 
 def test_oversized_y_skeleton_fails_before_evaluation(monkeypatch, sine):
