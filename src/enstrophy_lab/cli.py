@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 import argparse
 import configparser
 import dataclasses
+import itertools
 import operator
 import os
 import sys
@@ -127,16 +128,20 @@ def _row_format(types):
 
 
 def csv_text(header, rows):
-    """CSV text with fmt's rules, each row written by one %-format (built
-    once per sequence of value types)."""
+    """CSV text with fmt's rules: each run of rows whose values share a
+    sequence of types is written by one %-format (built once per
+    sequence)."""
     lines = [",".join(header)]
     formats = {}
-    for row in rows:
-        types = tuple(map(type, row))
+    for types, block in itertools.groupby(
+            rows, key=lambda row: tuple(map(type, row))):
         if types not in formats:
             formats[types] = _row_format(types)
         form, zeros = formats[types]
-        lines.append(form % tuple(map(operator.add, row, zeros)))
+        block = list(block)
+        values = map(operator.add, itertools.chain.from_iterable(block),
+                     itertools.cycle(zeros))
+        lines.append("\n".join([form] * len(block)) % tuple(values))
     return "\n".join(lines) + "\n"
 
 
@@ -325,7 +330,8 @@ def _run_solve(cfg, profile, written):
     diag_rows = []
     for idx, t in enumerate(times):
         snap = exact_solver.snapshot(profile, t, cfg.k, scfg)
-        rows = list(zip(snap.x_grid, snap.u_values, snap.ux_values))
+        rows = list(zip(snap.x_grid.tolist(), snap.u_values.tolist(),
+                        snap.ux_values.tolist()))
         _emit(cfg.out_dir, f"snapshot_{idx:03d}.csv",
               csv_text(("x", "u", "ux"), rows), written)
         diag = diagnostics.compute(snap)

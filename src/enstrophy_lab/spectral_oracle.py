@@ -18,6 +18,12 @@ estimates the fine pass's error, because ETDRK4 is fourth order.  The step
 is halved until that estimate meets STEP_RTOL * max|k f|.  The estimate
 uses only the oracle's own passes, never the exact solver.  A spectral
 tail monitor doubles the resolution when the top of the band fills up.
+
+Only the dealiased band is stepped: the nonlinear term is zero above the
+cut, so the modes there just decay by their exact factor exp(L t).  The
+first coarse and fine passes are stepped in lockstep, as the two rows of
+one array, so one FFT call serves both; each row does the arithmetic it
+would do alone, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -82,7 +88,8 @@ def _etdrk4_coeffs(L, h, m=32):
 
 
 class _Spectral:
-    """One resolution level: grids, masks, and the nonlinear term."""
+    """One resolution level: grids, the dealiased band, and the nonlinear
+    term on it."""
 
     def __init__(self, n):
         self.n = n
@@ -91,14 +98,19 @@ class _Spectral:
         self.L = -self.w ** 2
         cut = int(DEALIAS_FRACTION * (n // 2))
         self.cut = cut
-        # -i w on the kept band, 0 above it: dealiases (u^2)_hat
-        self.minus_iw = np.where(np.arange(n // 2 + 1) <= cut,
-                                 -1j * self.w, 0.0)
+        # -i w on the kept band; above it the dealiased (u^2)_hat is 0
+        self.minus_iw = -1j * self.w[:cut + 1]
 
     def nonlinear(self, v):
-        u = np.fft.irfft(v[:self.cut + 1], self.n)
+        """-i w (u^2)_hat on the band, for each row of band coefficients v."""
+        u = np.fft.irfft(v, self.n)
         u *= u
-        return self.minus_iw * np.fft.rfft(u)
+        return self.minus_iw * np.fft.rfft(u)[..., :self.cut + 1]
+
+    def band_coeffs(self, h):
+        """_etdrk4_coeffs on the band, with the 2 of the f2 term folded in."""
+        E, E2, Q, f1, f2, f3 = _etdrk4_coeffs(self.L[:self.cut + 1], h)
+        return E, E2, Q, f1, 2.0 * f2, f3
 
     def tail_fraction(self, v):
         p = np.abs(v[1:self.cut + 1]) ** 2
@@ -107,29 +119,79 @@ class _Spectral:
         return float(np.sum(p[lo - 1:])) / tot
 
 
+def _step(sp, v, coeffs):
+    """One ETDRK4 step of the band rows v with sp.band_coeffs (stacked to
+    one set per row when v has several):
+
+        a = E2 v + Q N(v),  b = E2 v + Q N(a),  c = E2 a + Q (2 N(b) - N(v)),
+        v' = E v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c),
+
+    each product and sum formed as written (the 2 comes folded into f2,
+    which is exact), in place where a term is not needed again."""
+    E, E2, Q, f1, f2x2, f3 = coeffs
+    Nv = sp.nonlinear(v)
+    E2v = E2 * v
+    a = Q * Nv
+    a += E2v
+    Na = sp.nonlinear(a)
+    b = Q * Na
+    b += E2v
+    Nb = sp.nonlinear(b)
+    c = 2.0 * Nb
+    c -= Nv
+    c *= Q
+    a *= E2
+    c += a
+    Nc = sp.nonlinear(c)
+    out = E * v
+    Nv *= f1
+    out += Nv
+    Na += Nb
+    Na *= f2x2
+    out += Na
+    Nc *= f3
+    out += Nc
+    return out
+
+
 def _advance(sp, v, t_span, h_target, coeff_cache):
-    """Advance v over t_span with uniform substeps close to h_target."""
+    """Advance v over t_span with uniform substeps close to h_target.
+
+    v is one rfft row, or two in lockstep: row 1 takes the substeps and
+    row 0 half as many, each twice as long, so the two rows are a coarse
+    and a fine pass of step doubling.  Only the dealiased band is stepped;
+    the modes above it get no forcing, so they take their exact factor
+    exp(L t_span).  A result that is not finite raises OracleError (a NaN
+    or inf reaches every mode through the next FFT, so none is lost by
+    checking once)."""
     if t_span <= 0:
         return v
-    nstep = max(1, int(math.ceil(t_span / h_target - 1e-12)))
+    pair = v.ndim == 2
+    # substeps per step of row 0: a pair's coarse row takes whole steps
+    per = 2 if pair else 1
+    nstep = per * max(1, int(math.ceil(t_span / (per * h_target) - 1e-12)))
     h = t_span / nstep
     key = round(math.log(h), 12)
     if key not in coeff_cache:
-        coeff_cache[key] = _etdrk4_coeffs(sp.L, h)
-    E, E2, Q, f1, f2, f3 = coeff_cache[key]
-    for _ in range(nstep):
-        Nv = sp.nonlinear(v)
-        a = E2 * v + Q * Nv
-        Na = sp.nonlinear(a)
-        b = E2 * v + Q * Na
-        Nb = sp.nonlinear(b)
-        c = E2 * a + Q * (2.0 * Nb - Nv)
-        Nc = sp.nonlinear(c)
-        v = E * v + Nv * f1 + 2.0 * (Na + Nb) * f2 + Nc * f3
-        if not np.all(np.isfinite(v)):
-            raise OracleError("spectral solution blew up (non-finite "
-                              "coefficients) during a step")
-    return v
+        fine = sp.band_coeffs(h)
+        coeff_cache[key] = (tuple(map(np.stack, zip(sp.band_coeffs(2.0 * h),
+                                                    fine)))
+                            if pair else fine)
+    coeffs = coeff_cache[key]
+    fine = tuple(c[1] for c in coeffs) if pair else coeffs
+    band = v[..., :sp.cut + 1]
+    for _ in range(nstep // per):
+        band = _step(sp, band, coeffs)
+        if pair:
+            band[1] = _step(sp, band[1], fine)
+    if not np.all(np.isfinite(band)):
+        raise OracleError("spectral solution blew up (non-finite "
+                          "coefficients) during a step")
+    out = np.empty_like(v)
+    out[..., :sp.cut + 1] = band
+    out[..., sp.cut + 1:] = v[..., sp.cut + 1:] * np.exp(
+        sp.L[sp.cut + 1:] * t_span)
+    return out
 
 
 def _resample(v, n_src, n_dst):
@@ -153,8 +215,9 @@ def integrate(profile, k, save_times, snapshot_points=512):
     """Run the oracle and return StateSnapshots at the requested times,
     each sampled on snapshot_points grid points.
 
-    save_times must be sorted, finite and >= 0, and k finite; anything
-    else raises ValueError naming the value.  The step starts at the
+    save_times must be sorted, finite and >= 0, k finite and
+    snapshot_points a positive power of two; anything else raises
+    ValueError naming the value.  The step starts at the
     advective CFL bound CFL_CONSTANT / (2 max|k f| n_modes) and is halved
     until the step-doubling estimate of sup_x |u error| over the save
     times is at most STEP_RTOL * max|k f|; an estimate that stops
@@ -171,6 +234,10 @@ def integrate(profile, k, save_times, snapshot_points=512):
             raise ValueError(f"need finite save times >= 0, got t={t}")
     if sorted(ts) != ts:
         raise ValueError("save_times must be sorted")
+    p = snapshot_points
+    if not (isinstance(p, (int, np.integer)) and p > 0 and p & (p - 1) == 0):
+        raise ValueError(f"need a positive power of two, got "
+                         f"snapshot_points={p}")
 
     n = N_MODES
     while True:
@@ -189,12 +256,15 @@ def integrate(profile, k, save_times, snapshot_points=512):
 def _single_run(profile, k, ts, snapshot_points, n):
     """One resolution: (snapshots, worst tail fraction, error estimate).
 
-    The coarse pass runs first; when its tail is above TAIL_THRESHOLD and
-    n < MAX_N_MODES the snapshots and the estimate are None, so no finer
-    pass is paid at a resolution integrate discards.  Otherwise the step
-    is halved until the step-doubling estimate meets STEP_RTOL * max|k f|,
-    and the snapshots come from the finest pass that met it (or, at the
-    round-off floor, from the pass with the smallest estimate).
+    The first coarse and fine passes run in lockstep, one _advance call
+    per save interval for both.  When n < MAX_N_MODES and the coarse
+    pass's tail at a save time is above TAIL_THRESHOLD, the run stops
+    there and returns that tail, with None for the snapshots and the
+    estimate, so no more steps are paid at a resolution integrate
+    discards.  Otherwise the step is halved until the step-doubling
+    estimate meets STEP_RTOL * max|k f|, and the snapshots come from the
+    finest pass that met it (or, at the round-off floor, from the pass
+    with the smallest estimate).
     """
     sp = _Spectral(n)
     u0 = k * profile.f(sp.x)
@@ -206,9 +276,9 @@ def _single_run(profile, k, ts, snapshot_points, n):
     m = [max(1, math.ceil(span / (2.0 * h))) for span in spans]
 
     def run(per_m):
-        """v at every save time, with m_i * per_m substeps per interval.
-        Each pass halves the last one's steps, so step lengths seldom
-        repeat across passes and each pass keeps its own coefficients."""
+        """v at every save time for a halving round's new pass, with
+        m_i * per_m substeps per interval and a coefficient cache of its
+        own, since its step lengths are new."""
         v, out, coeff_cache = v0, [], {}
         for span, m_i in zip(spans, m):
             v = _advance(sp, v, span, span / (m_i * per_m), coeff_cache)
@@ -219,14 +289,19 @@ def _single_run(profile, k, ts, snapshot_points, n):
         return max((float(np.max(np.abs(np.fft.irfft(vf - vc, n))))
                     for vf, vc in zip(fine, coarse)), default=0.0) / 15.0
 
-    coarse = run(1)
-    worst_tail = max((sp.tail_fraction(v) for v in coarse), default=0.0)
-    if worst_tail > TAIL_THRESHOLD and n < MAX_N_MODES:
-        return None, worst_tail, None
+    # rows 0 and 1: the coarse pass (m_i steps) and the fine one (2 m_i)
+    pair, coarse, fine, coeff_cache = np.stack([v0, v0]), [], [], {}
+    worst_tail = 0.0
+    for span, m_i in zip(spans, m):
+        pair = _advance(sp, pair, span, span / (2 * m_i), coeff_cache)
+        worst_tail = max(worst_tail, sp.tail_fraction(pair[0]))
+        if worst_tail > TAIL_THRESHOLD and n < MAX_N_MODES:
+            return None, worst_tail, None
+        coarse.append(pair[0])
+        fine.append(pair[1])
 
     tol = STEP_RTOL * u_max
     per_m = 2
-    fine = run(per_m)
     err = estimate(fine, coarse)
     while err > tol:
         per_m *= 2

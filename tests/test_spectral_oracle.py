@@ -1,5 +1,6 @@
 """Fourier time stepper: linear limits, resolution control, guards."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -20,11 +21,23 @@ def test_zero_amplitude_stays_zero(sine):
 
 
 def test_linear_heat_decay(sine, monkeypatch):
-    # k -> 0 freezes the nonlinearity; mode 1 must decay by e^{-4 pi^2 t}
+    # k -> 0 freezes the nonlinearity; mode 1 must decay by e^{-4 pi^2 t},
+    # and mode 100, above the dealiasing cut (mode 85 of a 256-point run)
+    # where nothing is stepped, by its own factor e^{-4 pi^2 100^2 t}
     k = 1e-6
     monkeypatch.setattr(spectral_oracle, "N_MODES", 256)
     snap = spectral_oracle.integrate(sine, k, [0.01])[0]
     ref = k * sine.f(snap.x_grid) * HEAT_FACTOR
+    assert np.max(np.abs(snap.u_values - ref)) < 1e-11
+
+    def high(x):
+        return np.sin(200.0 * np.pi * x)
+
+    t = 1e-5
+    both = dataclasses.replace(sine, f=lambda x: sine.f(x) + high(x))
+    snap = spectral_oracle.integrate(both, k, [t])[0]
+    ref = k * (sine.f(snap.x_grid) * math.exp(-4.0 * math.pi ** 2 * t)
+               + high(snap.x_grid) * math.exp(-4e4 * math.pi ** 2 * t))
     assert np.max(np.abs(snap.u_values - ref)) < 1e-11
 
 
@@ -40,27 +53,30 @@ def test_snapshot_time_zero_and_oddness(sine):
 def test_substeps_respect_cfl_bound(sine, monkeypatch):
     # at k = 2e4 the advective bound h = CFL_CONSTANT / (2 max|k f| n),
     # not the error estimate, sets the step.  The coarse pass steps by at
-    # most 2h; every later pass, whose result is kept, by at most h.
+    # most 2h; every finer pass, whose result is kept, by at most h.  Each
+    # step's length per row is read off its coefficients, E = exp(h L) at
+    # the top of the band; row 0 of a two-row step is the coarse pass.
     k = 2e4
     calls = []
-    real = spectral_oracle._advance
+    real = spectral_oracle._step
 
-    def advance(sp, v, t_span, h_target, coeff_cache):
-        nstep = max(1, math.ceil(t_span / h_target - 1e-12))
-        calls.append((sp.n, t_span / nstep))
-        return real(sp, v, t_span, h_target, coeff_cache)
+    def step(sp, v, coeffs):
+        lengths = np.log(coeffs[0][..., -1]) / sp.L[sp.cut]
+        calls.append((sp.n, v.ndim, np.atleast_1d(lengths)))
+        return real(sp, v, coeffs)
 
-    monkeypatch.setattr(spectral_oracle, "_advance", advance)
+    monkeypatch.setattr(spectral_oracle, "_step", step)
     snap = spectral_oracle.integrate(sine, k, [1e-8])[0]
     assert np.all(np.isfinite(snap.u_values))
     assert np.all(np.isfinite(snap.ux_values))
     u_max = k * float(np.max(np.abs(sine.f(exact_solver.grid(1024)))))
     n = calls[-1][0]
-    steps = [step for m, step in calls if m == n]
+    coarse = [steps[0] for m, rows, steps in calls if m == n and rows == 2]
+    kept = [steps[-1] for m, rows, steps in calls if m == n]
     h = spectral_oracle.CFL_CONSTANT / (2.0 * u_max * n)
-    assert len(steps) >= 2
-    assert steps[0] <= 2.0 * h * (1.0 + 1e-12)
-    assert all(step <= h * (1.0 + 1e-12) for step in steps[1:])
+    assert coarse and len(kept) > len(coarse)
+    assert all(step <= 2.0 * h * (1.0 + 1e-12) for step in coarse)
+    assert all(step <= h * (1.0 + 1e-12) for step in kept)
 
 
 def test_negative_amplitude_is_half_period_shift(sine):
@@ -83,6 +99,28 @@ def test_tail_warning_without_headroom(sine, monkeypatch):
     t = 1.0 / (480.0 * math.pi)
     with pytest.warns(RuntimeWarning, match="tail"):
         spectral_oracle.integrate(sine, 30.0, [t])
+
+
+def test_discarded_resolution_stops_at_the_first_wide_tail(sine,
+                                                          monkeypatch):
+    # the same shock at 64 modes with room to double: the run stops after
+    # the first save interval, whose coarse tail is already too wide, and
+    # steps none of the later ones
+    monkeypatch.setattr(spectral_oracle, "MAX_N_MODES", 128)
+    calls = []
+    real = spectral_oracle._advance
+
+    def advance(sp, v, t_span, h_target, coeff_cache):
+        calls.append(t_span)
+        return real(sp, v, t_span, h_target, coeff_cache)
+
+    monkeypatch.setattr(spectral_oracle, "_advance", advance)
+    t = 1.0 / (480.0 * math.pi)
+    snaps, tail, est = spectral_oracle._single_run(sine, 30.0,
+                                                   [t, 2 * t, 3 * t], 512, 64)
+    assert snaps is None and est is None
+    assert tail > spectral_oracle.TAIL_THRESHOLD
+    assert len(calls) == 1
 
 
 def test_auto_doubling_resolves(sine, monkeypatch):
@@ -117,6 +155,10 @@ def test_save_time_validation(sine):
                             (math.inf, [1e-3], "k=inf")):
         with pytest.raises(ValueError, match=named):
             spectral_oracle.integrate(sine, k, times)
+    # so is a snapshot grid that is not a power of two
+    for points in (300, 768, 0, -512, 512.0):
+        with pytest.raises(ValueError, match=f"snapshot_points={points}"):
+            spectral_oracle.integrate(sine, 5.0, [1e-3], points)
 
 
 def _phi_weights(z):
@@ -167,6 +209,31 @@ def _solve_oracle_times():
     solve-oracle workload at seed 7."""
     rng = random.Random("solve-oracle:7")
     return [4e-3 * (i + 1 - 0.5 * rng.random()) / 16 for i in range(16)]
+
+
+def test_lockstep_pair_matches_each_pass_alone(sine):
+    # the first round steps the coarse and fine passes as the two rows of
+    # one array; each row must come out bit for bit as that pass stepped
+    # alone, one row at a time with its own coefficients
+    k = 5.0
+    sp = spectral_oracle._Spectral(spectral_oracle.N_MODES)
+    u0 = k * sine.f(sp.x)
+    h = spectral_oracle.CFL_CONSTANT / (2.0 * float(np.max(np.abs(u0)))
+                                        * sp.n)
+    v0 = np.fft.rfft(u0)
+    pair, coarse, fine = np.stack([v0, v0]), v0, v0
+    caches = {}, {}, {}
+    for span in np.diff(_solve_oracle_times(), prepend=0.0):
+        m = max(1, math.ceil(span / (2.0 * h)))
+        pair = spectral_oracle._advance(sp, pair, span, span / (2 * m),
+                                        caches[0])
+        coarse = spectral_oracle._advance(sp, coarse, span, span / m,
+                                          caches[1])
+        fine = spectral_oracle._advance(sp, fine, span, span / (2 * m),
+                                        caches[2])
+        assert np.array_equal(pair[0], coarse)
+        assert np.array_equal(pair[1], fine)
+    assert not np.array_equal(coarse, fine)
 
 
 def test_step_estimate_meets_tolerance_and_bounds_error(sine):
