@@ -422,11 +422,11 @@ def _run_asym(cfg, profile, written):
 def _run_sweep(cfg, profile, written):
     result = harness.sweep(profile, cfg.k_list)
     report = harness.compare_predictions(result.results, profile)
-    ratio_by_k = {row["k"]: row for row in report.rows}
 
+    # both in increasing k: sweep keeps the k-list order, which
+    # _check_k_list forces to be strictly increasing
     rows = []
-    for r in sorted(result.results, key=lambda r: r.k):
-        ratios = ratio_by_k[r.k]
+    for r, ratios in zip(result.results, report.rows):
         bound_ratio = r.E_max_measured / diagnostics.integral_bound_rhs(r.E0)
         rows.append((r.k, r.E0, r.K0, r.T_star_measured, r.E_max_measured,
                      r.K_at_max, r.K_drop_measured, ratios["ratio_T_star"],

@@ -307,10 +307,6 @@ def _worker_count(n_tasks):
     return max(1, min(n_tasks, n))
 
 
-# Placeholder for an outcome a forked worker never reported.
-_MISSING = object()
-
-
 def _outcome(fn, k):
     """fn(k), or the exception it raised."""
     try:
@@ -320,15 +316,13 @@ def _outcome(fn, k):
 
 
 def _forked_worker(fn, ks, fd):
-    """Body of a forked child: pickle the outcome of fn at each k into the
-    pipe fd, then leave by os._exit, so nothing of the parent's (finally
-    clauses, atexit handlers, buffered output) runs twice."""
+    """Body of a forked child: pickle the list of fn's outcomes at ks into
+    the pipe fd, then leave by os._exit, so nothing of the parent's
+    (finally clauses, atexit handlers, buffered output) runs twice."""
     code = 1
     try:
         with os.fdopen(fd, "wb") as out:
-            for k in ks:
-                pickle.dump(_outcome(fn, k), out)
-                out.flush()
+            pickle.dump([_outcome(fn, k) for k in ks], out)
         code = 0
     finally:
         os._exit(code)
@@ -338,13 +332,14 @@ def _map_in_workers(fn, ks, n):
     """[fn(k) for k in ks] on n workers, worker w running ks[w::n].
 
     Worker 0 is this process; workers 1..n-1 are forked children, each
-    sending one pickled outcome per k (its result, or the exception it
-    raised) through its own pipe.  Every child is reaped before this
-    returns or raises, and killed first if this process fails.  The first
-    failing k's exception is raised, in k order, and a child that exits
-    without reporting gives a RuntimeError naming its k values.
+    sending the pickled list of its outcomes (per k its result, or the
+    exception it raised) through its own pipe.  A child whose list cannot
+    be read reports a RuntimeError naming its k values at each of them.
+    Every child is reaped before this returns or raises, and killed first
+    if this process fails.  The first failing k's exception is raised, in
+    k order.
     """
-    outcomes = [_MISSING] * len(ks)
+    outcomes = [None] * len(ks)
     readers, pids = [], []
     finished = False
     try:
@@ -358,14 +353,15 @@ def _map_in_workers(fn, ks, n):
             finally:
                 os.close(fd)
             pids.append(pid)
-        for i in range(0, len(ks), n):
-            outcomes[i] = _outcome(fn, ks[i])
+        outcomes[0::n] = [_outcome(fn, k) for k in ks[0::n]]
         for w, reader in enumerate(readers, 1):
-            for i in range(w, len(ks), n):
-                try:
-                    outcomes[i] = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError):
-                    break       # the child died; its k are reported below
+            try:
+                outcomes[w::n] = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                died = RuntimeError(
+                    f"sweep worker {w} exited without reporting its "
+                    f"searches at k = {ks[w::n]}")
+                outcomes[w::n] = [died] * len(ks[w::n])
         finished = True
     finally:
         for pid in pids:
@@ -374,11 +370,7 @@ def _map_in_workers(fn, ks, n):
             os.waitpid(pid, 0)
         for reader in readers:
             reader.close()
-    for i, outcome in enumerate(outcomes):
-        if outcome is _MISSING:
-            raise RuntimeError(
-                f"sweep worker {i % n} exited without reporting its "
-                f"searches at k = {ks[i % n::n]}")
+    for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes

@@ -1,5 +1,7 @@
 """Command line wrapper: formatting, config handling, exit codes."""
 
+import collections
+import csv
 import json
 import math
 
@@ -80,6 +82,31 @@ def test_solve_time_zero_echoes_initial_data(tmp_path):
         < 1e-12
     assert (tmp_path / "diagnostics.csv").exists()
     assert (tmp_path / "solve.json").exists()
+
+
+def test_asym_mode_writes_its_error_table(tmp_path):
+    out = tmp_path / "asym"
+    args = ["--mode", "asym", "--k", "20", "--out-dir", str(out)]
+    assert cli.main(args) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(first) == ["asym_error.csv", "predictions.json"]
+    with open(out / "asym_error.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert collections.Counter(row["regime"] for row in rows) == {
+        "single": 63, "post-fold": 63}
+    for row in rows:
+        err = float(row["abs_error"])
+        assert math.isfinite(err)
+        assert err == abs(float(row["u_exact"]) - float(row["u_asym"]))
+    summary = json.loads((out / "predictions.json").read_text())
+    assert set(summary["provenance"]) == {
+        "predictions", "bifurcation", "initial.E0", "initial.K0",
+        "asym_error.csv:u_exact", "asym_error.csv:u_asym"}
+    # a second run writes the same bytes
+    for p in out.iterdir():
+        p.unlink()
+    assert cli.main(args) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 @pytest.mark.parametrize("argv", [
