@@ -18,6 +18,7 @@ import argparse
 import configparser
 import dataclasses
 import itertools
+import json
 import operator
 import os
 import sys
@@ -64,7 +65,8 @@ def _json_fragment(obj, indent, out):
             return
         out.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
-            out.append(pad + '  "' + str(key) + '": ')
+            out.append(pad + "  " + json.dumps(str(key), ensure_ascii=False)
+                       + ": ")
             _json_fragment(val, indent + 1, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
@@ -80,7 +82,8 @@ def _json_fragment(obj, indent, out):
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        # quotes, backslashes and control characters escaped
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, (int, float, np.integer, np.floating)):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,8 +38,8 @@ class Diagnostics:
     """
     K: float
     E: float
-    R: Optional[float]
-    bound_R_residual: Optional[float]
+    R: float
+    bound_R_residual: float
     poincare_residual: float
     tail_fraction: float
 
@@ -72,14 +71,12 @@ def compute(snap) -> Diagnostics:
                        tail_fraction=tail)
 
 
-def from_functionals(K, E, R=None) -> Diagnostics:
-    """Diagnostics from already-computed integrals (adaptive-quadrature
-    path used by the harness, where no fixed grid could resolve the
+def from_functionals(K, E, R) -> Diagnostics:
+    """Diagnostics from already-computed integrals (the adaptive-quadrature
+    values of a T* search, where no fixed grid could resolve the
     shock)."""
-    bound_res = 1.5 * E ** (5.0 / 3.0) - R if R is not None else None
-    return Diagnostics(K=float(K), E=float(E),
-                       R=None if R is None else float(R),
-                       bound_R_residual=bound_res,
+    return Diagnostics(K=float(K), E=float(E), R=float(R),
+                       bound_R_residual=1.5 * E ** (5.0 / 3.0) - R,
                        poincare_residual=E / FOUR_PI_SQ - K,
                        tail_fraction=0.0)
 

@@ -91,13 +91,6 @@ class StateSnapshot:
         mirror = (len(u) - np.arange(len(u))) % len(u)
         return float(np.max(np.abs(u + u[mirror])))
 
-    @property
-    def a(self):
-        """Curvature parameter 1/(2kt); inf for the initial data."""
-        if self.t == 0 or self.k == 0:
-            return math.inf
-        return 1.0 / (2.0 * self.k * self.t)
-
 
 def _window_halfwidth(profile, a, k, n_moments, depth):
     """Half-width L = sqrt(2 D/a) + sqrt(2 M/(k a)) of the y-window of a row

@@ -80,11 +80,6 @@ class MaxSearchResult:
     # (t, K, E, R) of every evaluation of the T* search, in order.
     search_trace: tuple = ()
 
-    def diagnostics_at_max(self):
-        return diagnostics.from_functionals(self.K_at_max,
-                                            self.E_max_measured,
-                                            self.R_at_max)
-
 
 @dataclass(frozen=True)
 class ScalingFit:

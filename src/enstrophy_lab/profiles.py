@@ -173,7 +173,6 @@ class ProfileReport:
     fprime_zero_residual: float
     antiderivative_residual: float
     F_evenness: float
-    scale: float
     names: tuple = field(default_factory=tuple)
 
     @property
@@ -231,7 +230,7 @@ def validate_profile(profile: Profile) -> ProfileReport:
                          convexity_violation=convex,
                          fprime_zero_residual=fp_res,
                          antiderivative_residual=anti, F_evenness=F_even,
-                         scale=scale, names=tuple(names))
+                         names=tuple(names))
 
 
 def _raise_on_violation(profile):

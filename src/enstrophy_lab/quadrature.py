@@ -163,16 +163,16 @@ def _row_totals(rows, val, err, absv, n_rows, epsrel):
     return tot, toterr, totabs, npan, tol, conv
 
 
-def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10):
+def adaptive_batch(f, rows, lo, hi, n_rows, epsrel=1e-10):
     """Adaptively integrate many rows at once.
 
     rows/lo/hi describe the initial panels: panel i spans [lo[i], hi[i]] and
-    belongs to integral rows[i].  The callback f(rows, ys) is called per
-    panel, as `_panel_eval` describes: rows has shape (npanels,), ys shape
-    (npanels, 21), and it returns (ncomp, npanels, 21) or, for one
-    component, (npanels, 21).  Every row shares the component layout but
-    may use its rows entry to select its own parameters (e.g. its own x),
-    once per panel.  The node sums are einsum contractions in numpy's own
+    belongs to integral rows[i], one of 0..n_rows-1.  The callback
+    f(rows, ys) is called per panel, as `_panel_eval` describes: rows has
+    shape (npanels,), ys shape (npanels, 21), and it returns
+    (ncomp, npanels, 21) or, for one component, (npanels, 21).  Every row
+    shares the component layout but may use its rows entry to select its
+    own parameters (e.g. its own x), once per panel.  The node sums are einsum contractions in numpy's own
     single-threaded loop, not BLAS products, whose threads would compete
     with the sweep's worker processes for the same cores.
 
@@ -198,8 +198,6 @@ def adaptive_batch(f, rows, lo, hi, n_rows=None, epsrel=1e-10):
     rows = np.asarray(rows, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if n_rows is None:
-        n_rows = int(rows.max()) + 1 if rows.size else 0
     keep = hi > lo
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     val, err, absv = (s.T for s in _panel_eval(f, rows, lo, hi))

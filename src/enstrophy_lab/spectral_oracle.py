@@ -154,7 +154,7 @@ def _step(sp, v, coeffs):
     return out
 
 
-def _advance(sp, v, t_span, h_target, coeff_cache):
+def _advance(sp, v, t_span, h_target):
     """Advance v over t_span with uniform substeps close to h_target.
 
     v is one rfft row, or two in lockstep: row 1 takes the substeps and
@@ -171,14 +171,9 @@ def _advance(sp, v, t_span, h_target, coeff_cache):
     per = 2 if pair else 1
     nstep = per * max(1, int(math.ceil(t_span / (per * h_target) - 1e-12)))
     h = t_span / nstep
-    key = round(math.log(h), 12)
-    if key not in coeff_cache:
-        fine = sp.band_coeffs(h)
-        coeff_cache[key] = (tuple(map(np.stack, zip(sp.band_coeffs(2.0 * h),
-                                                    fine)))
-                            if pair else fine)
-    coeffs = coeff_cache[key]
-    fine = tuple(c[1] for c in coeffs) if pair else coeffs
+    fine = sp.band_coeffs(h)
+    coeffs = (tuple(map(np.stack, zip(sp.band_coeffs(2.0 * h), fine)))
+              if pair else fine)
     band = v[..., :sp.cut + 1]
     for _ in range(nstep // per):
         band = _step(sp, band, coeffs)
@@ -277,11 +272,10 @@ def _single_run(profile, k, ts, snapshot_points, n):
 
     def run(per_m):
         """v at every save time for a halving round's new pass, with
-        m_i * per_m substeps per interval and a coefficient cache of its
-        own, since its step lengths are new."""
-        v, out, coeff_cache = v0, [], {}
+        m_i * per_m substeps per interval."""
+        v, out = v0, []
         for span, m_i in zip(spans, m):
-            v = _advance(sp, v, span, span / (m_i * per_m), coeff_cache)
+            v = _advance(sp, v, span, span / (m_i * per_m))
             out.append(v)
         return out
 
@@ -290,10 +284,10 @@ def _single_run(profile, k, ts, snapshot_points, n):
                     for vf, vc in zip(fine, coarse)), default=0.0) / 15.0
 
     # rows 0 and 1: the coarse pass (m_i steps) and the fine one (2 m_i)
-    pair, coarse, fine, coeff_cache = np.stack([v0, v0]), [], [], {}
+    pair, coarse, fine = np.stack([v0, v0]), [], []
     worst_tail = 0.0
     for span, m_i in zip(spans, m):
-        pair = _advance(sp, pair, span, span / (2 * m_i), coeff_cache)
+        pair = _advance(sp, pair, span, span / (2 * m_i))
         worst_tail = max(worst_tail, sp.tail_fraction(pair[0]))
         if worst_tail > TAIL_THRESHOLD and n < MAX_N_MODES:
             return None, worst_tail, None

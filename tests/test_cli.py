@@ -35,6 +35,14 @@ def test_json_text_order_and_floats():
     assert back["big"] == "inf"   # marker string keeps the file valid JSON
 
 
+def test_json_text_escapes_keys_and_strings():
+    obj = {'say "hi"': "a\tb", "lines": "a\nb\\c\x01", "pi": "\u03c0"}
+    text = cli.json_text(obj)
+    assert json.loads(text) == obj
+    assert '"say \\"hi\\"": "a\\tb"' in text
+    assert '"\u03c0"' in text    # non-ASCII is written as itself
+
+
 def test_csv_text():
     text = cli.csv_text(("a", "b"), [(1.0, 1.0 / 3.0)])
     assert text == "a,b\n1,0.33333333333333331\n"
@@ -218,6 +226,19 @@ def test_numerical_failure_writes_error_json(tmp_path, monkeypatch, capsys):
     report = json.loads((tmp_path / "error.json").read_text())
     assert report["error"] == "QuadratureError"
     assert "synthetic" in report["message"]
+
+
+def test_multiline_error_message_round_trips(tmp_path, capsys):
+    # at k = 2 R has no sign change in the search's bracket, and the error
+    # names that with its (t, R) table, one line per row
+    rc = cli.main(["--mode", "sweep", "--k-list", "2,4,8,16",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    report = json.loads((tmp_path / "error.json").read_text())
+    assert report["error"] == "RuntimeError"
+    assert "\n  t=" in report["message"]
+    assert err == f"numerical failure: {report['message']}\n"
 
 
 def test_sweep_csv_contract(tmp_path, monkeypatch, sine):

@@ -32,7 +32,6 @@ def test_poincare_saturates_for_single_mode():
 def test_bound_residual_formula():
     d = diagnostics.from_functionals(K=1.0, E=4.0, R=3.0)
     assert abs(d.bound_R_residual - (1.5 * 4.0 ** (5.0 / 3.0) - 3.0)) < 1e-12
-    assert diagnostics.from_functionals(K=1.0, E=4.0).R is None
 
 
 def test_integral_bound_rhs_closed_form():

@@ -73,7 +73,7 @@ def test_snapshot_oddness(sine):
 
 def test_time_zero_snapshot_echoes_data(sine):
     snap = exact_solver.snapshot(sine, 0.0, 7.0)
-    assert snap.a == math.inf
+    assert snap.t == 0.0
     assert np.array_equal(snap.u_values, 7.0 * sine.f(snap.x_grid))
 
 

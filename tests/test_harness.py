@@ -498,7 +498,8 @@ def test_sweep_forks_nothing_on_one_worker_or_off_linux(
 
 def test_diagnostics_at_max_bound(acceptance_sweep):
     for r in acceptance_sweep["result"].results:
-        d = r.diagnostics_at_max()
+        d = diagnostics.from_functionals(r.K_at_max, r.E_max_measured,
+                                         r.R_at_max)
         assert d.bound_R_residual is not None
         assert d.bound_R_residual >= 0.0
         assert d.poincare_residual >= 0.0

@@ -55,7 +55,7 @@ def test_adaptive_batch_rows_are_independent():
         return np.atleast_2d((ys + rows[:, None]) ** 2)
 
     rows = np.arange(6, dtype=np.intp)
-    res = quadrature.adaptive_batch(f, rows, np.zeros(6), np.ones(6))
+    res = quadrature.adaptive_batch(f, rows, np.zeros(6), np.ones(6), 6)
     expect = (((np.arange(6) + 1.0) ** 3) - np.arange(6) ** 3) / 3.0
     assert res.converged.all()
     assert np.allclose(res.value[:, 0], expect, rtol=1e-14)
@@ -70,7 +70,7 @@ def test_unconverged_flag_not_raise(monkeypatch):
 
     monkeypatch.setattr(quadrature, "MAX_ROUNDS", 2)
     res = quadrature.adaptive_batch(
-        f, np.zeros(1, dtype=np.intp), [0.0], [1.0], epsrel=1e-13)
+        f, np.zeros(1, dtype=np.intp), [0.0], [1.0], 1, epsrel=1e-13)
     assert not res.converged[0]
 
 
@@ -123,7 +123,7 @@ def test_infinite_node_value_reads_unconverged():
             return v
 
         res = quadrature.adaptive_batch(f, np.zeros(1, dtype=np.intp),
-                                        [0.0], [1.0])
+                                        [0.0], [1.0], 1)
         assert not res.converged[0], j
 
         def fvec(ys):

@@ -92,9 +92,8 @@ def end_to_end(side, metrics):
     return out
 
 
-def change_wins(parent, change, metric):
-    """(pairs, pairs the change won) over the seeds both sides ran."""
-    seeds = sorted(set(parent) & set(change))
+def change_wins(parent, change, seeds, metric):
+    """(pairs, pairs the change won) over the seeds, which both sides ran."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     won = 0
     for s in seeds:
@@ -104,10 +103,11 @@ def change_wins(parent, change, metric):
     return len(seeds), won
 
 
-def layers(traced, names):
-    if not traced:
+def layers(traced, seed, names):
+    """The per-layer metrics of the traced run at seed, or None without
+    one."""
+    if seed is None:
         return None
-    seed = min(traced)
     metrics = traced[seed]["result"]["metrics"]
     return dict({"seed": seed}, **{name: metrics[name]["value"]
                                    for name in names})
@@ -185,11 +185,13 @@ def main(argv=None):
                  "change": end_to_end(c["untraced"], metrics),
                  "pairs": {}}
         for m in metrics:
-            n, won = change_wins(p["untraced"], c["untraced"], m)
+            n, won = change_wins(p["untraced"], c["untraced"], args.seeds,
+                                 m)
             entry["pairs"][m["name"]] = {"n": n, "change_won": won,
                                          "better": m["better"]}
-        entry["layers"] = {"parent": layers(p["traced"], layer_names),
-                           "change": layers(c["traced"], layer_names)}
+        entry["layers"] = {
+            "parent": layers(p["traced"], args.trace_seed, layer_names),
+            "change": layers(c["traced"], args.trace_seed, layer_names)}
         workloads[wl] = entry
 
     record = {"number": args.number,
