@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,8 +62,7 @@ POST_FOLD = "post-fold"
 BOUND_GRID = 512
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """Stationary points of the phase at one a, for every x.
 
     Each field has the shape of find_roots' x (a str and floats for a
@@ -80,8 +78,7 @@ class RootSet:
     chi: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class BifurcationData:
+class BifurcationData(NamedTuple):
     """Organizing constants of the shock formation for one (profile, k)."""
     t0: float
     a_pitchfork: float
@@ -90,8 +87,7 @@ class BifurcationData:
     x1: Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class Predictions:
+class Predictions(NamedTuple):
     """Leading-order predictions at the enstrophy maximizer."""
     T_star: float
     E_max_leading: float
@@ -99,8 +95,7 @@ class Predictions:
     K_at_max_leading: float
 
 
-@dataclass(frozen=True)
-class ScaledIntegral:
+class ScaledIntegral(NamedTuple):
     """I = mantissa * exp(-k * exponent); exponent is the phase where the
     integral localizes, so mantissa carries no exponential factor."""
     mantissa: float
@@ -111,8 +106,7 @@ class ScaledIntegral:
         return self.mantissa * math.exp(-k * self.exponent)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Samples of G(x) = int_0^x f^2 - x f(x)^2/3 and H(x) = f - x f' on
     [0, x_star], plus the checks that make K_drop_leading >= 0 certain."""
     x: np.ndarray

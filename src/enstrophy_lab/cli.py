@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 import argparse
-import configparser
 import dataclasses
 import itertools
 import json
@@ -25,10 +24,8 @@ import sys
 
 import numpy as np
 
-from . import asymptotics
 from . import diagnostics
 from . import exact_solver
-from . import harness
 from . import profiles
 from . import spectral_oracle
 from .quadrature import QuadratureError
@@ -59,6 +56,8 @@ def fmt(v):
 
 def _json_fragment(obj, indent, out):
     pad = "  " * indent
+    if hasattr(obj, "_asdict"):     # a NamedTuple record is an object
+        obj = obj._asdict()
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -177,6 +176,7 @@ def make_profile(spec):
 
 
 def read_config_file(path):
+    import configparser
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -245,6 +245,7 @@ class RunConfig:
             if not self.k_list:
                 raise ConfigError("mode 'sweep' needs --k-list")
             # surface bad numeric knobs at parse time (exit 2), not mid-run
+            from . import harness
             try:
                 harness._check_k_list(self.k_list)
                 harness._worker_count(len(self.k_list))
@@ -374,6 +375,7 @@ def _run_solve(cfg, profile, written):
 
 
 def _run_asym(cfg, profile, written):
+    from . import asymptotics
     k = cfg.k
     pred = asymptotics.predict(profile, k)
     bif = asymptotics.bifurcation_data(profile, k)
@@ -399,7 +401,7 @@ def _run_asym(cfg, profile, written):
 
     summary = {
         "config": cfg.echo(),
-        "predictions": dataclasses.asdict(pred),
+        "predictions": pred,
         "bifurcation": {
             "t0": bif.t0,
             "a_pitchfork": bif.a_pitchfork,
@@ -423,6 +425,7 @@ def _run_asym(cfg, profile, written):
 
 
 def _run_sweep(cfg, profile, written):
+    from . import harness
     result = harness.sweep(profile, cfg.k_list)
     report = harness.compare_predictions(result.results, profile)
 
@@ -442,8 +445,7 @@ def _run_sweep(cfg, profile, written):
 
     summary = {
         "config": cfg.echo(),
-        "fits": {name: dataclasses.asdict(fit)
-                 for name, fit in result.fits.items()},
+        "fits": result.fits,
         "extrapolated_ratios": dict(sorted(report.extrapolated.items())),
         "provenance": {
             "sweep.csv:k,E0,K0,T_star,E_max,K_at_max,K_drop,n_evaluations":
@@ -460,6 +462,7 @@ def _run_sweep(cfg, profile, written):
 
 
 def _run_validate(cfg, profile, written):
+    from . import asymptotics
     rep = profiles.validate_profile(profile)
     bound = asymptotics.check_required_bound(profile)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from . import quadrature
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Integral functionals of one state plus inequality residuals.
 
     bound_R_residual = (3/2) E^{5/3} - R  (>= 0 when the production bound

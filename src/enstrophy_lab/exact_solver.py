@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ def grid(n):
     return (np.arange(n) - n // 2) / n
 
 
-@dataclass(frozen=True)
-class StateSnapshot:
+class StateSnapshot(NamedTuple):
     """u and u_x sampled on the uniform circle grid at one instant."""
     k: float
     t: float

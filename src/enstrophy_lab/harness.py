@@ -43,7 +43,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ X_REL_TOL = 1e-8
 X_NEST_RATIO = 2.4
 
 
-@dataclass(frozen=True)
-class MaxSearchResult:
+class MaxSearchResult(NamedTuple):
     """Measured enstrophy maximum for one k."""
     k: float
     T_star_measured: float
@@ -81,8 +80,7 @@ class MaxSearchResult:
     search_trace: tuple = ()
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Least-squares slope of log(quantity) against log(E0)."""
     exponent: float
     log_prefactor: float
@@ -91,14 +89,12 @@ class ScalingFit:
     excluded: tuple
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     results: tuple
     fits: dict
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Per-k measured/predicted ratios plus Richardson extrapolation of the
     ratios to k = infinity from the two largest k."""
     rows: tuple

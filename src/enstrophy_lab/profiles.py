@@ -21,8 +21,7 @@ ValueError) instead of returning NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +36,7 @@ class ProfileError(ValueError):
     """Raised when a candidate profile violates an admissibility invariant."""
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Bundle of shape-function closures and cached constants."""
     f: Callable[[np.ndarray], np.ndarray]
     f_prime: Callable[[np.ndarray], np.ndarray]
@@ -163,8 +161,7 @@ def _clenshaw(cos, b):
 # ----------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(NamedTuple):
     """Grid residuals of every admissibility invariant; zeros mean clean."""
     oddness: float
     endpoints: float
@@ -173,7 +170,7 @@ class ProfileReport:
     fprime_zero_residual: float
     antiderivative_residual: float
     F_evenness: float
-    names: tuple = field(default_factory=tuple)
+    names: tuple = ()
 
     @property
     def ok(self):

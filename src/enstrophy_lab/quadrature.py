@@ -32,7 +32,7 @@ and its layout are private to this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ class QuadratureError(RuntimeError):
     """Adaptive refinement failed to converge (or misbehaved) somewhere."""
 
 
-@dataclass
-class BatchQuadResult:
+class BatchQuadResult(NamedTuple):
     """Aggregated result of a batch of adaptive quadratures.
 
     value/error/abs_value have shape (n_rows, n_components); converged is a

@@ -1,6 +1,5 @@
 """Root structure, Laplace reductions and the leading-order predictions."""
 
-import dataclasses
 import math
 import re
 
@@ -336,7 +335,7 @@ def test_required_bound_report(sine):
 
 def test_required_bound_raises_when_f_squared_is_not_integrable(sine):
     # f^2 = |y - 0.1|^-1.5 has no integral across y = 0.1 in [0, x_star]
-    bad = dataclasses.replace(sine, f=lambda y: -abs(y - 0.1) ** -0.75)
+    bad = sine._replace(f=lambda y: -abs(y - 0.1) ** -0.75)
     with np.errstate(divide="ignore"), pytest.raises(
             QuadratureError, match=re.escape(f"[0, {sine.x_star}]")):
         asymptotics.check_required_bound(bad)

@@ -43,6 +43,14 @@ def test_json_text_escapes_keys_and_strings():
     assert '"\u03c0"' in text    # non-ASCII is written as itself
 
 
+def test_json_text_writes_records_as_objects():
+    fit = harness.ScalingFit(exponent=1.5, log_prefactor=-0.25,
+                             r_squared=1.0, k_list=(20.0, 40.0), excluded=())
+    assert cli.json_text(fit) == cli.json_text(fit._asdict())
+    assert cli.json_text([fit]) == cli.json_text([fit._asdict()])
+    assert json.loads(cli.json_text(fit))["k_list"] == [20.0, 40.0]
+
+
 def test_csv_text():
     text = cli.csv_text(("a", "b"), [(1.0, 1.0 / 3.0)])
     assert text == "a,b\n1,0.33333333333333331\n"

@@ -1,6 +1,5 @@
 """Heat-kernel integral evaluation: closed forms, symmetry, dual routes."""
 
-import dataclasses
 import math
 import re
 
@@ -537,8 +536,8 @@ def _counting(profile):
             return fn(y)
         return wrapped
 
-    return dataclasses.replace(
-        profile, f=counting(profile.f), f_prime=counting(profile.f_prime),
+    return profile._replace(
+        f=counting(profile.f), f_prime=counting(profile.f_prime),
         f_double_prime=counting(profile.f_double_prime)), counted
 
 

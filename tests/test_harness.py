@@ -1,6 +1,5 @@
 """Max search and scaling sweep: closed forms, oracle cross-check, fits."""
 
-import dataclasses
 import math
 import os
 import sys
@@ -27,8 +26,8 @@ def test_initial_functionals_closed_form(sine):
 
 def test_unconverged_initial_rate_raises(sine):
     # f''^2 is not integrable at the kink, so R(u0) has no finite value
-    bad = dataclasses.replace(
-        sine, f_double_prime=lambda y: np.abs(
+    bad = sine._replace(
+        f_double_prime=lambda y: np.abs(
             np.asarray(y, float) - 0.3712345) ** -0.75)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(QuadratureError, match=r"\[0\.0, 0\.5\]"):
@@ -411,7 +410,7 @@ def _stub_max(k):
 
 def test_sweep_results_do_not_depend_on_the_worker_count(
         sine, monkeypatch, no_child_left):
-    # the dataclasses compare every field, search_trace included, exactly
+    # the records compare every field, search_trace included, exactly
     runs = []
     for workers in ("1", "2", "3"):
         monkeypatch.setenv("ENSTROPHY_LAB_THREADS", workers)

@@ -7,7 +7,7 @@ import pathlib
 import sys
 
 # every module that spans.install imports, so none appears mid-test
-from enstrophy_lab import cli  # noqa: F401
+from enstrophy_lab import asymptotics, cli, harness  # noqa: F401
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -1,6 +1,5 @@
 """Fourier time stepper: linear limits, resolution control, guards."""
 
-import dataclasses
 import math
 import random
 import warnings
@@ -34,7 +33,7 @@ def test_linear_heat_decay(sine, monkeypatch):
         return np.sin(200.0 * np.pi * x)
 
     t = 1e-5
-    both = dataclasses.replace(sine, f=lambda x: sine.f(x) + high(x))
+    both = sine._replace(f=lambda x: sine.f(x) + high(x))
     snap = spectral_oracle.integrate(both, k, [t])[0]
     ref = k * (sine.f(snap.x_grid) * math.exp(-4.0 * math.pi ** 2 * t)
                + high(snap.x_grid) * math.exp(-4e4 * math.pi ** 2 * t))
