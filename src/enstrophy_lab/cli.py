@@ -325,11 +325,9 @@ def build_config(argv):
 def _run_solve(cfg, profile, written):
     scfg = cfg.solver_config()
     times = sorted(set(cfg.t))
-    oracle_snaps = {}
-    if cfg.oracle and max(times) > 0:
-        snaps = spectral_oracle.integrate(profile, cfg.k, times,
-                                          2 * scfg.grid_size)
-        oracle_snaps = dict(zip(times, snaps))
+    if cfg.oracle:
+        oracle_snaps = spectral_oracle.integrate(profile, cfg.k, times,
+                                                 2 * scfg.grid_size)
 
     diag_rows = []
     for idx, t in enumerate(times):
@@ -343,9 +341,8 @@ def _run_solve(cfg, profile, written):
                diag.poincare_residual, diag.tail_fraction,
                snap.oddness_residual]
         if cfg.oracle:
-            osnap = oracle_snaps.get(t)
-            row.append(float(np.max(np.abs(snap.u_values - osnap.u_values)))
-                       if osnap is not None else 0.0)
+            row.append(float(np.max(np.abs(
+                snap.u_values - oracle_snaps[idx].u_values))))
         diag_rows.append(row)
 
     header = ["t", "K", "E", "R", "bound_R_residual", "poincare_residual",

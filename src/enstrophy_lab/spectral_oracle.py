@@ -20,10 +20,12 @@ uses only the oracle's own passes, never the exact solver.  A spectral
 tail monitor doubles the resolution when the top of the band fills up.
 
 Only the dealiased band is stepped: the nonlinear term is zero above the
-cut, so the modes there just decay by their exact factor exp(L t).  The
-first coarse and fine passes are stepped in lockstep, as the two rows of
-one array, so one FFT call serves both; each row does the arithmetic it
-would do alone, so the result is the same bit for bit.
+cut, so the modes there just decay by their exact factor exp(L t).  Every
+step-doubling round steps its coarse and fine passes in lockstep, as the
+two rows of one array, so one FFT call serves both; each row does the
+arithmetic it would do alone.  A halving round steps its coarse pass
+again, and that pass is bit for bit the previous round's fine pass,
+because 2 (t / 2N) is exactly t / N.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ DEALIAS_FRACTION = 2.0 / 3.0
 # Spectral tail fraction above which the run is repeated at double modes:
 # the share of the band's energy whose amplitude is STEP_RTOL.
 TAIL_THRESHOLD = STEP_RTOL ** 2
-# |h L| below which the phi-coefficients take the contour average.
+# |h L| below which the phi-coefficients take the contour average, and
+# the number of contour points averaged.
 CONTOUR_LIMIT = 4.0
+CONTOUR_POINTS = 32
 
 
 class OracleError(RuntimeError):
@@ -66,7 +70,7 @@ def _phi(z, ez):
             (-4.0 - 3.0 * z - z ** 2 + ez * (4.0 - z)) / z3)
 
 
-def _etdrk4_coeffs(L, h, m=32):
+def _etdrk4_coeffs(L, h):
     """phi-function coefficients: _phi averaged over a half-circle contour
     for |h L| < CONTOUR_LIMIT, _phi at h L itself (no cancellation there,
     since h L <= -CONTOUR_LIMIT) elsewhere."""
@@ -78,6 +82,7 @@ def _etdrk4_coeffs(L, h, m=32):
 
     # circles of radius 1 + |z| keep every node at least 1 from the
     # origin, where the closed forms would cancel
+    m = CONTOUR_POINTS
     zn = z[near, None]
     LR = zn + (1.0 - zn) * np.exp(1j * math.pi * (np.arange(m) + 0.5) / m)
     for c, phi in zip(coeffs, _phi(LR, np.exp(LR))):
@@ -154,37 +159,31 @@ def _step(sp, v, coeffs):
     return out
 
 
-def _advance(sp, v, t_span, h_target):
-    """Advance v over t_span with uniform substeps close to h_target.
+def _advance(sp, pair, t_span, h_target):
+    """Advance a lockstep pair of rfft rows over t_span.
 
-    v is one rfft row, or two in lockstep: row 1 takes the substeps and
-    row 0 half as many, each twice as long, so the two rows are a coarse
-    and a fine pass of step doubling.  Only the dealiased band is stepped;
-    the modes above it get no forcing, so they take their exact factor
-    exp(L t_span).  A result that is not finite raises OracleError (a NaN
-    or inf reaches every mode through the next FFT, so none is lost by
-    checking once)."""
+    Row 1 takes uniform substeps close to h_target and row 0 half as many,
+    each twice as long, so the two rows are a coarse and a fine pass of
+    step doubling.  Only the dealiased band is stepped; the modes above it
+    get no forcing, so they take their exact factor exp(L t_span).  A
+    result that is not finite raises OracleError (a NaN or inf reaches
+    every mode through the next FFT, so none is lost by checking once)."""
     if t_span <= 0:
-        return v
-    pair = v.ndim == 2
-    # substeps per step of row 0: a pair's coarse row takes whole steps
-    per = 2 if pair else 1
-    nstep = per * max(1, int(math.ceil(t_span / (per * h_target) - 1e-12)))
+        return pair
+    nstep = 2 * max(1, int(math.ceil(t_span / (2 * h_target) - 1e-12)))
     h = t_span / nstep
     fine = sp.band_coeffs(h)
-    coeffs = (tuple(map(np.stack, zip(sp.band_coeffs(2.0 * h), fine)))
-              if pair else fine)
-    band = v[..., :sp.cut + 1]
-    for _ in range(nstep // per):
+    coeffs = tuple(map(np.stack, zip(sp.band_coeffs(2.0 * h), fine)))
+    band = pair[:, :sp.cut + 1]
+    for _ in range(nstep // 2):
         band = _step(sp, band, coeffs)
-        if pair:
-            band[1] = _step(sp, band[1], fine)
+        band[1] = _step(sp, band[1], fine)
     if not np.all(np.isfinite(band)):
         raise OracleError("spectral solution blew up (non-finite "
                           "coefficients) during a step")
-    out = np.empty_like(v)
-    out[..., :sp.cut + 1] = band
-    out[..., sp.cut + 1:] = v[..., sp.cut + 1:] * np.exp(
+    out = np.empty_like(pair)
+    out[:, :sp.cut + 1] = band
+    out[:, sp.cut + 1:] = pair[:, sp.cut + 1:] * np.exp(
         sp.L[sp.cut + 1:] * t_span)
     return out
 
@@ -251,15 +250,18 @@ def integrate(profile, k, save_times, snapshot_points=512):
 def _single_run(profile, k, ts, snapshot_points, n):
     """One resolution: (snapshots, worst tail fraction, error estimate).
 
-    The first coarse and fine passes run in lockstep, one _advance call
-    per save interval for both.  When n < MAX_N_MODES and the coarse
-    pass's tail at a save time is above TAIL_THRESHOLD, the run stops
-    there and returns that tail, with None for the snapshots and the
+    Round r = 1, 2, ... steps a coarse pass of m_i 2^(r-1) substeps per
+    save interval and a fine one of m_i 2^r in lockstep, one _advance call
+    per interval for both, and (fine - coarse) / 15 estimates the fine
+    pass's error.  From the second round on the coarse pass is bit for bit
+    the previous round's fine pass.  When n < MAX_N_MODES and the first
+    round's coarse tail at a save time is above TAIL_THRESHOLD, the run
+    stops there and returns that tail, with None for the snapshots and the
     estimate, so no more steps are paid at a resolution integrate
-    discards.  Otherwise the step is halved until the step-doubling
-    estimate meets STEP_RTOL * max|k f|, and the snapshots come from the
-    finest pass that met it (or, at the round-off floor, from the pass
-    with the smallest estimate).
+    discards.  Otherwise rounds go on until the estimate meets
+    STEP_RTOL * max|k f|, and the snapshots come from the fine pass that
+    met it (or, at the round-off floor, where the estimate stops
+    shrinking, from the coarse pass, whose estimate is the previous one).
     """
     sp = _Spectral(n)
     u0 = k * profile.f(sp.x)
@@ -267,46 +269,32 @@ def _single_run(profile, k, ts, snapshot_points, n):
     h = CFL_CONSTANT / ((2.0 * u_max + 1e-300) * n)
     v0 = np.fft.rfft(u0)
     spans = np.diff(ts, prepend=0.0)
-    # coarse substeps per save interval, each at most 2h
+    # coarse substeps per save interval in the first round, each at most 2h
     m = [max(1, math.ceil(span / (2.0 * h))) for span in spans]
 
-    def run(per_m):
-        """v at every save time for a halving round's new pass, with
-        m_i * per_m substeps per interval."""
-        v, out = v0, []
-        for span, m_i in zip(spans, m):
-            v = _advance(sp, v, span, span / (m_i * per_m))
-            out.append(v)
-        return out
-
-    def estimate(fine, coarse):
-        return max((float(np.max(np.abs(np.fft.irfft(vf - vc, n))))
-                    for vf, vc in zip(fine, coarse)), default=0.0) / 15.0
-
-    # rows 0 and 1: the coarse pass (m_i steps) and the fine one (2 m_i)
-    pair, coarse, fine = np.stack([v0, v0]), [], []
-    worst_tail = 0.0
-    for span, m_i in zip(spans, m):
-        pair = _advance(sp, pair, span, span / (2 * m_i))
-        worst_tail = max(worst_tail, sp.tail_fraction(pair[0]))
-        if worst_tail > TAIL_THRESHOLD and n < MAX_N_MODES:
-            return None, worst_tail, None
-        coarse.append(pair[0])
-        fine.append(pair[1])
-
     tol = STEP_RTOL * u_max
-    per_m = 2
-    err = estimate(fine, coarse)
+    worst_tail, err, per_m, row = 0.0, math.inf, 1, 1
     while err > tol:
         per_m *= 2
-        finer = run(per_m)
-        finer_err = estimate(finer, fine)
-        if finer_err >= err:
+        # rows 0 and 1: the coarse pass (m_i per_m / 2 steps per interval)
+        # and the fine one (m_i per_m)
+        pair, pairs = np.stack([v0, v0]), []
+        for span, m_i in zip(spans, m):
+            pair = _advance(sp, pair, span, span / (m_i * per_m))
+            if per_m == 2:
+                worst_tail = max(worst_tail, sp.tail_fraction(pair[0]))
+                if worst_tail > TAIL_THRESHOLD and n < MAX_N_MODES:
+                    return None, worst_tail, None
+            pairs.append(pair)
+        new_err = max((float(np.max(np.abs(np.fft.irfft(p[1] - p[0], n))))
+                       for p in pairs), default=0.0) / 15.0
+        if per_m > 2 and new_err >= err:
             warnings.warn(
                 f"oracle step-doubling estimate {err:.2e} above tolerance "
                 f"{tol:.2e} and no longer shrinking when the step is "
                 f"halved (round-off floor) at n_modes={n}", RuntimeWarning)
+            row = 0
             break
-        fine, err = finer, finer_err
-    return ([_make_snapshot(sp, v, t, k, snapshot_points)
-             for v, t in zip(fine, ts)], worst_tail, err)
+        err = new_err
+    return ([_make_snapshot(sp, p[row], t, k, snapshot_points)
+             for p, t in zip(pairs, ts)], worst_tail, err)

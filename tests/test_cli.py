@@ -100,6 +100,21 @@ def test_solve_time_zero_echoes_initial_data(tmp_path):
     assert (tmp_path / "solve.json").exists()
 
 
+def test_oracle_measures_the_time_zero_row(tmp_path):
+    # --oracle compares the t = 0 row whether or not a later time is asked
+    # for: alone it must read what it reads beside t = 0.001, not 0
+    rows = []
+    for t in ("0", "0,0.001"):
+        out = tmp_path / t
+        assert cli.main(["--mode", "solve", "--oracle", "--k", "5", "--t", t,
+                         "--out-dir", str(out)]) == 0
+        with open(out / "diagnostics.csv", newline="") as fh:
+            rows.append(next(csv.DictReader(fh)))
+    assert rows[0]["t"] == rows[1]["t"]
+    assert float(rows[1]["oracle_sup_diff"]) > 0.0
+    assert rows[0]["oracle_sup_diff"] == rows[1]["oracle_sup_diff"]
+
+
 def test_asym_mode_writes_its_error_table(tmp_path):
     out = tmp_path / "asym"
     args = ["--mode", "asym", "--k", "20", "--out-dir", str(out)]

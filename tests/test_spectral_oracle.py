@@ -210,25 +210,55 @@ def _solve_oracle_times():
     return [4e-3 * (i + 1 - 0.5 * rng.random()) / 16 for i in range(16)]
 
 
-def test_lockstep_pair_matches_each_pass_alone(sine):
-    # the first round steps the coarse and fine passes as the two rows of
-    # one array; each row must come out bit for bit as that pass stepped
-    # alone, one row at a time with its own coefficients
-    k = 5.0
+def _alone(sp, v, span, nstep):
+    """v after nstep ETDRK4 steps of span / nstep, one row with its own
+    coefficients, the band stepped and the modes above it decayed."""
+    coeffs = sp.band_coeffs(span / nstep)
+    band = v[:sp.cut + 1]
+    for _ in range(nstep):
+        band = spectral_oracle._step(sp, band, coeffs)
+    return np.concatenate([band, v[sp.cut + 1:]
+                           * np.exp(sp.L[sp.cut + 1:] * span)])
+
+
+def _first_round(sine, k):
+    """The oracle's resolution, the Fourier coefficients of k f on it, and
+    the first round's coarse steps per interval of the seed-7 times."""
     sp = spectral_oracle._Spectral(spectral_oracle.N_MODES)
     u0 = k * sine.f(sp.x)
     h = spectral_oracle.CFL_CONSTANT / (2.0 * float(np.max(np.abs(u0)))
                                         * sp.n)
-    v0 = np.fft.rfft(u0)
+    spans = np.diff(_solve_oracle_times(), prepend=0.0)
+    return sp, np.fft.rfft(u0), spans, [max(1, math.ceil(span / (2.0 * h)))
+                                        for span in spans]
+
+
+def test_lockstep_pair_matches_each_pass_alone(sine):
+    # a round steps the coarse and fine passes as the two rows of one
+    # array; each row must come out bit for bit as that pass stepped
+    # alone, one row at a time with its own coefficients
+    sp, v0, spans, ms = _first_round(sine, 5.0)
     pair, coarse, fine = np.stack([v0, v0]), v0, v0
-    for span in np.diff(_solve_oracle_times(), prepend=0.0):
-        m = max(1, math.ceil(span / (2.0 * h)))
+    for span, m in zip(spans, ms):
         pair = spectral_oracle._advance(sp, pair, span, span / (2 * m))
-        coarse = spectral_oracle._advance(sp, coarse, span, span / m)
-        fine = spectral_oracle._advance(sp, fine, span, span / (2 * m))
+        coarse = _alone(sp, coarse, span, m)
+        fine = _alone(sp, fine, span, 2 * m)
         assert np.array_equal(pair[0], coarse)
         assert np.array_equal(pair[1], fine)
     assert not np.array_equal(coarse, fine)
+
+
+def test_halving_round_coarse_pass_is_the_previous_fine_pass(sine):
+    # 2 (span / 4m) is exactly span / 2m, so a halving round's coarse row
+    # repeats the previous round's fine row bit for bit: one stepping path
+    # serves every round without changing what it computes
+    sp, v0, spans, ms = _first_round(sine, 5.0)
+    first = second = np.stack([v0, v0])
+    for span, m in zip(spans, ms):
+        first = spectral_oracle._advance(sp, first, span, span / (2 * m))
+        second = spectral_oracle._advance(sp, second, span, span / (4 * m))
+        assert np.array_equal(second[0], first[1])
+    assert not np.array_equal(second[0], second[1])
 
 
 def test_step_estimate_meets_tolerance_and_bounds_error(sine):
@@ -245,6 +275,29 @@ def test_step_estimate_meets_tolerance_and_bounds_error(sine):
                                     - s.u_values)))
                 for t, s in zip(ts, snaps))
     assert worst <= 2.0 * est + 1e-11
+
+
+def test_halving_case_estimate_is_pinned(sine):
+    # sine k = 5 at [1e-3, 2e-3] takes one halving round at 1024 modes;
+    # the estimate was 8.443312492910556e-10 before every round stepped a
+    # lockstep pair, and the pair must reproduce it
+    snaps, tail, est = spectral_oracle._single_run(sine, 5.0, [1e-3, 2e-3],
+                                                   512, 1024)
+    assert est == pytest.approx(8.443312492910556e-10, rel=1e-12)
+    assert len(snaps) == 2
+
+
+def test_round_off_floor_estimate_is_pinned(sine, monkeypatch):
+    # the round-off-floor case below, run directly: it returns the last
+    # estimate that still shrank, 2.6288585987072086e-15 before every round
+    # stepped a lockstep pair
+    monkeypatch.setattr(spectral_oracle, "STEP_RTOL", 1e-16)
+    monkeypatch.setattr(spectral_oracle, "MAX_N_MODES", 64)
+    with pytest.warns(RuntimeWarning, match="round-off floor"):
+        snaps, tail, est = spectral_oracle._single_run(
+            sine, 1.0, [5e-4, 1e-3], 512, 64)
+    assert est == pytest.approx(2.6288585987072086e-15, rel=1e-12)
+    assert len(snaps) == 2
 
 
 def test_round_off_floor_warns_and_returns(sine, monkeypatch):
