@@ -132,8 +132,16 @@ def _row_format(types):
 def csv_text(header, rows):
     """CSV text with fmt's rules: each run of rows whose values share a
     sequence of types is written by one %-format (built once per
-    sequence)."""
+    sequence).  rows is a list of tuples, or a 2-D numpy array, which is
+    one such run: its dtype gives every column's format, and its zero is
+    added in numpy."""
     lines = [",".join(header)]
+    if isinstance(rows, np.ndarray):
+        if len(rows):
+            form, zeros = _row_format((rows.dtype.type,) * rows.shape[1])
+            values = (rows + zeros[0]).ravel().tolist()
+            lines.append("\n".join([form] * len(rows)) % tuple(values))
+        return "\n".join(lines) + "\n"
     formats = {}
     for types, block in itertools.groupby(
             rows, key=lambda row: tuple(map(type, row))):
@@ -332,8 +340,7 @@ def _run_solve(cfg, profile, written):
     diag_rows = []
     for idx, t in enumerate(times):
         snap = exact_solver.snapshot(profile, t, cfg.k, scfg)
-        rows = list(zip(snap.x_grid.tolist(), snap.u_values.tolist(),
-                        snap.ux_values.tolist()))
+        rows = np.column_stack([snap.x_grid, snap.u_values, snap.ux_values])
         _emit(cfg.out_dir, f"snapshot_{idx:03d}.csv",
               csv_text(("x", "u", "ux"), rows), written)
         diag = diagnostics.compute(snap)

@@ -45,6 +45,17 @@ QUAD_TOL = 1e-10
 # Share of a row's tolerance that the mass outside its y-window and the
 # mass of the panels dropped as negligible may take together, half each.
 TAIL_SHARE = 1e-2
+# Float spacings at x that a row's y-window half-width must span.  In a
+# narrower window the y-nodes round to too few floats for the moments to
+# resolve the stationary point's offset -f(x)/a, and rows that pass the
+# convergence test still come out wrong: for the sine at k = 1, u is -0 at
+# x = 0.1, a = 1e35 (half-width 2 spacings) and off by 0.7% at x = 0.05,
+# a = 1e20 (1.6e8 spacings).  Over a = 1e20 ... 1e36 in quarter decades
+# and x = 0.05 ... 0.45 no row converged with u and u_x within 1e-8 of
+# k f and k f', and the widest window among those that converged had a
+# half-width of 1.56e8 spacings.  2^28 = 2.7e8 rejects them all, and on
+# the snapshot grid, |x| <= 1/2, no row below k a = 9e16.
+MIN_WINDOW_SPACINGS = 2.0 ** 28
 # Grid points per `eval_fields` batch of a snapshot: the rows are
 # independent, and a batch's y-skeleton grows with its row count (about
 # 10 panels a row at k = 5, t <= 4e-3), so a large grid goes in slices
@@ -362,7 +373,8 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     unrefined (at late times, a << 1, where the window spans many
     periods), before any panel is evaluated; when a row fails to converge;
     or when it ends with r_0 <= 0 (at a so large that the y-window is
-    narrower than the float spacing at x).
+    narrower than the float spacing at x) or with a window half-width
+    below MIN_WINDOW_SPACINGS float spacings at x.
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -473,6 +485,10 @@ def _phase_moments(profile, x, a, k, n_moments=2):
         # narrower than the float spacing at x
         _fail("phase integral r0 is not positive (y-window below the float "
               "spacing)", x, a, k, ~(res.value[:, 0] > 0))
+    narrow = L < MIN_WINDOW_SPACINGS * np.spacing(np.abs(x))
+    if narrow.any():
+        _fail(f"y-window below MIN_WINDOW_SPACINGS = "
+              f"{MIN_WINDOW_SPACINGS:.6g} float spacings", x, a, k, narrow)
     return m, res.value
 
 
@@ -496,9 +512,11 @@ def eval_fields(profile, x, a, k, want_uxx=False):
 
     This is the batch workhorse: one adaptive pass shares panels across all
     requested points and all moments.  A NaN or infinite x raises
-    QuadratureError, a non-finite a or k ValueError.  An a so large that
-    (k a)^2, or (k a)^3 with want_uxx, overflows raises QuadratureError
-    too: the moment formulas need that power.
+    QuadratureError, a non-finite a or k ValueError.  A row whose y-window
+    half-width is below MIN_WINDOW_SPACINGS float spacings at x raises
+    QuadratureError rather than return fields it cannot resolve.  An a so
+    large that (k a)^2, or (k a)^3 with want_uxx, overflows raises
+    QuadratureError too: the moment formulas need that power.
     """
     _require_positive(a, k)
     x = np.atleast_1d(np.asarray(x, dtype=float))

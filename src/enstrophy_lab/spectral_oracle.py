@@ -9,7 +9,9 @@ with 2/3-rule dealiasing of the quadratic term.  The time stepper is
 ETDRK4 (Kassam & Trefethen 2005): exact stiff linear part, fourth-order
 nonlinear part.  Its phi-coefficients come from the complex contour
 average where |h L| < CONTOUR_LIMIT, so small h*L is not a cancellation
-hazard, and from the direct formulas elsewhere.
+hazard, and from the direct formulas elsewhere.  The -i w of the
+nonlinear term is folded into those coefficients once per step size, so
+each nonlinear evaluation of a step is just (u^2)_hat on the band.
 
 The step is chosen by step doubling.  It starts at the advective CFL bound
 h = CFL_CONSTANT / (2 max|k f| n_modes); a coarse pass takes steps of at
@@ -60,14 +62,15 @@ class OracleError(RuntimeError):
     """The oracle solution stopped being trustworthy (blow-up, NaN)."""
 
 
-def _phi(z, ez):
-    """(Q, f1, f2, f3) / h of ETDRK4 at z = h L, with ez = e^z: the
-    closed forms of Kassam & Trefethen (2005)."""
-    z3 = z ** 3
-    return ((np.exp(z / 2) - 1.0) / z,
-            (-4.0 - z + ez * (4.0 - 3.0 * z + z ** 2)) / z3,
+def _phi(z, ez2, ez):
+    """(Q, f1, f2, f3) / h of ETDRK4 at z = h L, with ez2 = e^(z/2) and
+    ez = e^z: the closed forms of Kassam & Trefethen (2005)."""
+    zz = z * z
+    z3 = zz * z
+    return ((ez2 - 1.0) / z,
+            (-4.0 - z + ez * (4.0 - 3.0 * z + zz)) / z3,
             (2.0 + z + ez * (z - 2.0)) / z3,
-            (-4.0 - 3.0 * z - z ** 2 + ez * (4.0 - z)) / z3)
+            (-4.0 - 3.0 * z - zz + ez * (4.0 - z)) / z3)
 
 
 def _etdrk4_coeffs(L, h):
@@ -76,6 +79,7 @@ def _etdrk4_coeffs(L, h):
     since h L <= -CONTOUR_LIMIT) elsewhere."""
     z = h * L
     E = np.exp(z)
+    E2 = np.exp(0.5 * z)
     coeffs = np.empty((4,) + z.shape)
     near = np.abs(z) < CONTOUR_LIMIT
     far = ~near
@@ -85,11 +89,11 @@ def _etdrk4_coeffs(L, h):
     m = CONTOUR_POINTS
     zn = z[near, None]
     LR = zn + (1.0 - zn) * np.exp(1j * math.pi * (np.arange(m) + 0.5) / m)
-    for c, phi in zip(coeffs, _phi(LR, np.exp(LR))):
+    for c, phi in zip(coeffs, _phi(LR, np.exp(0.5 * LR), np.exp(LR))):
         c[near] = np.real(np.mean(phi, axis=1))
-    coeffs[:, far] = _phi(z[far], E[far])
+    coeffs[:, far] = _phi(z[far], E2[far], E[far])
     Q, f1, f2, f3 = h * coeffs
-    return E, np.exp(0.5 * z), Q, f1, f2, f3
+    return E, E2, Q, f1, f2, f3
 
 
 class _Spectral:
@@ -107,15 +111,17 @@ class _Spectral:
         self.minus_iw = -1j * self.w[:cut + 1]
 
     def nonlinear(self, v):
-        """-i w (u^2)_hat on the band, for each row of band coefficients v."""
+        """(u^2)_hat on the band, for each row of band coefficients v."""
         u = np.fft.irfft(v, self.n)
         u *= u
-        return self.minus_iw * np.fft.rfft(u)[..., :self.cut + 1]
+        return np.fft.rfft(u)[..., :self.cut + 1]
 
     def band_coeffs(self, h):
-        """_etdrk4_coeffs on the band, with the 2 of the f2 term folded in."""
+        """_etdrk4_coeffs on the band, with the -i w of the nonlinear term
+        folded into Q, f1, f2 and f3, and the 2 of the f2 term too."""
         E, E2, Q, f1, f2, f3 = _etdrk4_coeffs(self.L[:self.cut + 1], h)
-        return E, E2, Q, f1, 2.0 * f2, f3
+        miw = self.minus_iw
+        return E, E2, miw * Q, miw * f1, miw * (2.0 * f2), miw * f3
 
     def tail_fraction(self, v):
         p = np.abs(v[1:self.cut + 1]) ** 2
@@ -131,8 +137,10 @@ def _step(sp, v, coeffs):
         a = E2 v + Q N(v),  b = E2 v + Q N(a),  c = E2 a + Q (2 N(b) - N(v)),
         v' = E v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c),
 
-    each product and sum formed as written (the 2 comes folded into f2,
-    which is exact), in place where a term is not needed again."""
+    with N = sp.nonlinear, (u^2)_hat, and the -i w of the equation's
+    nonlinear term carried by Q, f1, f2 and f3.  Each product and sum is
+    formed as written (the 2 comes folded into f2, which is exact), in
+    place where a term is not needed again."""
     E, E2, Q, f1, f2x2, f3 = coeffs
     Nv = sp.nonlinear(v)
     E2v = E2 * v

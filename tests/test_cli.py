@@ -67,6 +67,16 @@ def test_csv_text():
     want = "".join(",".join(cli.fmt(v) for v in row) + "\n"
                    for row in rows)
     assert cli.csv_text(("a", "b", "c"), rows) == "a,b,c\n" + want
+    # a float array is one run of rows and must come out as the same
+    # values given as a list of tuples
+    floats = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
+    table = np.concatenate([
+        np.array(floats)[rng.integers(0, len(floats), (100, 3))],
+        rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                            (50, 3))])
+    want = cli.csv_text(("a", "b", "c"), list(map(tuple, table.tolist())))
+    assert cli.csv_text(("a", "b", "c"), table) == want
+    assert cli.csv_text(("a", "b", "c"), table[:0]) == "a,b,c\n"
     # a type with no format fails rather than printing as something else
     for bad in (True, np.bool_(False), None):
         with pytest.raises(TypeError):

@@ -207,6 +207,18 @@ def test_window_below_float_spacing_raises_naming_the_row(sine, a):
         exact_solver.eval_fields(sine, [0.1, 0.2], a, 1.0)
 
 
+@pytest.mark.parametrize("x, a", [(0.1, 1e35), (0.3, 1e34), (0.05, 1e20)])
+def test_narrow_window_in_float_spacings_raises_naming_the_row(sine, x, a):
+    # each row converges with r0 > 0, but its y-window half-width is only
+    # 2.0 (x = 0.1), 1.6 (x = 0.3) and 1.6e8 (x = 0.05) float spacings of
+    # x: the fields came back as u = -0, -974.6 and -1.928, where u =
+    # k f(x) = -3.69, -5.98 and -1.942
+    named = re.escape(f"(x={x:.6g}, a={a:.6g}, k=1)")
+    with pytest.raises(QuadratureError,
+                       match=r"y-window below MIN_WINDOW_SPACINGS.*" + named):
+        exact_solver.eval_fields(sine, [x], a, 1.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("want_uxx", [False, True])
 def test_overflowing_power_of_ka_raises_naming_the_row(sine, want_uxx):

@@ -203,6 +203,21 @@ def test_etdrk4_coeffs_match_mpmath_phi_functions():
         assert E[i] == np.exp(zi) and E2[i] == np.exp(0.5 * zi)
 
 
+@pytest.mark.parametrize("h", [1e-6, 3.7e-5])
+def test_band_coeffs_fold_minus_iw_into_the_phi_coefficients(h):
+    # the nonlinear evaluation is (u^2)_hat, so the band's coefficients
+    # carry the -i w of the equation: E and E2 as _etdrk4_coeffs gives
+    # them, and -i w times its Q, f1, 2 f2 and f3, bit for bit
+    sp = spectral_oracle._Spectral(1024)
+    band = sp.cut + 1
+    E, E2, Q, f1, f2, f3 = spectral_oracle._etdrk4_coeffs(sp.L[:band], h)
+    miw = -1j * sp.w[:band]
+    got = sp.band_coeffs(h)
+    want = (E, E2, miw * Q, miw * f1, miw * (2.0 * f2), miw * f3)
+    for g, w in zip(got, want):
+        assert g.shape == (band,) and np.array_equal(g, w)
+
+
 def _solve_oracle_times():
     """The 16 jittered save times in (0, 4e-3] of the benchmark's
     solve-oracle workload at seed 7."""
