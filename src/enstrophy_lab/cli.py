@@ -6,8 +6,8 @@ Modes:
   sweep     enstrophy-maximum scaling sweep over a geometric k list
   validate  profile admissibility, bifurcation and sign-structure checks
 
-All numbers are written with 17 significant digits and fixed ordering, so
-identical configs produce byte-identical files.  Every CSV column and JSON
+Every number in every file is written by one rule (fmt), in a fixed order,
+so identical configs produce byte-identical files.  Every CSV column and JSON
 value is tagged in the JSON "provenance" block with the (module, operation)
 pair that produced it.
 
@@ -16,9 +16,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 
 import argparse
 import dataclasses
-import itertools
 import json
-import operator
 import os
 import sys
 
@@ -28,7 +26,6 @@ from . import diagnostics
 from . import exact_solver
 from . import profiles
 from . import spectral_oracle
-from .quadrature import QuadratureError
 
 MODES = ("solve", "asym", "sweep", "validate")
 
@@ -41,17 +38,13 @@ class ConfigError(ValueError):
 # deterministic formatting
 
 def fmt(v):
-    """17-significant-digit text for a float, plain text for the rest."""
+    """A value as every artifact writes it: "true" or "false" for a bool
+    (JSON only), else _row_format's %-code applied to the value plus its
+    zero, the rule CSV cells follow too."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if v == 0.0:
-            v = 0.0          # print negative zero as 0
-        return format(v, ".17g")     # also "nan", "inf", "-inf"
-    return str(v)
+    form, (zero,) = _row_format((type(v),))
+    return form % (v + zero,)
 
 
 def _json_fragment(obj, indent, out):
@@ -108,9 +101,10 @@ def json_text(obj):
 
 
 def _row_format(types):
-    """fmt's rules as one %-format for a row of values of these types, with
-    the zeros to add to the values first: adding 0.0 turns -0.0 into 0.0
-    and leaves every other float, nan and inf included, as it is.  Raises
+    """The one number rule, as a %-format for a row of values of these
+    types, with the zeros to add to the values first: floats as %.17g plus
+    0.0, which turns -0.0 into 0.0 and leaves every other float, nan and
+    inf included, as it is; ints as %d plus 0; str as %s plus "".  Raises
     TypeError for a type that has no such format (a bool among them)."""
     codes, zeros = [], []
     for tp in types:
@@ -124,35 +118,37 @@ def _row_format(types):
             codes.append("%s")
             zeros.append("")
         else:
-            raise TypeError(f"no CSV format for a value of type "
+            raise TypeError(f"no artifact format for a value of type "
                             f"{tp.__name__}")
     return ",".join(codes), tuple(zeros)
 
 
+def _column_type(column):
+    """The one type every value of a CSV column shares; TypeError if the
+    column mixes types."""
+    types = set(map(type, column))
+    if len(types) > 1:
+        raise TypeError("a CSV column mixes types "
+                        + ", ".join(sorted(tp.__name__ for tp in types)))
+    return types.pop()
+
+
 def csv_text(header, rows):
-    """CSV text with fmt's rules: each run of rows whose values share a
-    sequence of types is written by one %-format (built once per
-    sequence).  rows is a list of tuples, or a 2-D numpy array, which is
-    one such run: its dtype gives every column's format, and its zero is
-    added in numpy."""
-    lines = [",".join(header)]
+    """CSV text by fmt's rule, the whole table written by one %-format.
+
+    rows is a list of tuples or a 2-D numpy array.  Each column holds one
+    type: the array's dtype, or the one type its values share (a column
+    that mixes types raises TypeError; rows of unequal length raise
+    ValueError).  The zeros of _row_format are added per column, in numpy
+    for an array."""
     if isinstance(rows, np.ndarray):
-        if len(rows):
-            form, zeros = _row_format((rows.dtype.type,) * rows.shape[1])
-            values = (rows + zeros[0]).ravel().tolist()
-            lines.append("\n".join([form] * len(rows)) % tuple(values))
-        return "\n".join(lines) + "\n"
-    formats = {}
-    for types, block in itertools.groupby(
-            rows, key=lambda row: tuple(map(type, row))):
-        if types not in formats:
-            formats[types] = _row_format(types)
-        form, zeros = formats[types]
-        block = list(block)
-        values = map(operator.add, itertools.chain.from_iterable(block),
-                     itertools.cycle(zeros))
-        lines.append("\n".join([form] * len(block)) % tuple(values))
-    return "\n".join(lines) + "\n"
+        form, zeros = _row_format((rows.dtype.type,) * rows.shape[1])
+        values = (rows + zeros).ravel().tolist()
+    else:
+        form, zeros = _row_format(map(_column_type, zip(*rows, strict=True)))
+        values = [v + z for row in rows for v, z in zip(row, zeros)]
+    return (",".join(header) + "\n"
+            + "".join([form + "\n"] * len(rows)) % tuple(values))
 
 
 def _emit(out_dir, name, text, written):
@@ -542,18 +538,16 @@ def run(cfg):
     written = []
     try:
         ok = _RUNNERS[cfg.mode](cfg, profile, written)
-    except (QuadratureError, spectral_oracle.OracleError,
-            profiles.ProfileError, FloatingPointError, ValueError,
-            RuntimeError) as err:
+    except (FloatingPointError, ValueError, RuntimeError) as err:
+        # QuadratureError and OracleError are RuntimeErrors, ProfileError
+        # a ValueError
         report = {
             "error": type(err).__name__,
             "message": str(err),
             "config": cfg.echo(),
             "written_before_failure": written,
         }
-        with open(os.path.join(cfg.out_dir, "error.json"), "w",
-                  newline="\n") as fh:
-            fh.write(json_text(report))
+        _emit(cfg.out_dir, "error.json", json_text(report), written)
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     return 0 if ok else 3

@@ -54,33 +54,46 @@ def test_json_text_writes_records_as_objects():
 def test_csv_text():
     text = cli.csv_text(("a", "b"), [(1.0, 1.0 / 3.0)])
     assert text == "a,b\n1,0.33333333333333331\n"
-    # one %-format per row writes what fmt writes value by value: -0 as 0,
-    # nan and inf as fmt does, and ints as ints
-    values = [0.0, -0.0, np.float64(-0.0), np.float32(-0.0), math.nan,
-              -math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0,
-              np.float32(0.1), 3, -7, np.int64(-4), 10 ** 30, "sine"]
+    # one type per column, and every cell is what fmt writes for its value:
+    # -0 as 0, nan and inf as text, ints as ints, str as itself
+    pools = [[0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+              1.0 / 3.0],
+             [np.float64(-0.0), np.float64(1.0 / 3.0)],
+             [np.float32(-0.0), np.float32(0.1)],
+             [3, -7, 10 ** 30],
+             [np.int64(-4), np.int64(0)],
+             ["sine"]]
     rng = np.random.default_rng(3)
-    rows = [tuple(values[i] for i in rng.integers(0, len(values), 3))
-            for _ in range(400)]
-    rows += [tuple(v) for v in rng.standard_normal((50, 3))
-             * 10.0 ** rng.integers(-300, 300, (50, 3))]
-    want = "".join(",".join(cli.fmt(v) for v in row) + "\n"
-                   for row in rows)
-    assert cli.csv_text(("a", "b", "c"), rows) == "a,b,c\n" + want
-    # a float array is one run of rows and must come out as the same
-    # values given as a list of tuples
+    rows = list(zip(*[[pool[i] for i in rng.integers(0, len(pool), 400)]
+                      for pool in pools]))
+
+    def want(header, rows):
+        return "".join(",".join(map(cli.fmt, row)) + "\n"
+                       for row in [header] + list(rows))
+
+    assert cli.csv_text(tuple("abcdef"), rows) == want(tuple("abcdef"), rows)
+    # a float array, as a list of float or np.float64 tuples or as itself
     floats = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
     table = np.concatenate([
         np.array(floats)[rng.integers(0, len(floats), (100, 3))],
         rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300,
                                                             (50, 3))])
-    want = cli.csv_text(("a", "b", "c"), list(map(tuple, table.tolist())))
-    assert cli.csv_text(("a", "b", "c"), table) == want
+    text = want(("a", "b", "c"), table.tolist())
+    for form in (table, list(map(tuple, table)), table.tolist()):
+        assert cli.csv_text(("a", "b", "c"), form) == text
     assert cli.csv_text(("a", "b", "c"), table[:0]) == "a,b,c\n"
-    # a type with no format fails rather than printing as something else
-    for bad in (True, np.bool_(False), None):
+    assert cli.csv_text(("a", "b", "c"), []) == "a,b,c\n"
+    # a column that mixes types, or holds a type with no format, fails
+    # rather than printing as something else
+    for bad in ([(1.0,), ("sine",)], [(3,), (1.0,)], [(1.0, True)],
+                [(1.0, np.bool_(False))], [(1.0, None)],
+                np.array([[True, False]])):
         with pytest.raises(TypeError):
-            cli.csv_text(("a", "b"), [(1.0, bad)])
+            cli.csv_text(("a", "b"), bad)
+    # ragged rows fail rather than dropping cells
+    for ragged in ([(1.0, 2.0), (3.0,)], [(1.0,), (2.0, 3.0)]):
+        with pytest.raises(ValueError):
+            cli.csv_text(("a", "b"), ragged)
 
 
 def test_help_exits_zero():
@@ -255,7 +268,10 @@ def test_numerical_failure_writes_error_json(tmp_path, monkeypatch, capsys):
     rc = cli.main(["--mode", "solve", "--k", "2", "--t", "0.001",
                    "--out-dir", str(tmp_path)])
     assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    # written like every other artifact
+    assert captured.out.endswith(f"wrote {tmp_path / 'error.json'}\n")
     report = json.loads((tmp_path / "error.json").read_text())
     assert report["error"] == "QuadratureError"
     assert "synthetic" in report["message"]

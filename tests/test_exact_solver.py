@@ -784,3 +784,38 @@ def test_moments_match_mpmath_on_the_lean_skeleton(which, k, xs, request):
         for j in (1, 3):
             bar = max(abs(ref[j]), quadrature.FLOOR_FRAC * A[j])
             assert abs(r[i, j] - ref[j]) <= 1e-9 * bar, (xi, j)
+
+
+# Known domain edges of the exact path, pinned as strict xfails: the change
+# that mends one turns its xfail into an unexpected pass, which fails the
+# run until the mark is removed.
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 11: at huge a the terms of u_x "
+                          "cancel and it comes back wrong without an error")
+def test_edge_ux_at_huge_a_matches_k_fprime(sine):
+    # at a = 1e14 the row's weight is a spike at y = x, so u -> k f(x) and
+    # u_x -> k f'(x); today u is within 4e-6 but u_x = 38.02 against -37.55
+    x, k = np.array([0.05]), 1.0
+    u, ux = exact_solver.eval_fields(sine, x, 1e14, k)
+    assert abs(u[0] - k * sine.f(x)[0]) <= 1e-5
+    assert abs(ux[0] / (k * sine.f_prime(x)[0]) - 1.0) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="ROADMAP item 2: phase round-off at k >= 1.4e4 "
+                          "reads as noise above the row tolerance")
+def test_edge_fields_at_large_k_converge(sine):
+    # the row the sine T* search fails on at k = 14480
+    fields = exact_solver.eval_fields(sine, [2.32e-9], 25.1327, 14480.0,
+                                      want_uxx=True)
+    assert all(np.all(np.isfinite(v)) for v in fields)
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="ROADMAP item 12: from t ~ 0.7 the y-window spans "
+                          "so many periods that the skeleton exceeds "
+                          "MAX_PANELS")
+def test_edge_functionals_at_late_time_converge(sine):
+    K, E, R = harness.state_functionals(sine, 5.0, 1.0, with_rate=True)
+    assert K > 0.0 and E > 0.0 and math.isfinite(R)
