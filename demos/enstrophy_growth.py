@@ -12,7 +12,7 @@ from enstrophy_lab import asymptotics, harness, profiles
 k = 20.0
 sine = profiles.make_sine_profile()
 pred = asymptotics.predict(sine, k)
-K0, E0 = harness.state_functionals(sine, k, 0.0)
+K0, E0, _ = harness.state_functionals(sine, k, 0.0)
 
 print(f"k = {k}:  K0 = {K0:.4f}, E0 = {E0:.2f}")
 print(f"predicted T* = {pred.T_star:.6f}\n")
@@ -20,7 +20,7 @@ print(f"predicted T* = {pred.T_star:.6f}\n")
 ts = np.geomspace(0.1 * pred.T_star, 4.0 * pred.T_star, 13)
 print(f"{'t/T*':>8} {'K(t)':>12} {'E(t)':>14} {'E(t)/E0':>10}")
 for t in ts:
-    K, E = harness.state_functionals(sine, k, float(t))
+    K, E, _ = harness.state_functionals(sine, k, float(t))
     print(f"{t / pred.T_star:8.3f} {K:12.4f} {E:14.2f} {E / E0:10.4f}")
 
 r = harness.find_enstrophy_max(sine, k)

@@ -399,7 +399,7 @@ def check_required_bound(profile):
     """
     xs = np.linspace(0.0, profile.x_star, BOUND_GRID + 1)
     f2 = lambda y: profile.f(y) ** 2
-    res = quadrature.adaptive_batch(lambda rows, ys: f2(ys),
+    res = quadrature.adaptive_batch(lambda rows, ys: f2(ys)[None],
                                     np.arange(BOUND_GRID), xs[:-1], xs[1:],
                                     n_rows=BOUND_GRID, epsrel=1e-12)
     if not res.converged.all():

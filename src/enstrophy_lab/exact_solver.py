@@ -365,7 +365,8 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     `_stationary_points` rules out.
 
     An empty x batch gives empty results.  Returns (m, r) with m the
-    per-row extracted phase minimum and r of shape (nx, n_moments+1).
+    per-row phase minimum, the lowest phase over the row's stationary
+    points, and r of shape (nx, n_moments+1).
     Raises QuadratureError, naming the offending (x, a, k), when a row has
     no stationary point (a NaN or infinite x, or a scan radius below the
     float spacing at x); when the skeleton left after the drop holds more
@@ -385,18 +386,14 @@ def _phase_moments(profile, x, a, k, n_moments=2):
         profile, a, k, n_moments,
         np.max(Fx[np.isfinite(Fx)] - profile.F_min, initial=0.0)))
     rows, roots, curv = _stationary_points(profile, x, a, R)
-    is_min = curv > 0
 
-    # per-row phase minimum (global: the scan radius always contains it).
-    # A row whose minimum is degenerate (curvature 0, as at x = 0 exactly
-    # on the pitchfork) has no root with positive curvature; its lowest
-    # stationary point then stands in.
-    has_min = np.zeros(nx, dtype=bool)
-    has_min[rows[is_min]] = True
-    sel = is_min | ~has_min[rows]
-    mr, rr = rows[sel], roots[sel]
+    # per-row phase minimum, the lowest phase over every stationary point:
+    # the scan radius always holds the global minimum, and a maximum's
+    # phase never lies below a neighbouring minimum's, so no point need be
+    # told apart by its curvature (a degenerate minimum, curvature 0 as at
+    # x = 0 exactly on the pitchfork, counts like any other)
     m = np.full(nx, np.inf)
-    np.minimum.at(m, mr, profile.F(rr) + 0.5 * a * (x[mr] - rr) ** 2)
+    np.minimum.at(m, rows, profile.F(roots) + 0.5 * a * (x[rows] - roots) ** 2)
     lost = ~np.isfinite(m)
     if lost.any():
         # a NaN or infinite x has no stationary point within R; a finite x
@@ -421,7 +418,7 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     coarse = np.linspace(-R, R, COARSE_PANELS + 1)
 
     gap = max(w / 8.0, 4e-16 * R)
-    prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, is_min,
+    prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, curv > 0,
                                       ladder, gap)
 
     def neg_excess(prow, ys, d=None, arg=None):

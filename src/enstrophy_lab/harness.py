@@ -151,8 +151,8 @@ def _x_breakpoints(profile, a, k):
     return np.unique(pts)
 
 
-def state_functionals(profile, k, t, with_rate=False):
-    """K, E (and R when with_rate) at time t by adaptive x-integration.
+def state_functionals(profile, k, t):
+    """K, E and R = dE/dt at time t by adaptive x-integration.
 
     A k outside (0, inf) or a t outside [0, inf) raises ValueError naming
     it, before any integral.
@@ -162,35 +162,27 @@ def state_functionals(profile, k, t, with_rate=False):
     if not 0.0 <= t < math.inf:
         raise ValueError(f"need finite t >= 0, got t={t}")
     if t == 0:
-        K0 = diagnostics.initial_energy(profile, k)
-        E0 = diagnostics.initial_enstrophy(profile, k)
-        if not with_rate:
-            return K0, E0
         v = quadrature.integral(
             lambda ys: np.stack([
                 profile.f_double_prime(ys) ** 2 * k * k,
                 profile.f_prime(ys) ** 3 * k ** 3]),
             0.0, 0.5, epsrel=1e-10)
-        return K0, E0, -2.0 * float(v.sum())
+        return (diagnostics.initial_energy(profile, k),
+                diagnostics.initial_enstrophy(profile, k),
+                -2.0 * float(v.sum()))
     a = 1.0 / (2.0 * k * t)
-    bps = _x_breakpoints(profile, a, k)
 
     def comps(xs):
-        if with_rate:
-            u, ux, uxx = exact_solver.eval_fields(profile, xs, a, k,
-                                                  want_uxx=True)
-            return np.stack([u * u, ux * ux, uxx * uxx + ux ** 3])
-        u, ux = exact_solver.eval_fields(profile, xs, a, k)
-        return np.stack([u * u, ux * ux])
+        u, ux, uxx = exact_solver.eval_fields(profile, xs, a, k,
+                                              want_uxx=True)
+        return np.stack([u * u, ux * ux, uxx * uxx + ux ** 3])
 
-    v, _, ok = quadrature.adaptive_quad(comps, bps, epsrel=X_REL_TOL)
+    v, _, ok = quadrature.adaptive_quad(comps, _x_breakpoints(profile, a, k),
+                                        epsrel=X_REL_TOL)
     if not ok:
         raise quadrature.QuadratureError(
             f"x-integration of the state functionals failed at t={t}, k={k}")
-    K, E = float(v[0]), float(v[1])
-    if with_rate:
-        return K, E, -2.0 * float(v[2])
-    return K, E
+    return float(v[0]), float(v[1]), -2.0 * float(v[2])
 
 
 def _enstrophy_of_t(profile, k):
@@ -200,7 +192,7 @@ def _enstrophy_of_t(profile, k):
     trace = []
 
     def RE_of(t):
-        K, E, R = state_functionals(profile, k, t, with_rate=True)
+        K, E, R = state_functionals(profile, k, t)
         trace.append((t, K, E, R))
         return R, E, -0.5 * K
 

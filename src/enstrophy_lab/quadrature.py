@@ -15,8 +15,8 @@ integral in a single numpy call.
 
 The batch callback works per panel: it gets the panels' rows, shape
 (npanels,), and their nodes ys, shape (npanels, 21), and returns
-(ncomp, npanels, 21), or (npanels, 21) for one component, so a row's
-parameters are gathered once per panel and broadcast over its 21 nodes.
+(ncomp, npanels, 21), one component included, so a row's parameters are
+gathered once per panel and broadcast over its 21 nodes.
 The Kronrod value, the Kronrod-minus-Gauss error and the integral of |f|
 are then three weighted sums over the node axis, taken with np.einsum in
 numpy's own single-threaded loop, whose CPU time equals its wall time.  A
@@ -24,10 +24,10 @@ BLAS product (@, np.dot) gives the same sums but runs a large batch on
 BLAS's own threads, which would compete with the sweep's worker processes
 for the same cores.
 
-`adaptive_quad` and `integral` take a plain fvec(ys) of a 1-d array and
-adapt it with `_per_panel`; `integral` is the one checked routine for a
-plain integral over a fixed interval.  The per-panel kernel `_panel_eval`
-and its layout are private to this module.
+`adaptive_quad` and `integral` take a plain fvec(ys) of a 1-d array, a
+1-d result being one component, and adapt it with `_per_panel`;
+`integral` is the one checked routine for a plain integral over a fixed
+interval.  The kernel `_panel_eval` and its layout are module-private.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def _panel_eval(f, rows, lo, hi):
 
     The per-panel callback f(rows, ys) gets rows of shape (npanels,) and
     the nodes ys of shape (npanels, 21); it returns (ncomp, npanels, 21),
-    or (npanels, 21) for one component, in an array it does not keep: the
-    kernel takes |f| in place once the Kronrod and error sums are formed.
+    one component included, in an array it does not keep: the kernel takes
+    |f| in place once the Kronrod and error sums are formed.
     The error is |sum (w_K - w_G) f|, the Kronrod-minus-Gauss difference in
     one sum.  The three sums are einsum contractions, not BLAS products (@,
     np.dot): BLAS starts its own threads, which would compete with the
@@ -123,8 +123,6 @@ def _panel_eval(f, rows, lo, hi):
     half = 0.5 * (hi - lo)
     ys = (0.5 * (lo + hi))[:, None] + half[:, None] * NODES
     fv = f(rows, ys)
-    if fv.ndim == 2:
-        fv = fv[None]
     kron = np.einsum("cpj,j->cp", fv, W_KRONROD) * half
     err = np.abs(np.einsum("cpj,j->cp", fv, W_ERROR)) * half
     absv = np.einsum("cpj,j->cp", np.abs(fv, out=fv), W_KRONROD) * half
@@ -133,9 +131,10 @@ def _panel_eval(f, rows, lo, hi):
 
 def _per_panel(fvec):
     """Per-panel callback of a 1-d fvec(ys) -> (ncomp, len(ys)) or
-    (len(ys),): it ravels the nodes, calls fvec and reshapes."""
+    (len(ys),): it ravels the nodes, calls fvec and reshapes the result,
+    made at least 2-d, to (ncomp, npanels, 21)."""
     def f(rows, ys):
-        fv = np.asarray(fvec(ys.ravel()))
+        fv = np.atleast_2d(fvec(ys.ravel()))
         return fv.reshape(fv.shape[:-1] + ys.shape)
     return f
 
@@ -169,11 +168,12 @@ def adaptive_batch(f, rows, lo, hi, n_rows, epsrel=1e-10):
     belongs to integral rows[i], one of 0..n_rows-1.  The callback
     f(rows, ys) is called per panel, as `_panel_eval` describes: rows has
     shape (npanels,), ys shape (npanels, 21), and it returns
-    (ncomp, npanels, 21) or, for one component, (npanels, 21).  Every row
-    shares the component layout but may use its rows entry to select its
-    own parameters (e.g. its own x), once per panel.  The node sums are einsum contractions in numpy's own
-    single-threaded loop, not BLAS products, whose threads would compete
-    with the sweep's worker processes for the same cores.
+    (ncomp, npanels, 21), one component included.  Every row shares the
+    component layout but may use its rows entry to select its own
+    parameters (e.g. its own x), once per panel.  The node sums are einsum
+    contractions in numpy's own single-threaded loop, not BLAS products,
+    whose threads would compete with the sweep's worker processes for the
+    same cores.
 
     A row converges when its totals are finite and, for every component,
     the summed panel error is below epsrel * max(|integral|, FLOOR_FRAC *
@@ -181,18 +181,20 @@ def adaptive_batch(f, rows, lo, hi, n_rows, epsrel=1e-10):
     by cancellation (odd moments at symmetric points) from demanding
     impossible relative accuracy.
     Refinement stops after MAX_ROUNDS rounds or once the batch holds more
-    than MAX_PANELS panels, frozen rows' panels included; rows still over
-    tolerance then read unconverged.  Zero-width panels are dropped, so a
-    row with none integrates to zero.
+    than MAX_PANELS panels, counted as npan.sum(), frozen rows' panels
+    included; rows still over tolerance then read unconverged.  Zero-width
+    panels are dropped, so a row with none integrates to zero.
 
     The panel sums are held component-major, (ncomp, npanels): the
     transposes of `_panel_eval`'s results, which are views of its
     contiguous sums.  Once a row converges its totals, tolerance, flag and
     panel count are frozen and its panels leave the batch, so each round
-    totals and concatenates only the panels of rows still refining.  A
-    converged row's panels are never split, and np.bincount adds a row's
-    panels in index order, which dropping other rows' panels keeps: the
-    frozen totals are those a re-total of every panel would give.
+    totals and concatenates only the panels of the rows still refining,
+    ~conv, and writes back only theirs: a frozen flag never flips back, so
+    the panels and the per-row totals are the whole state.  np.bincount
+    adds a row's panels in index order, which dropping other rows' panels
+    keeps: the frozen totals are those a re-total of every panel would
+    give.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
@@ -200,19 +202,11 @@ def adaptive_batch(f, rows, lo, hi, n_rows, epsrel=1e-10):
     keep = hi > lo
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     val, err, absv = (s.T for s in _panel_eval(f, rows, lo, hi))
-    live = np.ones(n_rows, dtype=bool)      # rows whose panels are carried
-    frozen_panels = 0
+    tot, toterr, totabs, npan, tol, conv = _row_totals(
+        rows, val.T, err.T, absv.T, n_rows, epsrel)
 
-    for rnd in range(MAX_ROUNDS + 1):
-        totals = _row_totals(rows, val.T, err.T, absv.T, n_rows, epsrel)
-        if rnd == 0:
-            tot, toterr, totabs, npan, tol, conv = totals
-        else:
-            for out, new in zip((tot, toterr, totabs, npan, tol, conv),
-                                totals):
-                out[live] = new[live]
-        if (conv.all() or frozen_panels + len(rows) > MAX_PANELS
-                or rnd == MAX_ROUNDS):
+    for _ in range(MAX_ROUNDS):
+        if conv.all() or npan.sum() > MAX_PANELS:
             break
         share = (tol / np.maximum(npan, 1)[:, None]).T
         carry = ~conv[rows]
@@ -220,8 +214,6 @@ def adaptive_batch(f, rows, lo, hi, n_rows, epsrel=1e-10):
         split = carry & (err > share[:, rows]).any(axis=0) & splittable
         if not split.any():
             break
-        live &= ~conv
-        frozen_panels += len(rows) - np.count_nonzero(carry)
         l, h = lo[split], hi[split]
         m = 0.5 * (l + h)
         nrows = np.concatenate([rows[split], rows[split]])
@@ -235,14 +227,20 @@ def adaptive_batch(f, rows, lo, hi, n_rows, epsrel=1e-10):
         val = np.concatenate([val[:, keep], nval], axis=1)
         err = np.concatenate([err[:, keep], nerr], axis=1)
         absv = np.concatenate([absv[:, keep], nabs], axis=1)
+        live = ~conv
+        for out, new in zip((tot, toterr, totabs, npan, tol, conv),
+                            _row_totals(rows, val.T, err.T, absv.T, n_rows,
+                                        epsrel)):
+            out[live] = new[live]
     return BatchQuadResult(tot, toterr, totabs, conv, npan)
 
 
 def adaptive_quad(fvec, breakpoints, epsrel=1e-10):
     """Single adaptive integral of a vector integrand.
 
-    fvec(ys) -> (ncomp, len(ys)); breakpoints is the ordered panel skeleton.
-    Returns (value, error, converged) with value/error shaped (ncomp,).
+    fvec(ys) -> (ncomp, len(ys)), or a 1-d array for one component;
+    breakpoints is the ordered panel skeleton.  Returns (value, error,
+    converged) with value/error shaped (ncomp,).
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or len(bp) < 2:
@@ -260,8 +258,7 @@ def integral(fvec, lo, hi, epsrel=1e-12):
     Returns the value shaped (ncomp,); raises QuadratureError naming the
     interval when it does not converge.
     """
-    v, _, ok = adaptive_quad(lambda ys: np.atleast_2d(fvec(ys)),
-                             np.linspace(lo, hi, 9), epsrel=epsrel)
+    v, _, ok = adaptive_quad(fvec, np.linspace(lo, hi, 9), epsrel=epsrel)
     if not ok:
         raise QuadratureError(f"integral on [{lo}, {hi}] did not converge")
     return v

@@ -38,8 +38,7 @@ def acceptance_sweep(sine, state_log):
     result = harness.sweep(sine, SWEEP_KS)
     elapsed = time.perf_counter() - start
     for r in result.results:
-        K0, E0, R0 = harness.state_functionals(sine, r.k, 0.0,
-                                               with_rate=True)
+        K0, E0, R0 = harness.state_functionals(sine, r.k, 0.0)
         state_log.append((f"sweep k={r.k:g} t=0", K0, E0, R0))
         state_log.append((f"sweep k={r.k:g} t=T*", r.K_at_max,
                           r.E_max_measured, r.R_at_max))

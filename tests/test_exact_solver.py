@@ -260,6 +260,47 @@ def test_pitchfork_row_whose_minima_the_scan_misses(sine):
     assert snap.oddness_residual < 1e-9
 
 
+def _phase_minimum_over_minima(profile, x, a, k, n_moments):
+    """Reference for `_phase_moments`' m: the lowest phase over each row's
+    minima (curvature > 0), or over all its stationary points when it has
+    none, as at x = 0 exactly on the pitchfork.  Also returns how many rows
+    have no minimum."""
+    R = _scan_radius(profile, x, a, k, n_moments)
+    rows, roots, curv = exact_solver._stationary_points(profile, x, a, R)
+    is_min = curv > 0
+    has_min = np.zeros(len(x), dtype=bool)
+    has_min[rows[is_min]] = True
+    sel = is_min | ~has_min[rows]
+    mr, rr = rows[sel], roots[sel]
+    m = np.full(len(x), np.inf)
+    np.minimum.at(m, mr, profile.F(rr) + 0.5 * a * (x[mr] - rr) ** 2)
+    return m, int(np.count_nonzero(~has_min))
+
+
+def test_phase_minimum_over_every_stationary_point_matches_minima_rule(
+        sine, two_term):
+    # m is the lowest phase over every stationary point; this pins it bit
+    # for bit to the lowest minimum, with a row without one (the pitchfork)
+    # falling back to all its stationary points
+    apf = abs(sine.f_prime_at_zero)
+    snap_x = exact_solver.grid(2 * exact_solver.DEFAULT_CONFIG.grid_size)
+    x257 = np.linspace(0.0, 0.5, 257)
+    cases = [(sine, snap_x, 5.0, None, 2), (two_term, snap_x, 160.0, None, 3)]
+    cases += [(sine, x257, 5.0, apf * f, 3)
+              for f in (1 - 1e-6, 1 - 1e-12, 1.0, 1 + 1e-6)]
+    degenerate = 0
+    for profile, x, k, a, n_moments in cases:
+        if a is None:
+            a = 1.0 / (2.0 * k * asymptotics.predict(profile, k).T_star)
+        m, _ = exact_solver._phase_moments(profile, x, a, k,
+                                           n_moments=n_moments)
+        ref, no_min = _phase_minimum_over_minima(profile, x, a, k, n_moments)
+        assert m.tobytes() == ref.tobytes()
+        degenerate += no_min
+    # x = 0 at a = |f'(0)| exactly: one stationary point, curvature 0
+    assert degenerate == 1
+
+
 def _skeleton_by_row(x, L, coarse, rows, roots, is_min, ladder, gap):
     """Row-by-row reference: np.unique of the clipped breakpoints, then
     drop each point within gap of its predecessor."""
@@ -817,5 +858,5 @@ def test_edge_fields_at_large_k_converge(sine):
                           "so many periods that the skeleton exceeds "
                           "MAX_PANELS")
 def test_edge_functionals_at_late_time_converge(sine):
-    K, E, R = harness.state_functionals(sine, 5.0, 1.0, with_rate=True)
+    K, E, R = harness.state_functionals(sine, 5.0, 1.0)
     assert K > 0.0 and E > 0.0 and math.isfinite(R)

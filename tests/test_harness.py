@@ -16,12 +16,31 @@ from enstrophy_lab.quadrature import QuadratureError
 
 def test_initial_functionals_closed_form(sine):
     k = 7.0
-    K0, E0, R0 = harness.state_functionals(sine, k, 0.0, with_rate=True)
+    K0, E0, R0 = harness.state_functionals(sine, k, 0.0)
     assert abs(K0 - math.pi ** 2 * k * k) < 1e-10 * K0
     assert abs(E0 - 4.0 * math.pi ** 4 * k * k) < 1e-10 * E0
     # R(u0) = -32 pi^6 k^2 for the sine profile
     R0_exact = -32.0 * math.pi ** 6 * k * k
     assert abs(R0 - R0_exact) < 1e-10 * abs(R0_exact)
+
+
+def test_initial_functionals_closed_form_two_terms(two_term):
+    # f = -sum a_n sin(w_n x), w_n = 2 pi n, f' = sum b_n cos(w_n x) with
+    # b_n = -a_n w_n.  For the sine the cubic term of R(u0) vanishes
+    # (int cos^3 = 0); here int_0^1 f'^3 = (3/4) b_1^2 b_2 adds about
+    # +1.28e4 to R0
+    k = 7.0
+    a = np.array([1.0, 0.1])
+    w = 2.0 * math.pi * np.arange(1, 3)
+    b = -a * w
+    K0, E0, R0 = harness.state_functionals(two_term, k, 0.0)
+    K0_exact = k * k * np.sum(a ** 2) / 4.0
+    E0_exact = k * k * np.sum((a * w) ** 2) / 4.0
+    R0_exact = (-k * k * np.sum(a ** 2 * w ** 4) / 2.0
+                - 0.75 * k ** 3 * b[0] ** 2 * b[1])
+    assert abs(K0 - K0_exact) < 1e-12 * K0_exact
+    assert abs(E0 - E0_exact) < 1e-12 * E0_exact
+    assert abs(R0 - R0_exact) < 1e-12 * abs(R0_exact)
 
 
 def test_unconverged_initial_rate_raises(sine):
@@ -31,7 +50,7 @@ def test_unconverged_initial_rate_raises(sine):
             np.asarray(y, float) - 0.3712345) ** -0.75)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(QuadratureError, match=r"\[0\.0, 0\.5\]"):
-        harness.state_functionals(bad, 5.0, 0.0, with_rate=True)
+        harness.state_functionals(bad, 5.0, 0.0)
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3])
@@ -43,7 +62,7 @@ def test_state_functionals_reject_k_outside_zero_to_inf(sine, monkeypatch,
     monkeypatch.setattr(harness.quadrature, "integral", None)
     monkeypatch.setattr(harness.quadrature, "adaptive_quad", None)
     with pytest.raises(ValueError, match=f"k={k}"):
-        harness.state_functionals(sine, k, t, with_rate=True)
+        harness.state_functionals(sine, k, t)
 
 
 @pytest.mark.parametrize("t", [-1e-3, -math.inf, math.nan, math.inf])
@@ -62,7 +81,7 @@ def test_state_functionals_overflowing_curvature_raises(sine):
 def test_state_functionals_match_grid_diagnostics(sine):
     # dual route: adaptive x-quadrature against the 512-point grid state
     k, t = 5.0, 1e-3
-    K, E, R = harness.state_functionals(sine, k, t, with_rate=True)
+    K, E, R = harness.state_functionals(sine, k, t)
     d = diagnostics.compute(exact_solver.snapshot(sine, t, k))
     assert abs(K - d.K) < 1e-10 * d.K
     assert abs(E - d.E) < 1e-10 * d.E
@@ -173,7 +192,7 @@ def test_x_nest_converges_in_one_round(request, monkeypatch, spec, k, factor,
 
     monkeypatch.setattr(exact_solver, "eval_fields", counted)
     t = factor * asymptotics.predict(profile, k).T_star
-    K, E, R = harness.state_functionals(profile, k, t, with_rate=True)
+    K, E, R = harness.state_functionals(profile, k, t)
     assert len(calls) == 1
     assert abs(K / K0 - 1.0) <= 1e-12
     assert abs(E / E0 - 1.0) <= 1e-12
@@ -280,7 +299,7 @@ def test_oversized_y_skeleton_fails_before_evaluation(monkeypatch, sine):
                        match=r"y-skeleton of \d+ panels exceeds quadrature"
                              r"\.MAX_PANELS = 200000 at \(x=.*, a=0\.01, "
                              r"k=5\)") as err:
-        harness.state_functionals(sine, 5.0, 10.0, with_rate=True)
+        harness.state_functionals(sine, 5.0, 10.0)
     n = int(str(err.value).split()[2])
     assert n > quadrature.MAX_PANELS
     assert sizes and max(sizes) <= quadrature.MAX_PANELS
@@ -347,7 +366,7 @@ def test_no_interior_maximum_raises(sine, monkeypatch, sign):
     # of evaluations, not return a range edge
     calls = []
 
-    def monotone(profile, k, t, with_rate=False):
+    def monotone(profile, k, t):
         calls.append(t)
         return 1.0, 1.0, sign
 
@@ -360,7 +379,7 @@ def test_no_interior_maximum_raises(sine, monkeypatch, sign):
 def test_no_sign_change_table_lists_every_evaluation(sine, monkeypatch):
     calls = []
 
-    def monotone(profile, k, t, with_rate=False):
+    def monotone(profile, k, t):
         calls.append(t)
         return 1.0, 1.0, -1.0
 

@@ -47,11 +47,11 @@ def test_snapshot_invariants_on_two_term_profiles(c, k, t):
        t=st.floats(1e-4, 1e-2), later=st.floats(1.05, 4.0))
 def test_functional_invariants_on_two_term_profiles(c, k, t, later):
     profile = profiles.make_sine_series_profile([1.0, c])
-    K0, E0 = harness.state_functionals(profile, k, 0.0)
+    K0, E0, _ = harness.state_functionals(profile, k, 0.0)
     envelope = diagnostics.integral_bound_rhs(E0)
     K_prev = K0
     for s in (t, later * t):
-        K, E, R = harness.state_functionals(profile, k, s, with_rate=True)
+        K, E, R = harness.state_functionals(profile, k, s)
         assert K < K_prev
         assert E <= envelope
         assert diagnostics.from_functionals(K, E, R).bound_R_residual >= 0

@@ -52,7 +52,7 @@ def test_vector_components_share_panels():
 def test_adaptive_batch_rows_are_independent():
     # row r integrates (y + r)^2 on [0, 1]: ((1+r)^3 - r^3) / 3
     def f(rows, ys):
-        return np.atleast_2d((ys + rows[:, None]) ** 2)
+        return ((ys + rows[:, None]) ** 2)[None]
 
     rows = np.arange(6, dtype=np.intp)
     res = quadrature.adaptive_batch(f, rows, np.zeros(6), np.ones(6), 6)
@@ -66,7 +66,7 @@ def test_unconverged_flag_not_raise(monkeypatch):
     # integrable endpoint singularity, refinement capped: must report,
     # not die
     def f(rows, ys):
-        return np.atleast_2d(np.abs(ys - 0.37) ** -0.5)
+        return (np.abs(ys - 0.37) ** -0.5)[None]
 
     monkeypatch.setattr(quadrature, "MAX_ROUNDS", 2)
     res = quadrature.adaptive_batch(
@@ -120,7 +120,7 @@ def test_infinite_node_value_reads_unconverged():
         def f(rows, ys):
             v = np.ones_like(ys)
             v[:, j] = np.inf
-            return v
+            return v[None]
 
         res = quadrature.adaptive_batch(f, np.zeros(1, dtype=np.intp),
                                         [0.0], [1.0], 1)
@@ -155,8 +155,7 @@ def test_panel_eval_matches_per_panel_reference():
 
         def f(r, ys):
             shapes.append((r.shape, ys.shape))
-            out = comps(ncomp, r, ys)
-            return out[0] if ncomp == 1 else out
+            return comps(ncomp, r, ys)
 
         kron, err, absv = quadrature._panel_eval(f, rows, lo, hi)
         assert shapes == [((n,), (n, 21))]

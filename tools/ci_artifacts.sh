@@ -26,13 +26,16 @@ declare -A args=(
   # k = 20 doubles the oracle to 2048 modes and halves its step once: the
   # one command that takes a second step-doubling round
   [solve-k20]="--mode solve --oracle --k 20 --t 0.001,0.003"
+  # a t = 0 row: the snapshot's initial-data branch and the oracle's
+  # zero-span step
+  [solve-t0]="--mode solve --oracle --k 5 --t 0,0.002"
   # the exact solver against the Laplace asymptotics at k = 20
   [asym]="--mode asym --k 20"
   # the profile, energy-drop and bifurcation checks (exit 3 on a failed
   # check)
   [validate]="--mode validate"
 )
-all=(sweep solve solve-k20 asym validate)
+all=(sweep solve solve-k20 solve-t0 asym validate)
 names=("${all[@]}")
 if [ $# -gt 0 ]; then
   names=("$@")
