@@ -181,9 +181,9 @@ def _stationary_points(profile, x, a, L):
     by a rounding step, the end with the smaller |g| is the zero.
     Non-finite rows have no zeros.
 
-    Returns flat arrays (row, root, curvature) in row order, roots
-    ascending within a row, with curvature = f'(root)+a; positive
-    curvature marks a phase minimum.
+    Returns flat arrays (row, root, curvature) in scan-cell order, so a
+    row's roots ascend but the rows interleave, with curvature =
+    f'(root)+a; positive curvature marks a phase minimum.
     """
     def dG(y):
         return profile.f_prime(y) + a
@@ -261,8 +261,6 @@ def _stationary_points(profile, x, a, L):
                      roots)
     keep = np.abs(roots - xr[pos]) <= L
     pos, roots = pos[keep], roots[keep]
-    by_row = np.argsort(pos, kind="stable")
-    pos, roots = pos[by_row], roots[by_row]
     return live[pos], roots + shift[pos], dG(roots)
 
 
@@ -275,10 +273,13 @@ def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
     by (row, point), a row keeps its first point and every
     later point lying more than gap above its predecessor, which is what
     np.unique followed by a diff > gap mask gives row by row.  Returns
-    (row, lo, hi) of the panels between consecutive kept points, in row
-    order.
+    (row, lo, hi, held) of the panels between consecutive kept points, in
+    row order.  held marks the panels holding a stationary point of their
+    row strictly inside: the points the merge dropped that lie strictly
+    above the kept point before them, each in the panel that kept point
+    opens.  The same sort places them, so they need no search.
     """
-    nx = len(x)
+    nx, nc = len(x), len(x) * len(coarse)
     mins = roots[is_min]
     prow = np.concatenate([np.repeat(np.arange(nx), len(coarse)), rows,
                            np.repeat(rows[is_min], len(ladder))])
@@ -290,27 +291,16 @@ def _panel_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
     prow, pts = prow[order], pts[order]
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = (prow[1:] != prow[:-1]) | (np.diff(pts) > gap)
-    prow, pts = prow[keep], pts[keep]
+    # each point's last kept point at or before it (itself if kept), in
+    # its own row since a row's first point is kept
+    last = np.cumsum(keep) - 1
+    prow, kept = prow[keep], pts[keep]
+    is_root = (order >= nc) & (order < nc + len(roots))
+    opens = np.zeros(len(kept), dtype=bool)
+    opens[last[is_root & (pts > kept[last])]] = True
     same = prow[1:] == prow[:-1]
-    return prow[:-1][same], pts[:-1][same], pts[1:][same]
-
-
-def _panels_holding(prow, lo, hi, rows, roots):
-    """Mask of the disjoint panels (prow, lo, hi), in row order, that hold
-    a stationary point (rows, roots) of their own row strictly inside."""
-    n = len(prow)
-    order = np.lexsort((np.concatenate([lo, roots]),
-                        np.concatenate([prow, rows])))
-    is_root = order >= n
-    # the last panel at or below each root in (row, y) order; lexsort is
-    # stable, so a root equal to a panel's lo sorts after that panel
-    p = np.cumsum(~is_root)[is_root] - 1
-    r = order[is_root] - n
-    p, r = p[p >= 0], r[p >= 0]
-    inside = (prow[p] == rows[r]) & (lo[p] < roots[r]) & (roots[r] < hi[p])
-    held = np.zeros(n, dtype=bool)
-    held[p[inside]] = True
-    return held
+    return (prow[:-1][same], kept[:-1][same], kept[1:][same],
+            opens[:-1][same])
 
 
 def _phase_moments(profile, x, a, k, n_moments=2):
@@ -359,10 +349,11 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     end phases are those of the skeleton points.  The gap merge of
     `_panel_skeleton` can drop a stationary point (each point within gap
     of its sorted predecessor goes, and a chain of such points can leave
-    it more than gap from the kept end), so a panel holding one inside is
-    always kept.  The check for a phase below m runs on the kept panels
-    only; it guards against a minimum the scan missed, which
-    `_stationary_points` rules out.
+    it more than gap from the kept end), so a panel the skeleton marks
+    held, one holding a stationary point inside, is always kept.  The
+    check for a phase below m runs on the kept panels only; it guards
+    against a minimum the scan missed, which `_stationary_points` rules
+    out.
 
     An empty x batch gives empty results.  Returns (m, r) with m the
     per-row phase minimum, the lowest phase over the row's stationary
@@ -418,8 +409,8 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     coarse = np.linspace(-R, R, COARSE_PANELS + 1)
 
     gap = max(w / 8.0, 4e-16 * R)
-    prow, plo, phi_ = _panel_skeleton(x, L, coarse, rows, roots, curv > 0,
-                                      ladder, gap)
+    prow, plo, phi_, held = _panel_skeleton(x, L, coarse, rows, roots,
+                                            curv > 0, ladder, gap)
 
     def neg_excess(prow, ys, d=None, arg=None):
         # y - x into d and -k (phi - m) into arg (new arrays when None) at
@@ -445,8 +436,7 @@ def _phase_moments(profile, x, a, k, n_moments=2):
         bar = np.maximum(bar, j * log_d - log_tau)
     _, arg = neg_excess(prow, np.column_stack([plo, phi_]))
     drop = -np.maximum(arg[:, 0], arg[:, 1]) >= bar + np.log(2.0 * L[prow])
-    drop[drop] = ~_panels_holding(prow[drop], plo[drop], phi_[drop], rows,
-                                  roots)
+    drop &= ~held
     prow, plo, phi_ = prow[~drop], plo[~drop], phi_[~drop]
     if len(prow) > quadrature.MAX_PANELS:
         # adaptive_batch would stop before its first split and return the

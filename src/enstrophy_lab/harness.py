@@ -395,13 +395,11 @@ def sweep(profile, k_list):
     results = tuple(_map_in_workers(
         lambda k: find_enstrophy_max(profile, k), ks, n))
 
+    row0 = compare_predictions(results[:1], profile).rows[0]
     excluded = ()
-    r0 = results[0]
-    pred0 = asymptotics.predict(profile, r0.k)
-    checks = (r0.T_star_measured / pred0.T_star,
-              r0.K_drop_measured / pred0.K_drop_leading)
-    if any(abs(c - 1.0) > 0.3 for c in checks):
-        excluded = (r0.k,)
+    if any(abs(row0[key] - 1.0) > 0.3
+           for key in ("ratio_T_star", "ratio_K_drop")):
+        excluded = (results[0].k,)
 
     fitted = [r for r in results if r.k not in excluded]
     e0s = [r.E0 for r in fitted]

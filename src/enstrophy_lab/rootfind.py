@@ -22,16 +22,15 @@ from .quadrature import NODES, W_KRONROD
 def bisect(g, lo, hi, iters=52):
     """Bisection on arrays of brackets; g(lo) and g(hi) must differ in sign
     (either orientation, zeros allowed)."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    # signs, not values: a product of two values of g can overflow
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    # signs, not values: a product of two values of g can overflow; lo
+    # only moves to a point of its own sign, so slo never changes
     slo = np.sign(g(lo))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        sm = np.sign(g(mid))
-        move_lo = sm * slo > 0
+        move_lo = np.sign(g(mid)) * slo > 0
         lo = np.where(move_lo, mid, lo)
-        slo = np.where(move_lo, sm, slo)
         hi = np.where(move_lo, hi, mid)
     return 0.5 * (lo + hi)
 

@@ -245,6 +245,40 @@ def test_bad_config_file_keys(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, ini, message", [
+    (["--mode", "solve", "--k", "2", "--t=-1"], None,
+     "times must be >= 0"),
+    (["--mode", "sweep"], None, "mode 'sweep' needs --k-list"),
+    (["--config", "{ini}"], "[run]\nmode = bogus\n",
+     "mode must be one of"),
+    (["--config", "{ini}"], "[run]\nmode = solve\nk = 2\nt = 0\n"
+     "oracle = maybe\n", "oracle: expected a boolean"),
+    (["--config", "{ini}"], None, "cannot read config file"),
+    (["--config", "{ini}"], "mode = validate\n", "malformed config file"),
+])
+def test_config_error_prints_its_cause_and_writes_nothing(
+        args, ini, message, tmp_path, capsys):
+    # ini None with --config is a file that does not exist
+    path, out = tmp_path / "run.ini", tmp_path / "out"
+    if ini is not None:
+        path.write_text(ini)
+    argv = [a.format(ini=path) for a in args] + ["--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_config_file_oracle_off_runs_without_the_oracle(tmp_path, capsys):
+    ini, out = tmp_path / "run.ini", tmp_path / "out"
+    ini.write_text(f"[run]\nmode = solve\nk = 3\nt = 0\noracle = off\n"
+                   f"out_dir = {out}\n")
+    assert cli.main(["--config", str(ini)]) == 0
+    assert '"oracle": false' in (out / "solve.json").read_text()
+    with open(out / "diagnostics.csv", newline="") as fh:
+        assert "oracle_sup_diff" not in next(csv.reader(fh))
+
+
 def test_removed_quad_tol_exits_two_naming_it(tmp_path, capsys):
     # the y-quadrature tolerance is the fixed exact_solver.QUAD_TOL
     out = tmp_path / "out"

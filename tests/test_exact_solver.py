@@ -323,12 +323,20 @@ def _skeleton_by_row(x, L, coarse, rows, roots, is_min, ladder, gap):
     return tuple(np.concatenate(p) for p in (out_rows, out_lo, out_hi))
 
 
-def _assert_same_skeleton(*args):
+def _assert_same_skeleton(x, L, coarse, rows, roots, is_min, ladder, gap):
+    """The skeleton's (row, lo, hi) against `_skeleton_by_row`, and its
+    held mask against a per-panel reference: a stationary point of the
+    panel's row, unclipped, strictly between lo and hi."""
+    args = x, L, coarse, rows, roots, is_min, ladder, gap
     got = exact_solver._panel_skeleton(*args)
     ref = _skeleton_by_row(*args)
-    for g, r in zip(got, ref):
+    for g, r in zip(got[:3], ref):
         assert g.dtype == r.dtype
         assert np.array_equal(g, r)
+    prow, lo, hi, held = got
+    want = np.array([np.any((rows == i) & (lo_ < roots) & (roots < hi_))
+                     for i, lo_, hi_ in zip(prow, lo, hi)], dtype=bool)
+    assert held.dtype == bool and np.array_equal(held, want)
     return got
 
 
@@ -349,19 +357,22 @@ def test_panel_skeleton_matches_row_by_row_reference():
     is_min = np.array([True, False, True, True, False, True, True, True,
                        False])
     # row 2 has no stationary point and so no minimum
-    prow, lo, hi = _assert_same_skeleton(x, L, coarse, rows, roots, is_min,
-                                         ladder, gap)
+    prow, lo, hi, held = _assert_same_skeleton(x, L, coarse, rows, roots,
+                                               is_min, ladder, gap)
     assert set(prow) == {0, 1, 2, 3}
     assert np.all(hi - lo > gap)
+    # the roots gap above a node, within gap of x_1 and within gap of a
+    # rung are merged away inside rows 0, 1 and 3
+    assert set(prow[held]) == {0, 1, 3}
     # the same with the stationary points listed in no particular order
     perm = np.random.default_rng(3).permutation(len(rows))
     _assert_same_skeleton(x, L, coarse, rows[perm], roots[perm],
                           is_min[perm], ladder, gap)
     # an empty batch gives no panels
-    prow, lo, hi = _assert_same_skeleton(
+    prow, lo, hi, held = _assert_same_skeleton(
         np.empty(0), L, coarse, np.empty(0, np.intp), np.empty(0),
         np.empty(0, bool), ladder, gap)
-    assert len(prow) == len(lo) == len(hi) == 0
+    assert len(prow) == len(lo) == len(hi) == len(held) == 0
 
 
 def test_panel_skeleton_matches_reference_on_solver_input(sine, two_term):
@@ -713,8 +724,8 @@ def test_panels_holding_finds_roots_the_gap_merge_dropped():
     """The gap merge compares each point with its sorted predecessor,
     kept or not, so a chain of close points can drop a stationary point
     more than gap from the kept panel end: here the minimum at 0.2 + 1.8
-    gap.  `_panels_holding` marks each panel holding a root strictly
-    inside, and no panel whose end is the root."""
+    gap.  The skeleton marks each panel holding a root strictly inside
+    held, and no panel whose end is the root."""
     L, gap = 0.5, 2.0 ** -10
     coarse = np.linspace(-L, L, 5)
     ladder = np.array([-0.05, -0.01, 0.01, 0.05])
@@ -724,46 +735,46 @@ def test_panels_holding_finds_roots_the_gap_merge_dropped():
                       0.3 + 0.125,   # on row 1's coarse node
                       0.95])         # beyond row 1's window: clipped
     is_min = np.array([True, False, True, True, False])
-    prow, lo, hi = _assert_same_skeleton(x, L, coarse, rows, roots, is_min,
-                                         ladder, gap)
+    prow, lo, hi, held = _assert_same_skeleton(x, L, coarse, rows, roots,
+                                               is_min, ladder, gap)
     kept = np.concatenate([lo, hi])
     assert np.min(np.abs(kept - roots[2])) > gap
-    held = exact_solver._panels_holding(prow, lo, hi, rows, roots)
     want = (prow == 0) & (lo == 0.2)
     assert want.sum() == 1 and np.array_equal(held, want)
-    assert not exact_solver._panels_holding(
-        np.empty(0, np.intp), np.empty(0), np.empty(0), rows, roots).size
 
 
 def test_panel_holding_a_dropped_minimum_is_kept(sine, monkeypatch):
-    """With every skeleton point within 10 w of each minimum merged away,
-    the panel holding the minimum has ends at least 16 w from it, where
-    k (phi - m) >= 128: its end phases alone would prove it negligible.
-    It is kept because it holds a stationary point, and the fields come
-    out as without the merge."""
+    """With a run of rungs gap/2 apart from -16 w to 16 w about each
+    minimum, the gap merge chains through the run and drops each minimum
+    inside its row's window into a panel whose ends lie at least 16 w
+    from it, where k (phi - m) >= 128: its end phases alone would prove it
+    negligible.  It is kept because the skeleton marks it held, and the
+    fields come out as without the run."""
     x, a, k = np.array([-0.3, 0.05, 0.2, 0.4]), 10.0, 160.0
     want = exact_solver.eval_fields(sine, x, a, k)
     w = 1.0 / math.sqrt(k * (a + sine.f_prime_max) + 1.0)
     skeleton = exact_solver._panel_skeleton
+    merged = []
 
-    def merge_minima_away(x, L, coarse, rows, roots, is_min, ladder, gap):
-        prow, lo, hi = skeleton(x, L, coarse, rows, roots, is_min, ladder,
-                                gap)
-        out = [], [], []
-        for i in range(len(x)):
-            pts = np.union1d(lo[prow == i], hi[prow == i])
-            mins = roots[(rows == i) & is_min]
-            far = np.abs(pts[:, None] - mins[None, :]).min(axis=1) >= 10 * w
-            pts = pts[far]
-            for part, v in zip(out, (np.full(len(pts) - 1, i), pts[:-1],
-                                     pts[1:])):
-                part.append(v)
-        return tuple(np.concatenate(p) for p in out)
+    def chain_minima_away(x, L, coarse, rows, roots, is_min, ladder, gap):
+        n = math.ceil(32.0 * w / gap)
+        run = 0.5 * gap * np.arange(-n, n + 1)
+        out = skeleton(x, L, coarse, rows, roots, is_min,
+                       np.concatenate([ladder, run]), gap)
+        prow, lo, hi, held = out
+        inside = is_min & (np.abs(roots - x[rows]) < L[rows])
+        for i, y in zip(rows[inside], roots[inside]):
+            p = (prow == i) & (lo < y) & (y < hi)
+            assert p.sum() == 1 and held[p].all()
+            assert min(y - lo[p][0], hi[p][0] - y) >= 16.0 * w
+            merged.append(i)
+        return out
 
-    monkeypatch.setattr(exact_solver, "_panel_skeleton", merge_minima_away)
+    monkeypatch.setattr(exact_solver, "_panel_skeleton", chain_minima_away)
     got = exact_solver.eval_fields(sine, x, a, k)
+    assert set(merged) == set(range(len(x)))
     for g, v in zip(got, want):
-        assert np.allclose(g, v, rtol=1e-8, atol=1e-8 * np.max(np.abs(v)))
+        assert np.allclose(g, v, rtol=1e-11, atol=1e-11 * np.max(np.abs(v)))
 
 
 def _mp_moments(coeffs, x, a, k, m, pts):

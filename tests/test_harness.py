@@ -53,6 +53,22 @@ def test_unconverged_initial_rate_raises(sine):
         harness.state_functionals(bad, 5.0, 0.0)
 
 
+def test_unconverged_x_integration_raises_naming_t_and_k(sine,
+                                                        monkeypatch):
+    # the x-quadrature reports its flag rather than raise; a False flag
+    # must not come back as (K, E, R)
+    adaptive_quad = quadrature.adaptive_quad
+
+    def unconverged(*args, **kw):
+        v, err, _ = adaptive_quad(*args, **kw)
+        return v, err, False
+
+    monkeypatch.setattr(quadrature, "adaptive_quad", unconverged)
+    with pytest.raises(QuadratureError,
+                       match=r"x-integration .* failed at t=0\.001, k=5\.0"):
+        harness.state_functionals(sine, 5.0, 1e-3)
+
+
 @pytest.mark.parametrize("t", [0.0, 1e-3])
 @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
 def test_state_functionals_reject_k_outside_zero_to_inf(sine, monkeypatch,
