@@ -363,10 +363,10 @@ def _phase_moments(profile, x, a, k, n_moments=2):
     float spacing at x); when the skeleton left after the drop holds more
     than quadrature.MAX_PANELS panels, which `adaptive_batch` would return
     unrefined (at late times, a << 1, where the window spans many
-    periods), before any panel is evaluated; when a row fails to converge;
-    or when it ends with r_0 <= 0 (at a so large that the y-window is
-    narrower than the float spacing at x) or with a window half-width
-    below MIN_WINDOW_SPACINGS float spacings at x.
+    periods), before any panel is evaluated; when a row fails to converge,
+    naming a stop at MAX_PANELS; or when it ends with r_0 <= 0 (at a so
+    large that the y-window is narrower than the float spacing at x) or
+    with a window half-width below MIN_WINDOW_SPACINGS float spacings at x.
     """
     x = np.asarray(x, dtype=float)
     nx = len(x)
@@ -466,7 +466,11 @@ def _phase_moments(profile, x, a, k, n_moments=2):
                                     epsrel=QUAD_TOL)
 
     if not res.converged.all():
-        _fail("phase integral did not converge", x, a, k, ~res.converged)
+        total = res.panels.sum()
+        _fail(f"phase integral stopped at quadrature.MAX_PANELS = "
+              f"{quadrature.MAX_PANELS} with {total} panels in its batch"
+              if total > quadrature.MAX_PANELS else
+              "phase integral did not converge", x, a, k, ~res.converged)
     if not np.all(res.value[:, 0] > 0):
         # every panel of the row has zero width once its window is
         # narrower than the float spacing at x

@@ -9,19 +9,19 @@ analyzed, means:
     * f'' >= 0 on [0, 1/2]  (one-sided convexity),
     * f' has the single interior zero x_star on (0, 1/2), f'(0) < 0.
 
-Profiles carry closures for f, f', f'' and the antiderivative
-F(x) = int_0^x f, plus a few cached ranges the solver uses to size its
-integration window.  Every profile is a sine series with exact closures,
-built by make_sine_series_profile: the reference sine is the one-term
-series.  The exact solver evaluates these closures only at finite
-points: a non-finite x, a or k raises there (QuadratureError or
+Every profile is a sine series, built from its coefficients alone (the
+reference sine is the one-term series): f, f', f'' and F(x) = int_0^x f
+are exact term-by-term sums, and a few ranges the solver uses to size its
+integration window are cached.  The exact solver evaluates these sums only
+at finite points: a non-finite x, a or k raises there (QuadratureError or
 ValueError) instead of returning NaN.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,22 +36,69 @@ class ProfileError(ValueError):
     """Raised when a candidate profile violates an admissibility invariant."""
 
 
-class Profile(NamedTuple):
-    """Bundle of shape-function closures and cached constants."""
-    f: Callable[[np.ndarray], np.ndarray]
-    f_prime: Callable[[np.ndarray], np.ndarray]
-    f_double_prime: Callable[[np.ndarray], np.ndarray]
-    F: Callable[[np.ndarray], np.ndarray]
-    x_star: float
-    f_prime_at_zero: float
-    f_prime_max: float
-    F_min: float
-    F_max: float
-    label: str = "custom"
+class Profile:
+    """f(x) = -sum_n a_n sin(2*pi*n*x) from coefficients a_1, a_2, ...
 
-    def __repr__(self):  # closures make the default repr useless
-        return (f"Profile({self.label!r}, x_star={self.x_star:.6g}, "
-                f"f'(0)={self.f_prime_at_zero:.6g})")
+    An empty or non-finite coefficient list raises ProfileError, naming any
+    non-finite a_n; admissibility is not checked.  Nothing is writable, so
+    coeffs, the series formed from it and the cached ranges always agree."""
+
+    __slots__ = ("coeffs", "label", "b_f", "b_fp", "b_fpp", "b_F", "_F0",
+                 "x_star", "f_prime_at_zero", "f_prime_max", "F_min", "F_max")
+
+    def __init__(self, coeffs: Sequence[float], label: Optional[str] = None):
+        a = np.array(coeffs, dtype=float)
+        if a.ndim != 1 or len(a) == 0:
+            raise ProfileError("need a non-empty 1-d coefficient sequence")
+        bad = np.flatnonzero(~np.isfinite(a))
+        if len(bad):
+            raise ProfileError("non-finite coefficient(s): " + ", ".join(
+                f"a_{n + 1} = {a[n]}" for n in bad))
+        wn = _TWO_PI * np.arange(1, len(a) + 1, dtype=float)
+        # sine-series coefficients of f, f'' and cosine-series ones of f', F
+        b_f, b_fp, b_fpp, b_F = -a, -a * wn, a * wn ** 2, a / wn
+        for b in (a, b_f, b_fp, b_fpp, b_F):
+            b.setflags(write=False)
+        F0 = float(np.sum(b_F))
+
+        # cached ranges from dense samples; x_star, the interior zero of f'
+        # on (0, 1/2), by bisection then one Newton polish (NaN when f'
+        # does not change sign from - to + there)
+        fp = partial(_cos_sum, b=b_fp)
+        grid = np.linspace(-0.5, 0.5, 4097)
+        Fg = _cos_sum(grid, b_F)
+        Fg -= F0
+        lo, hi = 1e-9, 0.5 - 1e-9
+        x_star = (bracketed_root(fp, lo, hi, dg=partial(_sin_sum, b=b_fpp),
+                                 iters=48, polish=1)
+                  if fp(lo) < 0 < fp(hi) else math.nan)
+        for name, value in dict(
+                coeffs=a, label=label or f"sine-series[{len(a)}]", b_f=b_f,
+                b_fp=b_fp, b_fpp=b_fpp, b_F=b_F, _F0=F0, x_star=x_star,
+                f_prime_at_zero=float(np.sum(b_fp)),
+                f_prime_max=float(np.max(fp(grid))),
+                F_min=float(np.min(Fg)), F_max=float(np.max(Fg))).items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Profile is immutable: cannot set {name}")
+
+    def __repr__(self):
+        return f"Profile({self.coeffs.tolist()}, label={self.label!r})"
+
+    def f(self, x):
+        return _sin_sum(x, self.b_f)
+
+    def f_prime(self, x):
+        return _cos_sum(x, self.b_fp)
+
+    def f_double_prime(self, x):
+        return _sin_sum(x, self.b_fpp)
+
+    def F(self, x):
+        out = _cos_sum(x, self.b_F)
+        out -= self._F0
+        return out
 
 
 def make_sine_profile() -> Profile:
@@ -63,58 +110,15 @@ def make_sine_profile() -> Profile:
     return make_sine_series_profile([_TWO_PI], label="sine")
 
 
-def make_sine_series_profile(coeffs: Sequence[float], validate: bool = True,
+def make_sine_series_profile(coeffs: Sequence[float],
                              label: Optional[str] = None) -> Profile:
-    """Profile f(x) = -sum_n a_n sin(2*pi*n*x) from coefficients a_1, a_2, ...
-
-    All derivatives and F are exact term-by-term.  An empty or non-finite
-    coefficient list raises ProfileError, naming any non-finite a_n,
-    before anything is evaluated.  With validate=True the
-    admissibility invariants are checked on a dense grid and violations
-    raise ProfileError; validate=False skips that (useful for building
-    deliberately bad profiles to exercise validate_profile).
-    """
-    a = np.asarray(coeffs, dtype=float)
-    if a.ndim != 1 or len(a) == 0:
-        raise ProfileError("need a non-empty 1-d coefficient sequence")
-    bad = np.flatnonzero(~np.isfinite(a))
-    if len(bad):
-        raise ProfileError("non-finite coefficient(s): " + ", ".join(
-            f"a_{n + 1} = {a[n]}" for n in bad))
-    wn = _TWO_PI * np.arange(1, len(a) + 1, dtype=float)
-    # the sine-series coefficients of f, f'' and cosine-series ones of f', F
-    b_f, b_fp, b_fpp, b_F = -a, -a * wn, a * wn ** 2, a / wn
-    F0 = float(np.sum(b_F))
-
-    def f(x):
-        return _sin_sum(x, b_f)
-
-    def fp(x):
-        return _cos_sum(x, b_fp)
-
-    def fpp(x):
-        return _sin_sum(x, b_fpp)
-
-    def F(x):
-        out = _cos_sum(x, b_F)
-        out -= F0
-        return out
-
-    # cached ranges from dense samples; x_star, the interior zero of f' on
-    # (0, 1/2), by bisection then one Newton polish (NaN when f' does not
-    # change sign from - to + there)
-    grid = np.linspace(-0.5, 0.5, 4097)
-    Fg = F(grid)
-    lo, hi = 1e-9, 0.5 - 1e-9
-    x_star = (bracketed_root(fp, lo, hi, dg=fpp, iters=48, polish=1)
-              if fp(lo) < 0 < fp(hi) else math.nan)
-    prof = Profile(f=f, f_prime=fp, f_double_prime=fpp, F=F, x_star=x_star,
-                   f_prime_at_zero=float(np.sum(b_fp)),
-                   f_prime_max=float(np.max(fp(grid))),
-                   F_min=float(np.min(Fg)), F_max=float(np.max(Fg)),
-                   label=label or f"sine-series[{len(a)}]")
-    if validate:
-        _raise_on_violation(prof)
+    """Profile(coeffs, label), with the admissibility invariants checked on
+    a dense grid: a violation raises ProfileError."""
+    prof = Profile(coeffs, label)
+    rep = validate_profile(prof)
+    if not rep.ok:
+        raise ProfileError("profile violates admissibility invariant(s): "
+                           + ", ".join(rep.names))
     return prof
 
 
@@ -228,11 +232,3 @@ def validate_profile(profile: Profile) -> ProfileReport:
                          fprime_zero_residual=fp_res,
                          antiderivative_residual=anti, F_evenness=F_even,
                          names=tuple(names))
-
-
-def _raise_on_violation(profile):
-    rep = validate_profile(profile)
-    if not rep.ok:
-        raise ProfileError(
-            "profile violates admissibility invariant(s): "
-            + ", ".join(rep.names))

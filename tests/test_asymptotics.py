@@ -334,8 +334,13 @@ def test_required_bound_report(sine):
 
 
 def test_required_bound_raises_when_f_squared_is_not_integrable(sine):
-    # f^2 = |y - 0.1|^-1.5 has no integral across y = 0.1 in [0, x_star]
-    bad = sine._replace(f=lambda y: -abs(y - 0.1) ** -0.75)
+    # f^2 = |y - 0.1|^-1.5 has no integral across y = 0.1 in [0, x_star];
+    # the sine's cached ranges, x_star among them, stay
+    class Singular(profiles.Profile):
+        def f(self, y):
+            return -abs(y - 0.1) ** -0.75
+
+    bad = Singular(sine.coeffs)
     with np.errstate(divide="ignore"), pytest.raises(
             QuadratureError, match=re.escape(f"[0, {sine.x_star}]")):
         asymptotics.check_required_bound(bad)

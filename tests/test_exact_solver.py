@@ -12,8 +12,7 @@ from enstrophy_lab.quadrature import QuadratureError
 
 
 def _flat_profile():
-    return profiles.make_sine_series_profile([0.0], validate=False,
-                                             label="flat")
+    return profiles.Profile([0.0], label="flat")
 
 
 def _log_I(profile, x, a, k):
@@ -106,6 +105,21 @@ def test_snapshot_on_a_grid_past_max_panels_in_one_batch(sine):
     for got, want in ((fine.u_values[::64], coarse.u_values),
                       (fine.ux_values[::64], coarse.ux_values)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_batch_stopped_at_max_panels_names_the_cap(sine, monkeypatch):
+    # this batch's y-skeleton holds 332 panels and converges at 505; capped
+    # at 342 it stops with the row x = 0.5 unconverged, a row that
+    # converges alone: the error names the cap and the batch's total
+    x = np.linspace(0.0, 0.5, 64)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 342)
+    with pytest.raises(QuadratureError, match=(
+            r"phase integral stopped at quadrature\.MAX_PANELS = 342 with "
+            r"(\d+) panels in its batch at \(x=0\.5, a=30, k=160\)$")) as err:
+        exact_solver.eval_fields(sine, x, 30.0, 160.0)
+    assert int(re.search(r"with (\d+) panels", str(err.value))[1]) > 342
+    u, ux = exact_solver.eval_fields(sine, x[-1:], 30.0, 160.0)
+    assert np.isfinite(u[0]) and np.isfinite(ux[0])
 
 
 def test_large_a_limit_recovers_initial_data(sine):
@@ -590,19 +604,24 @@ def test_scan_at_large_a_keeps_each_root_beside_its_row(sine):
 
 
 def _counting(profile):
-    """(profile, counter): the profile with f, f' and f'' wrapped to add
-    the number of points they evaluate to counter[0]."""
+    """(profile, counter): the profile with f, f' and f'' counting the
+    number of points they evaluate into counter[0]."""
     counted = [0]
 
-    def counting(fn):
-        def wrapped(y):
+    class Counting(profiles.Profile):
+        def f(self, y):
             counted[0] += np.size(y)
-            return fn(y)
-        return wrapped
+            return super().f(y)
 
-    return profile._replace(
-        f=counting(profile.f), f_prime=counting(profile.f_prime),
-        f_double_prime=counting(profile.f_double_prime)), counted
+        def f_prime(self, y):
+            counted[0] += np.size(y)
+            return super().f_prime(y)
+
+        def f_double_prime(self, y):
+            counted[0] += np.size(y)
+            return super().f_double_prime(y)
+
+    return Counting(profile.coeffs, profile.label), counted
 
 
 def test_scan_work_has_no_rows_times_samples_term(sine):

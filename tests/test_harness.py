@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from enstrophy_lab import (asymptotics, diagnostics, exact_solver, harness,
-                           quadrature, spectral_oracle)
+                           profiles, quadrature, spectral_oracle)
 from enstrophy_lab.quadrature import QuadratureError
 
 
@@ -45,9 +45,11 @@ def test_initial_functionals_closed_form_two_terms(two_term):
 
 def test_unconverged_initial_rate_raises(sine):
     # f''^2 is not integrable at the kink, so R(u0) has no finite value
-    bad = sine._replace(
-        f_double_prime=lambda y: np.abs(
-            np.asarray(y, float) - 0.3712345) ** -0.75)
+    class Kinked(profiles.Profile):
+        def f_double_prime(self, y):
+            return np.abs(np.asarray(y, float) - 0.3712345) ** -0.75
+
+    bad = Kinked(sine.coeffs)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(QuadratureError, match=r"\[0\.0, 0\.5\]"):
         harness.state_functionals(bad, 5.0, 0.0)

@@ -50,12 +50,12 @@ def _smoothed_triangle(sigma, terms=60):
                          ids=["one-term", "two-term", "three-term",
                               "triangle-60"])
 def test_series_closures_match_outer_product_sums(coeffs):
-    # the term-by-term sums each closure stands for, on |x| <= 2
+    # the term-by-term sums each method stands for, on |x| <= 2
     a = np.asarray(coeffs)
     wn = 2.0 * np.pi * np.arange(1, len(a) + 1)
     xs = np.linspace(-2.0, 2.0, 8001)
     arg = np.multiply.outer(xs, wn)
-    p = profiles.make_sine_series_profile(a, validate=False)
+    p = profiles.Profile(a)
     for got, want in ((p.f, -np.sin(arg) @ a),
                       (p.f_prime, -np.cos(arg) @ (a * wn)),
                       (p.f_double_prime, np.sin(arg) @ (a * wn ** 2)),
@@ -67,14 +67,14 @@ def test_series_closures_match_outer_product_sums(coeffs):
 
 
 def test_sign_flip_is_caught():
-    p = profiles.make_sine_series_profile([-1.0], validate=False)
+    p = profiles.Profile([-1.0])
     rep = profiles.validate_profile(p)
     assert not rep.ok
     assert "sign" in rep.names
 
 
 def test_convexity_violation_is_caught():
-    p = profiles.make_sine_series_profile([1.0, 0.25], validate=False)
+    p = profiles.Profile([1.0, 0.25])
     rep = profiles.validate_profile(p)
     assert rep.names == ("convexity",)
     with pytest.raises(profiles.ProfileError):
@@ -82,7 +82,7 @@ def test_convexity_violation_is_caught():
 
 
 def test_sine_is_the_one_term_series_bit_for_bit():
-    # make_sine_profile builds the one-term series [2 pi]; its closures
+    # make_sine_profile builds the one-term series [2 pi]; its methods
     # and cached constants equal the closed forms exactly
     p = profiles.make_sine_profile()
     two_pi = 2.0 * math.pi
@@ -102,8 +102,27 @@ def test_sine_is_the_one_term_series_bit_for_bit():
 @pytest.mark.parametrize("coeffs, named", [
     ([math.nan], "a_1 = nan"), ([1.0, math.inf], "a_2 = inf"),
     ([-math.inf, 0.1], "a_1 = -inf")])
-@pytest.mark.parametrize("validate", [True, False])
-def test_non_finite_coefficients_rejected_by_name(coeffs, named, validate):
+# the ids say whether the builder checks admissibility
+@pytest.mark.parametrize("build", [profiles.make_sine_series_profile,
+                                   profiles.Profile], ids=["True", "False"])
+def test_non_finite_coefficients_rejected_by_name(coeffs, named, build):
     with pytest.raises(profiles.ProfileError,
                        match=f"non-finite coefficient.*{named}"):
-        profiles.make_sine_series_profile(coeffs, validate=validate)
+        build(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[2.0 * math.pi], [1.0, 0.1]])
+def test_profile_is_its_coefficients(coeffs):
+    # nothing of a built profile can be changed, and its cached ranges are
+    # those its coefficients give
+    p = profiles.make_sine_series_profile(coeffs)
+    with pytest.raises(ValueError, match="read-only"):
+        p.coeffs[0] = 1.0
+    for name in ("x_star", "f", "coeffs", "label"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+    q = profiles.Profile(p.coeffs)
+    for name in ("x_star", "f_prime_at_zero", "f_prime_max", "F_min",
+                 "F_max"):
+        assert getattr(q, name) == getattr(p, name), name
+    assert repr(p) == f"Profile({coeffs!r}, label={p.label!r})"
